@@ -43,6 +43,7 @@ print(f"  Linf path: {linf[0]:.4f} -> {linf[8]:.4f} -> {linf[-1]:.4f}")
 print("== advection term is orthogonal to theta (skew symmetry) ==")
 theta = sq.dealias(sq.make_initial("gaussian_bump", grid))
 term = sq.nonlinear_term(theta)
-inner = grid.length ** 2 * float(np.sum(np.conj(theta.coeffs) * term.coeffs).real)
+inner = grid.length ** 2 * float(
+    np.sum(grid.weights * np.conj(theta.coeffs) * term.coeffs).real)
 print(f"  <theta, u . grad theta> = {inner:.3e}")
 print(f"  mean of the advection term  = {abs(term.coeffs[0, 0]):.3e}")

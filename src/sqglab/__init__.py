@@ -21,7 +21,6 @@ from .dynamics import (
 )
 from .errors import (
     AccuracyError,
-    AsymmetryError,
     BlowUpError,
     BudgetError,
     ConfigError,
@@ -59,18 +58,18 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    VelocityField,
     dealias,
     forward_transform,
     fractional_laplacian,
     gradient,
     gradient_sup,
-    hermitian_asymmetry,
     inverse_transform,
     l2_norm,
     linf_norm,
     riesz_velocity,
     sobolev_norm,
+    sobolev_norms,
+    sup_and_gradient_sup,
 )
 
 __version__ = "0.1.0"

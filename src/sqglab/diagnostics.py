@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, DomainError, ParameterError
-from .spectral import gradient, inverse_transform, linf_norm, sobolev_norm
+from .spectral import sobolev_norms, sup_and_gradient_sup
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
 
@@ -85,19 +85,10 @@ class NormSeries:
 def record_norms(state, series: NormSeries) -> NormSeries:
     """Append one row of norms for the given solver state."""
     theta = state.theta
-    phys = inverse_transform(theta)
-    g1, g2 = gradient(theta)
-    grad_mag = np.hypot(inverse_transform(g1).values, inverse_transform(g2).values)
-    row = [
-        state.t,
-        linf_norm(phys),
-        sobolev_norm(theta, 0.0),
-        sobolev_norm(theta, 1.0),
-        sobolev_norm(theta, 1.5),
-        sobolev_norm(theta, 2.0),
-        float(np.max(grad_mag)),
-    ]
-    row.extend(sobolev_norm(theta, 1.0 + b) for b in series.betas)
+    linf, grad_sup = sup_and_gradient_sup(theta)
+    l2, h1, h3_2, h2, *extra = sobolev_norms(
+        theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
+    row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
     if not all(np.isfinite(row)):
         raise BlowUpError(state.t, state.step_count, (0, 0))
     series.append(row)

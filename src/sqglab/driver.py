@@ -94,9 +94,11 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     """Execute a configured run, writing norms.csv, snapshots and checkpoints.
 
     When ``restart`` names a snapshot, the run resumes from its field and
-    time; the event schedule is regenerated from t = 0 and filtered, so a
-    resumed run reproduces the uninterrupted trajectory exactly (snapshot
-    writes round-trip the in-memory state through the serialized values).
+    time; a snapshot whose grid, gamma or kappa differs from the config is
+    rejected with ``ConfigError``.  The event schedule is regenerated from
+    t = 0 and filtered, so a resumed run reproduces the uninterrupted
+    trajectory exactly (snapshot writes round-trip the in-memory state
+    through the serialized values).
     """
     out_dir = resolve_output_dir(config, output_override)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,6 +112,11 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             raise ConfigError(
                 f"snapshot grid ({snap.field.grid.n}, {snap.field.grid.length}) "
                 f"does not match config ({grid.n}, {grid.length})")
+        if not (math.isclose(snap.gamma, config.gamma, rel_tol=1e-12)
+                and math.isclose(snap.kappa, config.kappa, rel_tol=1e-12)):
+            raise ConfigError(
+                f"snapshot physics (gamma {snap.gamma}, kappa {snap.kappa}) "
+                f"does not match config (gamma {config.gamma}, kappa {config.kappa})")
         state = SolverState(t=snap.t, theta=forward_transform(snap.field),
                             dt=sconfig.dt_max, config=sconfig)
     else:

@@ -10,18 +10,12 @@ dealiasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError
-from .spectral import (
-    SpectralField,
-    _ifft_real,
-    dealias,
-    gradient,
-    inverse_transform,
-    riesz_velocity,
-)
+from .spectral import SpectralField, _to_grid, dealias
 
 
 @dataclass(frozen=True)
@@ -63,50 +57,62 @@ class SolverState:
     config: SolverConfig
     step_count: int = 0
 
+    @cached_property
+    def stage1(self) -> tuple[np.ndarray, float]:
+        """The right-hand side -u . grad(theta) at this state and sup|u|.
+
+        Both come from one batched transform; ``adapt_dt`` reads the speed
+        and ``step`` uses the right-hand side as its first RK4 stage.  It is
+        computed on first use and is not a field, so ``dataclasses.replace``
+        never carries it over to a new state.
+        """
+        if not self.config.nonlinear_enabled:
+            return np.zeros_like(self.theta.coeffs), 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            term, u1, u2 = _advection(self.theta, self.config.dealias_enabled)
+            return -term, float(np.sqrt(np.max(u1 * u1 + u2 * u2)))
+
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     theta = dealias(theta0) if config.dealias_enabled else theta0
     return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config)
 
 
-def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True,
-                   validate: bool = True) -> SpectralField:
+def _advection(theta: SpectralField, dealias_enabled: bool):
+    """Coefficients of u . grad(theta) and the grid velocity (u1, u2).
+
+    One batched inverse transform gives u1, u2 and both gradient components
+    on the grid; the product is formed there, transformed back and truncated
+    by the 2/3 rule when enabled.
+    """
+    grid = theta.grid
+    u1, u2, t1, t2 = _to_grid(grid, grid.multipliers * theta.coeffs)
+    out = np.fft.rfft2(u1 * t1 + u2 * t2, norm="forward")
+    if dealias_enabled:
+        out *= grid.dealias_mask
+    return out, u1, u2
+
+
+def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True) -> SpectralField:
     """Spectral coefficients of u . grad(theta), assembled pseudo-spectrally.
 
     Velocity and gradient are evaluated by multipliers, the product is formed
     in physical space, transformed back, and truncated by the 2/3 rule when
     enabled.  For divergence-free u the mean of the product vanishes, so the
-    zero mode of the output is zero up to roundoff.  With validate=False the
-    inverse transforms skip their symmetry checks (solver hot path; the
-    stepper screens for non-finite output itself).
+    zero mode of the output is zero up to roundoff.
     """
-    vel = riesz_velocity(theta)
-    g1, g2 = gradient(theta)
-    if validate:
-        u1 = inverse_transform(vel.u1).values
-        u2 = inverse_transform(vel.u2).values
-        t1 = inverse_transform(g1).values
-        t2 = inverse_transform(g2).values
-    else:
-        u1, u2 = _ifft_real(vel.u1), _ifft_real(vel.u2)
-        t1, t2 = _ifft_real(g1), _ifft_real(g2)
-    n = theta.grid.n
-    product = np.fft.fft2(u1 * t1 + u2 * t2) / (n ** 2)
-    out = SpectralField(theta.grid, product)
-    return dealias(out) if dealias_enabled else out
+    return SpectralField(theta.grid, _advection(theta, dealias_enabled)[0])
 
 
 def _rhs(theta: SpectralField, config: SolverConfig) -> np.ndarray:
     if not config.nonlinear_enabled:
         return np.zeros_like(theta.coeffs)
-    return -nonlinear_term(theta, config.dealias_enabled, validate=False).coeffs
+    return -nonlinear_term(theta, config.dealias_enabled).coeffs
 
 
-def step(state: SolverState, dt: float | None = None) -> SolverState:
-    """Advance one integrating-factor RK4 step of size dt (default state.dt)."""
+def step(state: SolverState, dt: float) -> SolverState:
+    """Advance one integrating-factor RK4 step of size dt."""
     config = state.config
-    if dt is None:
-        dt = state.dt
     if not np.isfinite(dt) or dt <= 0.0:
         raise ParameterError(f"step size must be positive, got {dt}")
     if dt > config.dt_max * (1.0 + 1e-12):
@@ -120,19 +126,17 @@ def step(state: SolverState, dt: float | None = None) -> SolverState:
     th = state.theta.coeffs
     field = lambda c: SpectralField(grid, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        g1 = _rhs(state.theta, config)
+        g1 = state.stage1[0]
         g2 = _rhs(field(e_half * (th + (0.5 * dt) * g1)), config)
         g3 = _rhs(field(e_half * th + (0.5 * dt) * g2), config)
         g4 = _rhs(field(e_full * th + dt * (e_half * g3)), config)
         new = e_full * th + (dt / 6.0) * (e_full * g1 + 2.0 * e_half * (g2 + g3) + g4)
 
     if not np.all(np.isfinite(new)):
-        bad = ~np.isfinite(new)
-        kmag_bad = np.where(bad, grid.kmag, -1.0)
-        mode = np.unravel_index(int(np.argmax(kmag_bad)), new.shape)
-        m = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
+        kmag_bad = np.where(np.isfinite(new), -1.0, grid.kmag)
+        i, j = np.unravel_index(int(np.argmax(kmag_bad)), new.shape)
         raise BlowUpError(state.t + dt, state.step_count + 1,
-                          (m[mode[0]], m[mode[1]]))
+                          (grid.m1[i, 0], grid.m2[0, j]))
 
     return SolverState(
         t=state.t + dt,
@@ -144,12 +148,15 @@ def step(state: SolverState, dt: float | None = None) -> SolverState:
 
 
 def adapt_dt(state: SolverState) -> float:
-    """Advective CFL step: clamp(cfl * dx / ||u||_inf, dt_min, dt_max)."""
+    """Advective CFL step: clamp(cfl * dx / ||u||_inf, dt_min, dt_max).
+
+    The speed comes from the state's cached first RK4 stage, which the
+    following ``step`` reuses.
+    """
     config = state.config
     if not config.nonlinear_enabled:
         return config.dt_max
-    vel = riesz_velocity(state.theta)
-    umax = float(np.max(np.hypot(_ifft_real(vel.u1), _ifft_real(vel.u2))))
+    umax = state.stage1[1]
     if umax == 0.0:
         return config.dt_max
     dt = config.cfl * state.theta.grid.dx / umax

@@ -13,22 +13,6 @@ class InvalidFieldError(SqgError, ValueError):
     """Field data contains non-finite entries or has the wrong shape."""
 
 
-class AsymmetryError(SqgError, ValueError):
-    """Spectral coefficients violate Hermitian symmetry.
-
-    Carries the offending mode index and the measured asymmetry.
-    """
-
-    def __init__(self, mode, asymmetry, tolerance):
-        self.mode = tuple(int(m) for m in mode)
-        self.asymmetry = float(asymmetry)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"Hermitian symmetry violated at mode {self.mode}: "
-            f"|F(-m) - conj(F(m))| = {self.asymmetry:.3e} > {self.tolerance:.3e}"
-        )
-
-
 class BlowUpError(SqgError, ArithmeticError):
     """The solution developed non-finite coefficients."""
 

@@ -55,9 +55,8 @@ def band_limited_random(grid: Grid, seed: int, max_mode: int,
 
     base = _random_h1(grid, seed)
     mask = (np.abs(grid.m1) <= max_mode) & (np.abs(grid.m2) <= max_mode)
-    coeffs = np.where(mask, base.coeffs, 0.0)
-    field = SpectralField(grid, coeffs)
-    sup = linf_norm(inverse_transform(field))
+    coeffs = base.coeffs * mask
+    sup = linf_norm(inverse_transform(SpectralField(grid, coeffs)))
     if sup > 0.0:
         coeffs = coeffs * (amplitude / sup)
     return SpectralField(grid, coeffs)
@@ -69,24 +68,20 @@ def _random_h1(grid: Grid, seed: int) -> SpectralField:
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, n))
 
-    mmag = np.hypot(np.broadcast_to(grid.m1, (n, n)),
-                    np.broadcast_to(grid.m2, (n, n)))
-    amp = np.zeros((n, n))
+    # One phase per conjugate pair: the half plane m1 > 0 or (m1 = 0, m2 > 0)
+    # draws from the full-lattice table, the other half takes the negated
+    # phase of its partner -m.  The phase is odd, so the coefficients are
+    # Hermitian and |coeff| is exactly the prescribed profile.
+    mirror = (-np.arange(n)) % n
+    upper = (grid.m1 > 0) | ((grid.m1 == 0) & (grid.m2 > 0))
+    cols = slice(0, n // 2 + 1)
+    phase = np.where(upper, phases[:, cols], -phases[np.ix_(mirror, mirror[cols])])
+
+    mmag = np.hypot(grid.m1, grid.m2)
+    amp = np.zeros(grid.spectral_shape)
     nonzero = mmag > 0.0
     amp[nonzero] = mmag[nonzero] ** (-2.0 - delta)
     amp[~grid.dealias_mask] = 0.0  # keep the data alias-free under the dynamics
 
-    # Assign amplitude * e^{i phase} on a half lattice and mirror the
-    # conjugate so |coeff| is exactly the prescribed profile.
-    coeffs = np.zeros((n, n), dtype=complex)
-    upper = (grid.m1 > 0) | ((grid.m1 == 0) & (grid.m2 > 0))
-    upper = np.broadcast_to(upper, (n, n))
-    coeffs[upper] = amp[upper] * np.exp(1j * phases[upper])
-    idx = (-np.arange(n)) % n
-    mirrored = np.conj(coeffs[np.ix_(idx, idx)])
-    coeffs = np.where(upper, coeffs, mirrored)
-    coeffs[0, 0] = 0.0
-
-    field = SpectralField(grid, coeffs)
-    h1 = sobolev_norm(field, 1.0)
-    return SpectralField(grid, coeffs / h1)
+    field = SpectralField(grid, amp * np.exp(1j * phase))
+    return SpectralField(grid, field.coeffs / sobolev_norm(field, 1.0))

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     AccuracyError,
@@ -56,6 +55,8 @@ def _tail_integrand(u: float) -> float:
 
 def omega_prime_shape(r: float) -> float:
     """omega'(r) for delta3 = 1; scale by delta3 for the general case."""
+    from scipy.integrate import quad  # deferred: scipy is slow to import
+
     if r < 0.0:
         raise ParameterError(f"separation must be >= 0, got {r}")
     tail_to = 1.0 if r <= 1.0 else 1.0 / r

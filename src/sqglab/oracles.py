@@ -69,10 +69,12 @@ def single_mode_exact(grid: Grid, t: float) -> RealField:
 def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
     """Brute-force convolution sum for u . grad(theta) on small grids.
 
-    Restricts input and output to the alias-free 2/3 support and evaluates
-    out(m) = sum_q uhat(m - q) . (i k(q)) theta(q) directly, with the Riesz
-    velocity components written out mode by mode.  O(n^4) cost; refuses
-    n > 24.
+    Expands the half spectrum to the full lattice by F(-m) = conj(F(m)),
+    restricts input and output to the alias-free 2/3 support and evaluates
+    out(m) = sum_q uhat(m - q) . (i k(q)) theta(q) directly over the full
+    lattice, with the Riesz velocity components written out mode by mode.
+    The output has the half-spectrum layout of ``nonlinear_term``.  O(n^4)
+    cost; refuses n > 24.
     """
     grid = theta.grid
     n = grid.n
@@ -86,7 +88,9 @@ def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
     def that(m1: int, m2: int) -> complex:
         if max(abs(m1), abs(m2)) > half:
             return 0.0 + 0.0j
-        return complex(coeff[m1 % n, m2 % n])
+        if m2 < 0:
+            return complex(coeff[-m1 % n, -m2]).conjugate()
+        return complex(coeff[m1 % n, m2])
 
     def uhat(m1: int, m2: int):
         kk = scale * math.hypot(m1, m2)
@@ -95,10 +99,10 @@ def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
         th = that(m1, m2)
         return (-1j * scale * m2 / kk) * th, (1j * scale * m1 / kk) * th
 
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros(grid.spectral_shape, dtype=complex)
     rng = range(-half, half + 1)
     for m1 in rng:
-        for m2 in rng:
+        for m2 in range(half + 1):
             acc = 0.0 + 0.0j
             for q1 in rng:
                 for q2 in rng:
@@ -107,7 +111,7 @@ def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
                         continue
                     u1, u2 = uhat(p1, p2)
                     acc += (u1 * (1j * scale * q1) + u2 * (1j * scale * q2)) * that(q1, q2)
-            out[m1 % n, m2 % n] = acc
+            out[m1 % n, m2] = acc
     return SpectralField(grid, out)
 
 

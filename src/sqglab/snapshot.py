@@ -9,6 +9,8 @@ with generic tools; spectra are recomputed on load.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -31,12 +33,21 @@ class Snapshot:
 
 
 def write_snapshot(path, field: RealField, t: float, gamma: float, kappa: float):
+    """Write a snapshot atomically: into a temporary file beside ``path``,
+    then renamed over it, so a failed write leaves any previous file whole."""
     values = np.ascontiguousarray(field.values, dtype="<f8")
     header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length,
                           float(t), float(gamma), float(kappa))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(values.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_snapshot(path) -> Snapshot:

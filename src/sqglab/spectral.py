@@ -5,11 +5,17 @@ Conventions
 Grid points are x_j = (L/n) * j, j = 0..n-1 per axis, values stored row-major
 with the second axis fastest.  Coefficients follow the normalization
 
-    F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j),   k(m) = (2 pi / L) m,
+    F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j),   k(m) = (2 pi / L) m.
 
-in FFT ordering (m = 0, 1, .., n/2-1, -n/2, .., -1 per axis).  Under this
-convention Parseval reads ||f||_{L^2}^2 = L^2 * sum_m |F(m)|^2 and the
-homogeneous Sobolev norms are plain weighted coefficient sums.
+Fields are real, so F(-m) = conj(F(m)) and only the half lattice m2 >= 0 is
+stored: a ``SpectralField`` holds the (n, n/2+1) array of ``numpy.fft.rfft2``,
+rows in FFT order (m1 = 0, 1, .., n/2-1, -n/2, .., -1) and columns
+m2 = 0, 1, .., n/2.  Hermitian symmetry holds by construction.  Every mode of
+columns 1 .. n/2-1 stands for itself and its conjugate partner, so sums over
+the full lattice become sums over the half lattice with ``Grid.weights``
+(2 there, 1 on columns 0 and n/2).  Parseval reads
+||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2, and the homogeneous Sobolev norms
+are plain weighted coefficient sums.
 """
 
 from __future__ import annotations
@@ -18,18 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetryError, InvalidFieldError, ParameterError
-
-HERMITIAN_TOL = 1e-10
+from .errors import InvalidFieldError, ParameterError
 
 
 class Grid:
-    """Uniform n x n periodic grid on [0, L)^2 and its wavenumber lattice.
+    """Uniform n x n periodic grid on [0, L)^2 and its half wavenumber lattice.
 
-    Precomputes the spectral multiplier geometry: physical wavenumbers
-    ``k1``/``k2``, the modulus ``kmag``, odd-derivative multipliers
-    ``k1_diff``/``k2_diff`` with the Nyquist line zeroed (so derivatives of
-    real fields stay real), and the 2/3-rule dealias mask.
+    Holds every Fourier multiplier, on the (n, n/2+1) half lattice: the
+    integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
+    (a column and a row that broadcast), the modulus ``kmag`` and its cached
+    powers, the Parseval ``weights``, the 2/3-rule ``dealias_mask``, and the
+    ``multipliers`` stack (4, n, n/2+1) whose rows give, from theta, the
+    Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the gradient i k1, i k2.
+    The velocity rows vanish at k = 0 and on both Nyquist lines; the gradient
+    rows vanish on their own axis' Nyquist line, so derivatives of real
+    fields stay real.
     """
 
     def __init__(self, n: int, length: float):
@@ -41,24 +50,26 @@ class Grid:
         self.n = n
         self.length = float(length)
         self.dx = self.length / n
+        self.spectral_shape = (n, n // 2 + 1)
 
-        m = np.fft.fftfreq(n, d=1.0 / n)  # integer frequencies, Nyquist at -n/2
-        self.m1 = m[:, None]
-        self.m2 = m[None, :]
+        self.m1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # Nyquist at -n/2
+        self.m2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # Nyquist at +n/2
         scale = 2.0 * np.pi / self.length
         self.k1 = scale * self.m1
         self.k2 = scale * self.m2
-        self.kmag = np.hypot(np.broadcast_to(self.k1, (n, n)),
-                             np.broadcast_to(self.k2, (n, n)))
+        self.kmag = np.hypot(self.k1, self.k2)
 
-        m_diff = m.copy()
-        m_diff[n // 2] = 0.0  # Nyquist mode carries no well-defined sign
-        self.k1_diff = scale * m_diff[:, None]
-        self.k2_diff = scale * m_diff[None, :]
-        self.nyquist_free = (np.abs(self.m1) < n // 2) & (np.abs(self.m2) < n // 2)
+        self.weights = np.full((1, n // 2 + 1), 2.0)
+        self.weights[0, [0, -1]] = 1.0
 
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.m1) <= cutoff) & (np.abs(self.m2) <= cutoff)
+
+        off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
+        inv_k = np.zeros_like(self.kmag)
+        np.divide(1.0, self.kmag, out=inv_k, where=(self.kmag > 0.0) & off1 & off2)
+        self.multipliers = 1j * np.stack(np.broadcast_arrays(
+            -self.k2 * inv_k, self.k1 * inv_k, self.k1 * off1, self.k2 * off2))
 
         self._pow_cache: dict[float, np.ndarray] = {}
 
@@ -98,25 +109,11 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real scalar field (full complex array)."""
+    """Half-spectrum Fourier coefficients of a real scalar field, shape
+    ``grid.spectral_shape``."""
 
     grid: Grid
     coeffs: np.ndarray
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """Two spectral velocity components on a common grid."""
-
-    u1: SpectralField
-    u2: SpectralField
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -127,45 +124,17 @@ def forward_transform(f: RealField) -> SpectralField:
             f"expected shape {(f.grid.n, f.grid.n)}, got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError("field values contain non-finite entries")
-    coeffs = np.fft.fft2(values) / (f.grid.n ** 2)
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, np.fft.rfft2(values, norm="forward"))
 
 
-def hermitian_asymmetry(F: SpectralField):
-    """Max |F(-m) - conj(F(m))| and the mode index achieving it."""
-    c = F.coeffs
-    n = F.grid.n
-    idx = (-np.arange(n)) % n
-    mirrored = np.conj(c[np.ix_(idx, idx)])
-    diff = np.abs(c - mirrored)
-    flat = int(np.argmax(diff))
-    mode = np.unravel_index(flat, diff.shape)
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    return float(diff[mode]), (m[mode[0]], m[mode[1]])
+def _to_grid(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values of one or a stack of half spectra (one batched transform)."""
+    return np.fft.irfft2(coeffs, s=(grid.n, grid.n), norm="forward")
 
 
 def inverse_transform(F: SpectralField) -> RealField:
-    """Transform coefficients back to real grid values.
-
-    Requires Hermitian symmetry to ``HERMITIAN_TOL`` (scaled by the
-    coefficient magnitude); the residual imaginary part is checked against
-    the same tolerance and discarded.
-    """
-    scale = max(1.0, float(np.max(np.abs(F.coeffs))) if F.coeffs.size else 1.0)
-    tol = HERMITIAN_TOL * scale
-    asym, mode = hermitian_asymmetry(F)
-    if asym > tol:
-        raise AsymmetryError(mode, asym, tol)
-    values = np.fft.ifft2(F.coeffs) * (F.grid.n ** 2)
-    resid = float(np.max(np.abs(values.imag)))
-    if resid > tol:
-        raise AsymmetryError((0, 0), resid, tol)
-    return RealField(F.grid, np.ascontiguousarray(values.real))
-
-
-def _ifft_real(F: SpectralField) -> np.ndarray:
-    """Unchecked real-part inverse transform for solver hot paths."""
-    return np.fft.ifft2(F.coeffs).real * (F.grid.n ** 2)
+    """Transform coefficients back to real grid values."""
+    return RealField(F.grid, _to_grid(F.grid, F.coeffs))
 
 
 def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
@@ -175,46 +144,47 @@ def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
     return SpectralField(F.grid, F.grid.kmag_pow(gamma) * F.coeffs)
 
 
-def riesz_velocity(theta: SpectralField) -> VelocityField:
-    """Velocity (-R2 theta, R1 theta) from the scalar via Riesz multipliers.
+def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Velocity (u1, u2) = (-R2 theta, R1 theta) from the scalar.
 
     u1 = -i k2/|k| theta, u2 = +i k1/|k| theta; the zero mode and the Nyquist
-    lines are set to zero (the symbol is undefined at k = 0, and Nyquist
-    content would break Hermitian symmetry).  The result is divergence free
-    mode by mode.
+    lines are set to zero (the symbol is undefined at k = 0 and odd on the
+    Nyquist lines).  The result is divergence free mode by mode.
     """
-    grid = theta.grid
-    inv_k = np.zeros_like(grid.kmag)
-    np.divide(1.0, grid.kmag, out=inv_k, where=grid.kmag > 0.0)
-    mask = grid.nyquist_free
-    u1 = np.where(mask, -1j * grid.k2 * inv_k * theta.coeffs, 0.0)
-    u2 = np.where(mask, 1j * grid.k1 * inv_k * theta.coeffs, 0.0)
-    return VelocityField(SpectralField(grid, u1), SpectralField(grid, u2))
+    u1, u2 = theta.grid.multipliers[:2] * theta.coeffs
+    return SpectralField(theta.grid, u1), SpectralField(theta.grid, u2)
 
 
 def gradient(F: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Spectral gradient components (i k1 F, i k2 F), Nyquist zeroed per axis."""
-    g1 = 1j * F.grid.k1_diff * F.coeffs
-    g2 = 1j * F.grid.k2_diff * F.coeffs
+    g1, g2 = F.grid.multipliers[2:] * F.coeffs
     return SpectralField(F.grid, g1), SpectralField(F.grid, g2)
 
 
 def dealias(F: SpectralField) -> SpectralField:
     """2/3-rule truncation: zero coefficients with max(|m1|, |m2|) > n/3."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
+    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
 
 
-def sobolev_norm(F: SpectralField, s: float) -> float:
-    """Homogeneous Sobolev norm (L^2 sum_m |k|^{2s} |F(m)|^2)^{1/2}.
+def sobolev_norms(F: SpectralField, orders) -> list[float]:
+    """Homogeneous Sobolev norms (L^2 sum_m |k|^{2s} |F(m)|^2)^{1/2}, one per
+    order s, all from one weighted |F|^2 array.
 
     For s = 0 the zero mode is included (|k|^0 = 1 there), so the value is
     the full L^2 norm; for s > 0 the zero mode contributes nothing.
     """
-    if s < 0:
-        raise ParameterError(f"Sobolev order must be >= 0, got {s}")
-    w = F.grid.kmag_pow(2.0 * s)
-    total = float(np.sum(w * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)))
-    return F.grid.length * np.sqrt(total)
+    orders = [float(s) for s in orders]
+    if any(s < 0 for s in orders):
+        raise ParameterError(f"Sobolev orders must be >= 0, got {orders}")
+    grid = F.grid
+    energy = grid.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
+    return [grid.length * float(np.sqrt(np.sum(grid.kmag_pow(2.0 * s) * energy)))
+            for s in orders]
+
+
+def sobolev_norm(F: SpectralField, s: float) -> float:
+    """Homogeneous Sobolev norm of order s; see ``sobolev_norms``."""
+    return sobolev_norms(F, (s,))[0]
 
 
 def linf_norm(f: RealField) -> float:
@@ -227,10 +197,14 @@ def l2_norm(f: RealField) -> float:
     return float(np.sqrt(np.sum(f.values ** 2))) * f.grid.dx
 
 
+def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
+    """Grid maxima of |f| and of |grad f|, the gradient computed spectrally,
+    from one batched inverse transform of (F, i k1 F, i k2 F)."""
+    stack = np.concatenate((F.coeffs[None], F.grid.multipliers[2:] * F.coeffs))
+    f, d1, d2 = _to_grid(F.grid, stack)
+    return float(np.max(np.abs(f))), float(np.sqrt(np.max(d1 * d1 + d2 * d2)))
+
+
 def gradient_sup(f: RealField) -> float:
     """Grid maximum of |grad f| with the gradient computed spectrally."""
-    F = forward_transform(f)
-    g1, g2 = gradient(F)
-    d1 = inverse_transform(g1).values
-    d2 = inverse_transform(g2).values
-    return float(np.max(np.hypot(d1, d2)))
+    return sup_and_gradient_sup(forward_transform(f))[1]

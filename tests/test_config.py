@@ -1,5 +1,6 @@
 """Tests for config parsing and snapshot serialization."""
 
+import errno
 import math
 
 import numpy as np
@@ -126,6 +127,39 @@ class TestSnapshot:
         raw = path.read_bytes()
         assert raw[:4] == b"SQG1"
         assert len(raw) == 44 + 8 * 8 * 8
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import sqglab.snapshot
+
+        g = Grid(8, 1.0)
+        path = tmp_path / "checkpoint.bin"
+        write_snapshot(path, RealField(g, np.ones((8, 8))), 1.0, 1.0, 1.0)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes the header, then fails on the payload."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.fh.tell() > 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(sqglab.snapshot, "open",
+                            lambda p, mode: DiskFull(open(p, mode)), raising=False)
+        with pytest.raises(OSError):
+            write_snapshot(path, RealField(g, np.zeros((8, 8))), 2.0, 1.0, 1.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -34,7 +34,7 @@ def synthetic_series(ts, ys, column="linf"):
 class TestNormSeries:
     def test_zero_field_row(self):
         g = Grid(16, TWO_PI)
-        zero = SpectralField(g, np.zeros((16, 16), dtype=complex))
+        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
         state = initial_state(zero, SolverConfig(gamma=1.0))
         series = record_norms(state, NormSeries())
         assert len(series) == 1

@@ -109,6 +109,24 @@ class TestCli:
         code = main(["run", "--config", str(config), "--restart", str(bad)])
         assert code == 11
 
+    def test_restart_physics_mismatch_exit_12(self, tmp_path, capsys):
+        config = write_config(tmp_path, (
+            "output.snapshot_dt = 0.5\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 0
+        snap = tmp_path / "out" / "snap_0.500000.bin"
+        capsys.readouterr()
+        for key in ("gamma", "kappa"):
+            other = write_config(tmp_path, f"output.directory = {tmp_path}/{key}\n",
+                                 name=f"{key}.cfg")
+            other.write_text(other.read_text().replace(
+                f"dynamics.{key} = 1.0", f"dynamics.{key} = 0.5"))
+            code = main(["run", "--config", str(other), "--restart", str(snap)])
+            assert code == 12
+            assert "snapshot physics" in capsys.readouterr().err
+            assert not (tmp_path / key / "norms.csv").exists()
+
     def test_blow_up_exit_2(self, tmp_path):
         config = tmp_path / "explode.cfg"
         config.write_text(BASE_CONFIG.replace("dynamics.kappa = 1.0",

@@ -1,6 +1,7 @@
 """Tests for the time stepper and nonlinear term."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sqglab import (
     inverse_transform,
     make_initial,
     nonlinear_term,
+    riesz_velocity,
     run_until,
     sobolev_norm,
     step,
@@ -55,7 +57,7 @@ class TestNonlinearTerm:
         g = Grid(64, TWO_PI)
         theta = dealias(make_initial("gaussian_bump", g))
         out = nonlinear_term(theta)
-        inner = g.length ** 2 * np.sum(np.conj(theta.coeffs) * out.coeffs).real
+        inner = g.length ** 2 * np.sum(g.weights * np.conj(theta.coeffs) * out.coeffs).real
         assert abs(inner) < 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
@@ -88,7 +90,7 @@ class TestStep:
 
     def test_zero_field_only_time_advances(self):
         g = Grid(16, TWO_PI)
-        zero = SpectralField(g, np.zeros((16, 16), dtype=complex))
+        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
         state = initial_state(zero, critical_config())
         new = step(state, 0.02)
         assert new.t == 0.02
@@ -128,15 +130,24 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(state, 0.2)  # above dt_max
 
-    def test_hermitian_symmetry_preserved(self):
-        from sqglab import hermitian_asymmetry
-
+    def test_first_stage_is_the_cached_rhs(self):
         g = Grid(32, TWO_PI)
         state = initial_state(make_initial("random_h1", g, seed=1), critical_config())
-        for _ in range(25):
-            state = step(state, 0.02)
-        asym, _ = hermitian_asymmetry(state.theta)
-        assert asym < 1e-13
+        rhs, umax = state.stage1
+        assert state.stage1[0] is rhs  # computed once per state
+        assert np.array_equal(rhs, -nonlinear_term(state.theta).coeffs)
+        u1, u2 = riesz_velocity(state.theta)
+        speed = np.hypot(inverse_transform(u1).values, inverse_transform(u2).values)
+        assert abs(umax - np.max(speed)) <= 1e-14 * umax
+
+    def test_replace_drops_the_cached_stage(self):
+        g = Grid(32, TWO_PI)
+        state = initial_state(make_initial("cmt", g), critical_config())
+        adapt_dt(state)
+        assert "stage1" in vars(state)
+        doubled = replace(state, theta=SpectralField(g, 2.0 * state.theta.coeffs))
+        assert "stage1" not in vars(doubled)
+        assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
     def test_mean_conservation(self):
         g = Grid(32, TWO_PI)
@@ -162,7 +173,7 @@ class TestStep:
 class TestAdaptDt:
     def test_zero_velocity_returns_dt_max(self):
         g = Grid(16, TWO_PI)
-        zero = SpectralField(g, np.zeros((16, 16), dtype=complex))
+        zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
         state = initial_state(zero, critical_config(dt_max=0.7))
         assert adapt_dt(state) == 0.7
 

@@ -1,6 +1,9 @@
 """Tests for the modulus-of-continuity certificate and breach monitor."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,3 +235,14 @@ def test_default_offsets_structure():
         0 < math.hypot(d1, d2) * g.dx <= 10.0 + 1e-12 for d1, d2 in offsets)
     assert any(d1 == d2 for d1, d2 in offsets)      # diagonals present
     assert any(d1 == -d2 and d1 > 0 for d1, d2 in offsets)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only when a modulus table is built
+    import sqglab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sqglab.__file__)))
+    code = "import sys, sqglab; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,89 @@
+"""Property tests that pin the half-spectrum layout and its invariants."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqglab import (
+    Grid,
+    RealField,
+    dealias,
+    forward_transform,
+    inverse_transform,
+    l2_norm,
+    nonlinear_term,
+    riesz_velocity,
+    sobolev_norm,
+)
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+grids = st.builds(Grid, st.sampled_from([8, 10, 12, 16, 24, 32]),
+                  st.floats(min_value=0.5, max_value=20.0))
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+scales = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def random_field(grid, seed, scale):
+    rng = np.random.default_rng(seed)
+    return RealField(grid, scale * rng.standard_normal((grid.n, grid.n)))
+
+
+@SETTINGS
+@given(grids, seeds, scales)
+def test_round_trip(grid, seed, scale):
+    f = random_field(grid, seed, scale)
+    F = forward_transform(f)
+    assert F.coeffs.shape == grid.spectral_shape == (grid.n, grid.n // 2 + 1)
+    back = inverse_transform(F)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+    again = forward_transform(back)
+    assert np.max(np.abs(again.coeffs - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
+
+
+@SETTINGS
+@given(grids, seeds, scales)
+def test_half_spectrum_is_the_full_transform(grid, seed, scale):
+    f = random_field(grid, seed, scale)
+    full = np.fft.fft2(f.values) / grid.n ** 2
+    F = forward_transform(f).coeffs
+    assert np.max(np.abs(F - full[:, : grid.n // 2 + 1])) <= 1e-13 * np.max(np.abs(full))
+
+
+@SETTINGS
+@given(grids, seeds, scales)
+def test_parseval(grid, seed, scale):
+    F = forward_transform(random_field(grid, seed, scale))
+    quad = l2_norm(inverse_transform(F))
+    assert math.isclose(sobolev_norm(F, 0.0), quad, rel_tol=1e-12)
+
+
+@SETTINGS
+@given(grids, seeds, scales)
+def test_riesz_velocity_is_divergence_free(grid, seed, scale):
+    theta = forward_transform(random_field(grid, seed, scale))
+    u1, u2 = riesz_velocity(theta)
+    div = grid.k1 * u1.coeffs + grid.k2 * u2.coeffs
+    bound = 1e-14 * np.max(grid.kmag) * np.max(np.abs(theta.coeffs))
+    assert np.max(np.abs(div)) <= bound
+
+
+@SETTINGS
+@given(grids, seeds, scales)
+def test_dealias_is_idempotent(grid, seed, scale):
+    once = dealias(forward_transform(random_field(grid, seed, scale)))
+    assert np.array_equal(dealias(once).coeffs, once.coeffs)
+    assert np.all(once.coeffs[~grid.dealias_mask] == 0)
+
+
+@SETTINGS
+@given(grids, seeds, scales, st.booleans())
+def test_nonlinear_term_has_zero_mean(grid, seed, scale, dealias_enabled):
+    theta = forward_transform(random_field(grid, seed, scale))
+    out = nonlinear_term(theta, dealias_enabled)
+    # |u| <= sum |u_hat| and |grad theta| <= sum |k| |theta_hat|
+    weighted = grid.weights * np.abs(theta.coeffs)
+    bound = np.sum(weighted) * np.sum(grid.kmag * weighted)
+    assert abs(out.coeffs[0, 0]) <= 1e-13 * bound

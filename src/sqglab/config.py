@@ -50,7 +50,6 @@ class RunConfig:
     modulus_enabled: bool = False
     delta3: float = 0.1
     r_max: float = 10.0
-    offsets: str = "default"
     table_size: int = 256
     # output
     directory: str = "out"
@@ -91,11 +90,6 @@ def _known_preset(value: str):
             f"unknown preset {value!r}; choose from {', '.join(PRESETS)}")
 
 
-def _offsets_spec(value: str):
-    if value != "default":
-        raise ValueError(f"unsupported offsets spec {value!r} (only 'default')")
-
-
 # key -> (attribute, parser, validator or None, required)
 _KEYS = {
     "grid.n": ("n", int, _even_grid, True),
@@ -117,7 +111,6 @@ _KEYS = {
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
     "modulus.delta3": ("delta3", float, _positive("modulus.delta3"), False),
     "modulus.r_max": ("r_max", float, _positive("modulus.r_max"), False),
-    "modulus.offsets": ("offsets", str, _offsets_spec, False),
     "modulus.table_size": ("table_size", int, None, False),
     "output.directory": ("directory", str, None, False),
     "output.betas": ("betas", _parse_float_list, None, False),

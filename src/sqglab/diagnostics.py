@@ -50,8 +50,10 @@ class NormSeries:
         if len(row) != len(self.columns):
             raise ParameterError(
                 f"row has {len(row)} entries, expected {len(self.columns)}")
-        if not all(np.isfinite(row)):
-            raise BlowUpError(row[0], -1, (0, 0))
+        finite = np.isfinite(row)
+        if not finite.all():
+            column = self.columns[int(np.argmin(finite))]
+            raise ParameterError(f"row has a non-finite {column!r}: {row}")
         if self._rows and row[0] <= self._rows[-1][0]:
             raise ParameterError(
                 f"sample times must increase: {row[0]} after {self._rows[-1][0]}")

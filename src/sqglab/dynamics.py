@@ -5,10 +5,25 @@ variable phi(t) = exp(kappa |k|^gamma t) theta(t), so the dissipation
 semigroup is applied exactly and only the advection term is integrated
 numerically.  Advection is assembled pseudo-spectrally with 2/3-rule
 dealiasing.
+
+A step allocates no large temporaries beyond the arrays it keeps: the
+right-hand side and the RK4 stage inputs are formed in place, in a
+per-thread workspace keyed by ``Grid.spectral_shape``.  It holds the
+(4, n, n/2+1) multiplier product, the (4, n, n) grid stack and one half
+spectrum for the stage input.  It is a ``threading.local``, not scratch on
+``Grid``, so threads stepping on one grid never share buffers.  Fresh
+multi-MiB temporaries on every call would cost more than the transforms:
+glibc maps such blocks anew and hands them back to the kernel on free, so
+each step would take thousands of minor page faults.  The inverse transform is
+``numpy.fft.irfftn`` with ``out=``; ``irfft2`` would not do, because
+(numpy 2.4) it passes ``out=None`` on to ``irfftn`` and allocates its
+result.  The in-place operations repeat the operands and the order of the
+plain expressions, so trajectories are unchanged bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -68,9 +83,14 @@ class SolverState:
         """
         if not self.config.nonlinear_enabled:
             return np.zeros_like(self.theta.coeffs), 0.0
+        rhs = np.empty(self.theta.grid.spectral_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            term, u1, u2 = _advection(self.theta, self.config.dealias_enabled)
-            return -term, float(np.sqrt(np.max(u1 * u1 + u2 * u2)))
+            u1, u2 = _advection(self.theta, self.config.dealias_enabled, rhs)
+            np.negative(rhs, out=rhs)
+            u1 *= u1
+            u2 *= u2
+            u1 += u2
+            return rhs, float(np.sqrt(np.max(u1)))
 
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
@@ -78,40 +98,85 @@ def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config)
 
 
-def _advection(theta: SpectralField, dealias_enabled: bool):
-    """Coefficients of u . grad(theta) and the grid velocity (u1, u2).
+class _Workspace(threading.local):
+    """This thread's scratch buffers, one set per ``Grid.spectral_shape``."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def get(self, grid):
+        """(multiplier product, grid stack, stage input) for this grid."""
+        buffers = self.buffers.get(grid.spectral_shape)
+        if buffers is None:
+            buffers = self.buffers[grid.spectral_shape] = (
+                np.empty((4,) + grid.spectral_shape, dtype=complex),
+                np.empty((4, grid.n, grid.n)),
+                np.empty(grid.spectral_shape, dtype=complex))
+        return buffers
+
+
+_workspace = _Workspace()
+
+
+def _advection(theta: SpectralField, dealias_enabled: bool, out: np.ndarray):
+    """Write the coefficients of u . grad(theta) into ``out``; return the grid
+    velocity (u1, u2).
 
     One batched inverse transform gives u1, u2 and both gradient components
     on the grid; the product is formed there, transformed back and truncated
-    by the 2/3 rule when enabled.
+    by the 2/3 rule when enabled.  u1 and u2 are views into this thread's
+    workspace, valid until its next call.
     """
     grid = theta.grid
-    u1, u2, t1, t2 = _to_grid(grid, grid.multipliers * theta.coeffs)
-    out = np.fft.rfft2(u1 * t1 + u2 * t2, norm="forward")
+    spec, stack, _ = _workspace.get(grid)
+    np.multiply(grid.multipliers, theta.coeffs, out=spec)
+    u1, u2, t1, t2 = _to_grid(grid, spec, out=stack)
+    t1 *= u1
+    t2 *= u2
+    t1 += t2
+    np.fft.rfft2(t1, norm="forward", out=out)
     if dealias_enabled:
         out *= grid.dealias_mask
-    return out, u1, u2
+    return u1, u2
 
 
-def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True) -> SpectralField:
+def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True,
+                   out: np.ndarray | None = None) -> SpectralField:
     """Spectral coefficients of u . grad(theta), assembled pseudo-spectrally.
 
     Velocity and gradient are evaluated by multipliers, the product is formed
     in physical space, transformed back, and truncated by the 2/3 rule when
     enabled.  For divergence-free u the mean of the product vanishes, so the
-    zero mode of the output is zero up to roundoff.
+    zero mode of the output is zero up to roundoff.  The coefficients are
+    written into ``out`` (complex, shape ``grid.spectral_shape``) when given,
+    else into a new array.
     """
-    return SpectralField(theta.grid, _advection(theta, dealias_enabled)[0])
+    if out is None:
+        out = np.empty(theta.grid.spectral_shape, dtype=complex)
+    _advection(theta, dealias_enabled, out)
+    return SpectralField(theta.grid, out)
 
 
-def _rhs(theta: SpectralField, config: SolverConfig) -> np.ndarray:
+def _rhs(theta: SpectralField, config: SolverConfig, out: np.ndarray) -> None:
+    """Write the right-hand side -u . grad(theta) into ``out``."""
     if not config.nonlinear_enabled:
-        return np.zeros_like(theta.coeffs)
-    return -nonlinear_term(theta, config.dealias_enabled).coeffs
+        out.fill(0.0)
+        return
+    nonlinear_term(theta, config.dealias_enabled, out=out)
+    np.negative(out, out=out)
 
 
 def step(state: SolverState, dt: float) -> SolverState:
-    """Advance one integrating-factor RK4 step of size dt."""
+    """Advance one integrating-factor RK4 step of size dt.
+
+    With g1 = ``state.stage1`` (never written to) and stage inputs built in
+    the workspace, it computes, in this order of operations,
+
+        g2 = rhs(e_half * (th + (dt/2) g1))
+        g3 = rhs(e_half * th + (dt/2) g2)
+        g4 = rhs(e_full * th + dt (e_half g3))
+        new = e_full * th + (dt/6) ((e_full g1 + (2 e_half) (g2 + g3)) + g4)
+    """
     config = state.config
     if not np.isfinite(dt) or dt <= 0.0:
         raise ParameterError(f"step size must be positive, got {dt}")
@@ -124,13 +189,33 @@ def step(state: SolverState, dt: float) -> SolverState:
     e_half = np.exp(-lam * (0.5 * dt))
 
     th = state.theta.coeffs
-    field = lambda c: SpectralField(grid, c)
+    x = _workspace.get(grid)[2]
+    stage = SpectralField(grid, x)
+    g2, g3, g4 = np.empty((3,) + th.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         g1 = state.stage1[0]
-        g2 = _rhs(field(e_half * (th + (0.5 * dt) * g1)), config)
-        g3 = _rhs(field(e_half * th + (0.5 * dt) * g2), config)
-        g4 = _rhs(field(e_full * th + dt * (e_half * g3)), config)
-        new = e_full * th + (dt / 6.0) * (e_full * g1 + 2.0 * e_half * (g2 + g3) + g4)
+        np.multiply(0.5 * dt, g1, out=x)
+        x += th
+        x *= e_half
+        _rhs(stage, config, g2)
+        np.multiply(0.5 * dt, g2, out=g3)
+        np.multiply(e_half, th, out=x)
+        x += g3
+        _rhs(stage, config, g3)
+        np.multiply(e_half, g3, out=g4)
+        g4 *= dt
+        np.multiply(e_full, th, out=x)
+        x += g4
+        _rhs(stage, config, g4)
+        g2 += g3
+        e_half *= 2.0
+        g2 *= e_half
+        np.multiply(e_full, g1, out=x)
+        x += g2
+        x += g4
+        x *= dt / 6.0
+        new = e_full * th
+        new += x
 
     if not np.all(np.isfinite(new)):
         kmag_bad = np.where(np.isfinite(new), -1.0, grid.kmag)

@@ -127,9 +127,11 @@ def forward_transform(f: RealField) -> SpectralField:
     return SpectralField(f.grid, np.fft.rfft2(values, norm="forward"))
 
 
-def _to_grid(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values of one or a stack of half spectra (one batched transform)."""
-    return np.fft.irfft2(coeffs, s=(grid.n, grid.n), norm="forward")
+def _to_grid(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid values of one or a stack of half spectra (one batched transform),
+    written into ``out`` when given."""
+    return np.fft.irfftn(coeffs, s=(grid.n, grid.n), axes=(-2, -1),
+                         norm="forward", out=out)
 
 
 def inverse_transform(F: SpectralField) -> RealField:

@@ -50,6 +50,13 @@ class TestParseConfig:
         assert "grd.n" in str(err.value)
         assert err.value.line == 6
 
+    def test_removed_offsets_key_is_unknown(self):
+        text = MINIMAL + "modulus.offsets = default\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "unknown key 'modulus.offsets'" in str(err.value)
+        assert err.value.line == 6
+
     def test_type_mismatch_with_line_number(self):
         text = MINIMAL.replace("grid.n = 64", "grid.n = sixty-four")
         with pytest.raises(ConfigError) as err:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from sqglab import (
+    BlowUpError,
     DomainError,
     Grid,
     NormSeries,
     ParameterError,
     SolverConfig,
+    SolverState,
     SpectralField,
     check_boundedness,
     fit_decay_exponent,
@@ -59,6 +61,22 @@ class TestNormSeries:
         series.append([0.0, 1, 1, 1, 1, 1, 1])
         with pytest.raises(ParameterError):
             series.append([0.0, 1, 1, 1, 1, 1, 1])
+
+    def test_non_finite_row_names_its_column(self):
+        series = NormSeries()
+        with pytest.raises(ParameterError, match="'l2'"):
+            series.append([0.1, 1.0, math.nan, math.inf, 1, 1, 1])
+        assert len(series) == 0
+
+    def test_record_norms_blow_up_carries_step_count(self):
+        g = Grid(16, TWO_PI)
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
+        coeffs[1, 2] = math.inf
+        state = SolverState(t=0.5, theta=SpectralField(g, coeffs), dt=0.05,
+                            config=SolverConfig(gamma=1.0), step_count=7)
+        with pytest.raises(BlowUpError) as err, np.errstate(invalid="ignore"):
+            record_norms(state, NormSeries())
+        assert (err.value.t, err.value.step_count) == (0.5, 7)
 
     def test_beta_columns_in_header(self):
         series = NormSeries(betas=(0.5, 1.0))

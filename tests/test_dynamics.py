@@ -1,6 +1,9 @@
 """Tests for the time stepper and nonlinear term."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +36,33 @@ def critical_config(**kw):
     defaults = dict(gamma=1.0, kappa=1.0, cfl=0.5, dt_max=0.05)
     defaults.update(kw)
     return SolverConfig(**defaults)
+
+
+def reference_step(state, dt):
+    """The integrating-factor RK4 step as plain expressions: fresh arrays for
+    every stage and operation, nothing written in place."""
+    grid, config, th = state.theta.grid, state.config, state.theta.coeffs
+
+    def rhs(c):
+        return -nonlinear_term(SpectralField(grid, c), config.dealias_enabled).coeffs
+
+    lam = config.kappa * grid.kmag_pow(config.gamma)
+    e_full = np.exp(-lam * dt)
+    e_half = np.exp(-lam * (0.5 * dt))
+    g1 = rhs(th)
+    g2 = rhs(e_half * (th + (0.5 * dt) * g1))
+    g3 = rhs(e_half * th + (0.5 * dt) * g2)
+    g4 = rhs(e_full * th + dt * (e_half * g3))
+    return e_full * th + (dt / 6.0) * (e_full * g1 + 2.0 * e_half * (g2 + g3) + g4)
+
+
+def trajectory(n, seed, steps=6):
+    """Coefficients after a few CFL steps of random_h1 data."""
+    state = initial_state(make_initial("random_h1", Grid(n, TWO_PI), seed=seed),
+                          critical_config())
+    for _ in range(steps):
+        state = step(state, adapt_dt(state))
+    return state.theta.coeffs
 
 
 class TestSolverConfig:
@@ -149,6 +179,26 @@ class TestStep:
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_plain_expression_reference(self, n):
+        g = Grid(n, TWO_PI)
+        state = initial_state(make_initial("random_h1", g, seed=2), critical_config())
+        for _ in range(3):
+            dt = 0.7 * adapt_dt(state)
+            expected = reference_step(state, dt)
+            state = step(state, dt)
+            assert np.array_equal(state.theta.coeffs, expected)
+
+    def test_stage1_is_never_written(self):
+        g = Grid(32, TWO_PI)
+        state = initial_state(make_initial("random_h1", g, seed=3), critical_config())
+        g1 = state.stage1[0].copy()
+        first = step(state, 0.03).theta.coeffs
+        assert np.array_equal(state.stage1[0], g1)
+        step(state, 0.01)
+        assert np.array_equal(state.stage1[0], g1)
+        assert np.array_equal(step(state, 0.03).theta.coeffs, first)
+
     def test_mean_conservation(self):
         g = Grid(32, TWO_PI)
         theta0 = make_initial("cmt", g)
@@ -258,3 +308,48 @@ def test_inviscid_l2_conservation_over_unit_time():
     state = run_until(initial_state(theta0, config), 1.0)
     l2_0 = sobolev_norm(theta0, 0.0)
     assert abs(sobolev_norm(state.theta, 0.0) - l2_0) <= 1e-6 * l2_0
+
+
+def test_threads_match_sequential():
+    # four threads, each stepping an n=32 and an n=64 trajectory while the
+    # others do, so a workspace shared across threads would mix their stages
+    work = [[(32, 2 * k + 1), (64, 2 * k + 2)] for k in range(4)]
+    expected = {job: trajectory(*job) for jobs in work for job in jobs}
+    results = {job: [] for job in expected}
+    barrier = threading.Barrier(len(work), timeout=60)
+
+    def worker(jobs):
+        barrier.wait()
+        for _ in range(3):
+            for job in jobs:
+                results[job].append(trajectory(*job))
+
+    threads = [threading.Thread(target=worker, args=(jobs,)) for jobs in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for job, runs in results.items():
+        assert len(runs) == 3
+        assert all(np.array_equal(got, expected[job]) for got in runs)
+
+
+def test_warm_step_allocates_no_large_temporaries():
+    # allocating every temporary afresh peaks at about 4.4x the multiplier stack
+    g = Grid(128, TWO_PI)
+    state = initial_state(make_initial("random_h1", g, seed=5), critical_config())
+    state = step(state, adapt_dt(state))  # builds this thread's workspace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(state, adapt_dt(state))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g.multipliers.nbytes

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BlowUpError, ConfigError, SnapshotFormatError
+from .errors import BlowUpError, ConfigError, ParameterError, SnapshotFormatError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,8 +94,14 @@ def _cmd_modulus_check(args) -> int:
     from .snapshot import read_snapshot
 
     snap = read_snapshot(args.field)
-    mod = build_knv_modulus(args.delta3, args.r_max, table_size=args.table_size)
+    try:
+        mod = build_knv_modulus(args.delta3, args.r_max, table_size=args.table_size)
+    except ParameterError as exc:
+        raise ConfigError(f"modulus-check: {exc}") from None
     offsets = default_offsets(snap.field.grid, args.r_max)
+    if not offsets:
+        raise ConfigError(f"modulus-check: --r-max {args.r_max} is below one "
+                          f"grid cell (dx = {snap.field.grid.dx})")
     report = check_modulus(snap.field, mod, offsets, t=snap.t)
     print("breached,worst_ratio,worst_offset_d1,worst_offset_d2,time")
     print(f"{'true' if report.breached else 'false'},{report.worst_ratio:.17g},"

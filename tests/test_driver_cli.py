@@ -148,6 +148,34 @@ class TestCli:
         # without --strict the same run completes with exit 0
         assert main(["run", "--config", str(config)]) == 0
 
+    def test_r_max_below_one_cell_exit_12(self, tmp_path, capsys):
+        # dx = 2 pi / 32 = 0.196: no lattice offset is within r_max, so the
+        # run stops before its first step instead of monitoring nothing
+        config = write_config(tmp_path, (
+            "modulus.enabled = true\n"
+            "modulus.r_max = 0.05\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config), "--strict"]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "modulus.r_max" in err[0] and "dx = 0.196" in err[0]
+        assert not (tmp_path / "out" / "norms.csv").exists()
+
+    def test_gradient_ok_follows_recorded_grad_sup(self, tmp_path):
+        # the bound sup|grad theta| < omega'(0) is read from norms.csv's
+        # grad_sup column; omega'(0) is about 3.15 delta3 and the cmt
+        # gradient at t <= 1 is between 0.3 and 5
+        for delta3, expected in (("10.0", True), ("0.01", False)):
+            config = parse_config(BASE_CONFIG + (
+                "modulus.enabled = true\n"
+                f"modulus.delta3 = {delta3}\n"
+                f"output.directory = {tmp_path}/d{delta3}\n"))
+            result = run_simulation(config)
+            grad = NormSeries.read_csv(result.norms_path).column("grad_sup")
+            assert 0.3 < grad.min() and grad.max() < 5.0
+            assert result.gradient_ok is expected
+
     def test_oracle_suite_exit_zero_and_csv(self, tmp_path, capsys):
         out = tmp_path / "oracle_report.csv"
         assert main(["oracle", "--suite", "single-mode", "--output", str(out)]) == 0
@@ -171,6 +199,25 @@ class TestCli:
         fields = out[1].split(",")
         assert fields[0] in ("true", "false")
         assert float(fields[4]) == 1.0
+
+    @pytest.mark.parametrize("args, names", [
+        (["--delta3", "-1"], "delta3"),
+        (["--delta3", "0.1", "--table-size", "32"], "table_size"),
+        (["--delta3", "0.1", "--r-max", "0.05"], "--r-max"),
+    ])
+    def test_modulus_check_bad_arguments_exit_12(self, tmp_path, capsys, args, names):
+        config = write_config(tmp_path, (
+            "output.snapshot_dt = 1.0\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        snap = tmp_path / "out" / "snap_1.000000.bin"
+        assert main(["modulus-check", "--field", str(snap), *args]) == 12
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and names in err[0]
 
     def test_analyze_power_law(self, tmp_path, capsys):
         path = tmp_path / "norms.csv"

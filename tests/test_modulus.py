@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, simpson
 
 from sqglab import (
     Grid,
@@ -40,6 +43,40 @@ def simpson_omega_prime0(nodes: int) -> float:
     w = np.linspace(0.0, 60.0, nodes + 1)
     fw = np.exp(-w) / (np.exp(-1.5 * w) + w)
     return float(simpson(fv, x=v) + simpson(fw, x=w))
+
+
+# Adaptive-quadrature reference for the table: the s = v^2 and s = 1/u
+# substitutions, integrated with scipy's quad, and omega accumulated by
+# Gauss-Legendre quadrature of omega' over each table interval.
+QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+
+
+def quad_omega_prime_shape(r):
+    def low(v):  # 1/(sqrt(s) + s^2 log s) on (0, 1] after s = v^2
+        return 2.0 if v <= 0.0 else 2.0 / (1.0 + 2.0 * v ** 3 * math.log(v))
+
+    def tail(u):  # the same on [1, inf) after s = 1/u
+        return 0.0 if u <= 0.0 else 1.0 / (u ** 1.5 - math.log(u))
+
+    value = quad(tail, 0.0, 1.0 if r <= 1.0 else 1.0 / r, **QUAD_OPTS)[0]
+    if r <= 1.0:
+        value += quad(low, math.sqrt(r), 1.0, **QUAD_OPTS)[0]
+    return value
+
+
+def quad_omega_table(r):
+    # omega(r_0) after s = w^2, then 4-point rules on [r_i, r_{i+1}]
+    xg8, wg8 = np.polynomial.legendre.leggauss(8)
+    b = math.sqrt(r[0])
+    w = 0.5 * b * (xg8 + 1.0)
+    omega = [0.5 * b * sum(wg * quad_omega_prime_shape(x * x) * 2.0 * x
+                           for wg, x in zip(wg8, w))]
+    xg4, wg4 = np.polynomial.legendre.leggauss(4)
+    for a, c in zip(r[:-1], r[1:]):
+        nodes = 0.5 * (c - a) * xg4 + 0.5 * (a + c)
+        omega.append(omega[-1] + 0.5 * (c - a) * sum(
+            wg * quad_omega_prime_shape(x) for wg, x in zip(wg4, nodes)))
+    return np.array(omega)
 
 
 class TestConstruction:
@@ -112,6 +149,18 @@ class TestConstruction:
         # no sign of a finite limit at 1% resolution
         assert (values[2] - values[1]) / values[2] > 0.01
 
+    def test_table_matches_adaptive_quadrature(self):
+        mod = build_knv_modulus(0.1, 10.0)
+        r = mod.r_table
+        op = 0.1 * np.array([quad_omega_prime_shape(x) for x in r])
+        op0 = 0.1 * quad_omega_prime_shape(0.0)
+        omega = 0.1 * quad_omega_table(r)
+        assert np.max(np.abs(mod.omega_prime / op - 1.0)) <= 1e-12
+        assert abs(mod.omega_prime_at_zero / op0 - 1.0) <= 1e-12
+        assert np.max(np.abs(mod.omega / omega - 1.0)) <= 1e-12
+        for x in (0.0, r[0], r[100], r[-1]):
+            assert abs(omega_prime_shape(x) / quad_omega_prime_shape(x) - 1.0) <= 1e-12
+
     def test_quadrature_shape_consistency(self):
         # omega'(r) must agree with a directly integrated tail at a few radii
         for r in (0.01, 0.5, 2.0, 50.0):
@@ -182,6 +231,63 @@ class TestCheckModulus:
             check_modulus(field, mod, [(30, 0)])
 
 
+def roll_check(field, mod, offsets):
+    """The np.roll loop with one scalar omega_at per offset: the reference
+    check_modulus must reproduce bit for bit."""
+    v, dx = field.values, field.grid.dx
+    worst, worst_offset = -1.0, offsets[0]
+    for d1, d2 in offsets:
+        bound = float(mod.omega_at(dx * math.hypot(d1, d2)))
+        diff = float(np.max(np.abs(np.roll(v, (-d1, -d2), axis=(0, 1)) - v)))
+        if diff / bound > worst:
+            worst, worst_offset = diff / bound, (d1, d2)
+    return worst, worst_offset
+
+
+@st.composite
+def fields_and_offsets(draw):
+    n = draw(st.sampled_from([8, 16, 32]))
+    # components in [-n, n], with the half-box shifts +-n/2 drawn often
+    component = st.integers(-n, n) | st.sampled_from([n // 2, -(n // 2)])
+    offsets = draw(st.lists(st.tuples(component, component).filter(any),
+                            min_size=1, max_size=12))
+    # ties: the quarter-turned offsets have the same lengths, and small
+    # integer values give them the same largest differences
+    if draw(st.booleans()):
+        offsets += [(-d2, d1) for d1, d2 in offsets]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-2, 3, size=(n, n)).astype(float)
+    else:
+        values = rng.standard_normal((n, n))
+    return RealField(Grid(n, TWO_PI), values), offsets
+
+
+MOD_D3_01 = build_knv_modulus(0.1, 10.0)  # covers every separation up to 2 pi sqrt 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_offsets())
+def test_check_modulus_matches_roll_loop(case):
+    field, offsets = case
+    report = check_modulus(field, MOD_D3_01, offsets)
+    worst, worst_offset = roll_check(field, MOD_D3_01, offsets)
+    assert report.worst_ratio == worst
+    assert report.worst_offset == worst_offset
+    assert report.breached == (worst > 1.0)
+
+
+def test_check_modulus_validates_before_differencing():
+    # a RangeError for the last offset comes before any difference is taken,
+    # so a field whose values cannot be differenced still reports it
+    field = types.SimpleNamespace(grid=Grid(64, TWO_PI), values=None)
+    mod = build_knv_modulus(0.1, 1.0)
+    with pytest.raises(RangeError):
+        check_modulus(field, mod, [(1, 0), (2, 0), (40, 0)])
+    with pytest.raises(ParameterError):
+        check_modulus(field, mod, [(1, 0), (0, 0)])
+
+
 class TestGradientBound:
     def test_zero_field_margin(self):
         g = Grid(32, TWO_PI)
@@ -237,12 +343,28 @@ def test_default_offsets_structure():
     assert any(d1 == -d2 and d1 > 0 for d1, d2 in offsets)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported only when a modulus table is built
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # neither the import, a table build nor a monitored run loads scipy
     import sqglab
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sqglab.__file__)))
-    code = "import sys, sqglab; print('scipy' in sys.modules)"
+    config = "\n".join([
+        "grid.n = 16", f"grid.length = {TWO_PI!r}", "dynamics.gamma = 1.0",
+        "dynamics.kappa = 1.0", "time.t_end = 0.2", "time.sample_dt = 0.1",
+        "initial.preset = cmt", "modulus.enabled = true",
+        f"output.directory = {tmp_path / 'out'}", ""])
+    code = "\n".join([
+        "import sys, sqglab",
+        "from sqglab.driver import run_simulation",
+        "loaded = ['scipy' in sys.modules]",
+        "sqglab.build_knv_modulus(0.1, 10.0)",
+        "loaded.append('scipy' in sys.modules)",
+        f"result = run_simulation(sqglab.parse_config({config!r}))",
+        "assert len(result.series) == 3",
+        "loaded.append('scipy' in sys.modules)",
+        "print(loaded)",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False, False]"
+    assert (tmp_path / "out" / "norms.csv").exists()

@@ -84,6 +84,11 @@ def _even_grid(value: int):
         raise ValueError(f"grid.n must be even and >= 8, got {value}")
 
 
+def _table_size(value: int):
+    if value < 64:
+        raise ValueError(f"modulus.table_size must be >= 64, got {value}")
+
+
 def _known_preset(value: str):
     if value not in PRESETS:
         raise ValueError(
@@ -111,7 +116,7 @@ _KEYS = {
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
     "modulus.delta3": ("delta3", float, _positive("modulus.delta3"), False),
     "modulus.r_max": ("r_max", float, _positive("modulus.r_max"), False),
-    "modulus.table_size": ("table_size", int, None, False),
+    "modulus.table_size": ("table_size", int, _table_size, False),
     "output.directory": ("directory", str, None, False),
     "output.betas": ("betas", _parse_float_list, None, False),
     "output.snapshot_dt": ("snapshot_dt", float, _non_negative("output.snapshot_dt"), False),

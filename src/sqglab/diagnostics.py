@@ -37,13 +37,22 @@ class NormSeries:
     def t(self) -> np.ndarray:
         return self.column("t")
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            j = self.columns.index(name)
+            return self.columns.index(name)
         except ValueError:
             raise ParameterError(
                 f"unknown column {name!r}; have {', '.join(self.columns)}") from None
+
+    def column(self, name: str) -> np.ndarray:
+        j = self._index(name)
         return np.array([row[j] for row in self._rows])
+
+    def last(self, name: str) -> float:
+        """The named column's value in the latest row."""
+        if not self._rows:
+            raise ParameterError("series has no rows")
+        return self._rows[-1][self._index(name)]
 
     def append(self, row):
         row = [float(x) for x in row]

@@ -160,7 +160,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
                                    t=st.t)
             if report.breached:
                 breaches.append(report)
-            if not series.column("grad_sup")[-1] < mod.omega_prime_at_zero:
+            if not series.last("grad_sup") < mod.omega_prime_at_zero:
                 gradient_ok = False
 
     def persist(st: SolverState, kinds) -> SolverState:

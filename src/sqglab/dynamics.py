@@ -7,30 +7,22 @@ numerically.  Advection is assembled pseudo-spectrally with 2/3-rule
 dealiasing.
 
 A step allocates no large temporaries beyond the arrays it keeps: the
-right-hand side and the RK4 stage inputs are formed in place, in a
-per-thread workspace keyed by ``Grid.spectral_shape``.  It holds the
-(4, n, n/2+1) multiplier product, the (4, n, n) grid stack and one half
-spectrum for the stage input.  It is a ``threading.local``, not scratch on
-``Grid``, so threads stepping on one grid never share buffers.  Fresh
-multi-MiB temporaries on every call would cost more than the transforms:
-glibc maps such blocks anew and hands them back to the kernel on free, so
-each step would take thousands of minor page faults.  The inverse transform is
-``numpy.fft.irfftn`` with ``out=``; ``irfft2`` would not do, because
-(numpy 2.4) it passes ``out=None`` on to ``irfftn`` and allocates its
-result.  The in-place operations repeat the operands and the order of the
-plain expressions, so trajectories are unchanged bit for bit.
+right-hand side and the RK4 stage inputs are formed in place, in the
+per-thread workspace of ``sqglab.spectral``, and its transforms are the
+in-place 1-D passes described there.  The in-place operations repeat the
+operands and the order of the plain expressions, so trajectories are
+unchanged bit for bit.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError
-from .spectral import SpectralField, _to_grid, dealias
+from .spectral import SpectralField, _forward, _inverse, _workspace, dealias
 
 
 @dataclass(frozen=True)
@@ -98,26 +90,6 @@ def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config)
 
 
-class _Workspace(threading.local):
-    """This thread's scratch buffers, one set per ``Grid.spectral_shape``."""
-
-    def __init__(self):
-        self.buffers = {}
-
-    def get(self, grid):
-        """(multiplier product, grid stack, stage input) for this grid."""
-        buffers = self.buffers.get(grid.spectral_shape)
-        if buffers is None:
-            buffers = self.buffers[grid.spectral_shape] = (
-                np.empty((4,) + grid.spectral_shape, dtype=complex),
-                np.empty((4, grid.n, grid.n)),
-                np.empty(grid.spectral_shape, dtype=complex))
-        return buffers
-
-
-_workspace = _Workspace()
-
-
 def _advection(theta: SpectralField, dealias_enabled: bool, out: np.ndarray):
     """Write the coefficients of u . grad(theta) into ``out``; return the grid
     velocity (u1, u2).
@@ -130,11 +102,11 @@ def _advection(theta: SpectralField, dealias_enabled: bool, out: np.ndarray):
     grid = theta.grid
     spec, stack, _ = _workspace.get(grid)
     np.multiply(grid.multipliers, theta.coeffs, out=spec)
-    u1, u2, t1, t2 = _to_grid(grid, spec, out=stack)
+    u1, u2, t1, t2 = _inverse(grid, spec, stack)
     t1 *= u1
     t2 *= u2
     t1 += t2
-    np.fft.rfft2(t1, norm="forward", out=out)
+    _forward(t1, out)
     if dealias_enabled:
         out *= grid.dealias_mask
     return u1, u2

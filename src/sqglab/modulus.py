@@ -212,26 +212,28 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
     Axis-aligned separations of 1..8 cells plus log-spaced separations up to
     r_max along both axes and both diagonals, filtered to the tabulated range
     and to at most half the box (beyond which the periodic wrap shortens the
-    true separation).
+    true separation).  Each periodic shift is listed once: at n/2 cells the
+    two diagonals are the same shift, and only (n/2, n/2) is kept.
     """
     max_cells = grid.n // 2
     cells = set(range(1, min(8, max_cells) + 1))
-    top_axis = min(max_cells, int(r_max / grid.dx))
-    top_diag = min(max_cells, int(r_max / (grid.dx * math.sqrt(2.0))))
+    top_axis = int(min(max_cells, r_max / grid.dx))
+    top_diag = int(min(max_cells, r_max / (grid.dx * math.sqrt(2.0))))
     for top in (top_axis, top_diag):
         if top >= 1:
             cells.update(int(round(c)) for c in np.geomspace(1, top, 12))
-    offsets = []
+    offsets = {}  # shift mod n -> the first offset giving it
     for c in sorted(cells):
         if c < 1:
             continue
+        candidates = []
         if c * grid.dx <= r_max and c <= top_axis:
-            offsets.append((c, 0))
-            offsets.append((0, c))
+            candidates += [(c, 0), (0, c)]
         if c * grid.dx * math.sqrt(2.0) <= r_max:
-            offsets.append((c, c))
-            offsets.append((c, -c))
-    return offsets
+            candidates += [(c, c), (c, -c)]
+        for d1, d2 in candidates:
+            offsets.setdefault((d1 % grid.n, d2 % grid.n), (d1, d2))
+    return list(offsets.values())
 
 
 def check_modulus(

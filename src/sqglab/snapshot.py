@@ -10,6 +10,7 @@ with generic tools; spectra are recomputed on load.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ def write_snapshot(path, field: RealField, t: float, gamma: float, kappa: float)
 
 
 def read_snapshot(path) -> Snapshot:
+    """Read a snapshot, raising ``SnapshotFormatError`` for anything that is
+    not a whole snapshot of finite values on a valid grid."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -60,10 +63,21 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(n * n * 8 + 1)
-    if len(payload) != n * n * 8:
-        raise SnapshotFormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {n * n * 8}")
+        if n % 2 != 0 or n < 8:
+            raise SnapshotFormatError(f"{path}: grid size {n} is not even and >= 8")
+        if not (0.0 < length < math.inf and math.isfinite(2.0 * math.pi / length)):
+            raise SnapshotFormatError(f"{path}: box length {length!r} is not usable")
+        for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
+            if not math.isfinite(value):
+                raise SnapshotFormatError(f"{path}: {name} is {value!r}")
+        expected = n * n * 8
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise SnapshotFormatError(
+                f"{path}: payload has {size} bytes, expected {expected}")
+        payload = fh.read(expected)
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
+    if not np.all(np.isfinite(values)):
+        raise SnapshotFormatError(f"{path}: field values are not all finite")
     grid = Grid(n, length)
     return Snapshot(field=RealField(grid, values), t=t, gamma=gamma, kappa=kappa)

@@ -16,10 +16,28 @@ the full lattice become sums over the half lattice with ``Grid.weights``
 (2 there, 1 on columns 0 and n/2).  Parseval reads
 ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2, and the homogeneous Sobolev norms
 are plain weighted coefficient sums.
+
+Every 2-D transform runs as two 1-D passes, the ones ``numpy.fft.irfftn`` and
+``rfft2`` run, in the same order, so results are the same bit for bit.  The
+inverse is a complex ``ifft`` down the columns, in place on a scratch half
+spectrum, then a real ``irfft`` along the rows into the grid values; the
+forward transform is a real ``rfft`` along the rows into the half spectrum,
+then an ``fft`` down its columns in place.  Written this way the passes
+allocate nothing: ``irfftn`` would allocate its complex column-pass result on
+every call.  The scratch lives in a per-thread workspace keyed by
+``Grid.spectral_shape``: a (4, n, n/2+1) half-spectrum stack, a (4, n, n)
+grid stack and one half spectrum (the RK4 stage input of
+``sqglab.dynamics``).  It is a ``threading.local``, not scratch on ``Grid``,
+so threads working on one grid never share buffers; within a thread only one
+right-hand side or one norm sample runs at a time, so they share it.
+Multi-MiB temporaries made afresh on every call would cost more than the
+transforms: glibc maps such blocks anew and hands them back to the kernel on
+free, so each step would take thousands of minor page faults.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +134,39 @@ class SpectralField:
     coeffs: np.ndarray
 
 
+class _Workspace(threading.local):
+    """This thread's scratch buffers, one set per ``Grid.spectral_shape``."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def get(self, grid):
+        """(half-spectrum stack, grid stack, stage input) for this grid."""
+        buffers = self.buffers.get(grid.spectral_shape)
+        if buffers is None:
+            buffers = self.buffers[grid.spectral_shape] = (
+                np.empty((4,) + grid.spectral_shape, dtype=complex),
+                np.empty((4, grid.n, grid.n)),
+                np.empty(grid.spectral_shape, dtype=complex))
+        return buffers
+
+
+_workspace = _Workspace()
+
+
+def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Grid values of one or a stack of half spectra, written into ``out``.
+    ``spec`` is scratch: the column pass overwrites it."""
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
+
+
+def _forward(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half spectrum of one or a stack of grid values, written into ``out``."""
+    np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
+
+
 def forward_transform(f: RealField) -> SpectralField:
     """Transform grid values to Fourier coefficients."""
     values = np.asarray(f.values, dtype=np.float64)
@@ -124,19 +175,16 @@ def forward_transform(f: RealField) -> SpectralField:
             f"expected shape {(f.grid.n, f.grid.n)}, got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError("field values contain non-finite entries")
-    return SpectralField(f.grid, np.fft.rfft2(values, norm="forward"))
-
-
-def _to_grid(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Grid values of one or a stack of half spectra (one batched transform),
-    written into ``out`` when given."""
-    return np.fft.irfftn(coeffs, s=(grid.n, grid.n), axes=(-2, -1),
-                         norm="forward", out=out)
+    out = np.empty(f.grid.spectral_shape, dtype=complex)
+    return SpectralField(f.grid, _forward(values, out))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Transform coefficients back to real grid values."""
-    return RealField(F.grid, _to_grid(F.grid, F.coeffs))
+    grid = F.grid
+    spec = _workspace.get(grid)[0][0]
+    np.copyto(spec, F.coeffs)
+    return RealField(grid, _inverse(grid, spec, np.empty((grid.n, grid.n))))
 
 
 def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
@@ -201,10 +249,18 @@ def l2_norm(f: RealField) -> float:
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     """Grid maxima of |f| and of |grad f|, the gradient computed spectrally,
-    from one batched inverse transform of (F, i k1 F, i k2 F)."""
-    stack = np.concatenate((F.coeffs[None], F.grid.multipliers[2:] * F.coeffs))
-    f, d1, d2 = _to_grid(F.grid, stack)
-    return float(np.max(np.abs(f))), float(np.sqrt(np.max(d1 * d1 + d2 * d2)))
+    from one batched inverse transform of (F, i k1 F, i k2 F) in this
+    thread's workspace, reduced in place."""
+    grid = F.grid
+    spec, stack, _ = _workspace.get(grid)
+    spec, stack = spec[:3], stack[:3]
+    np.copyto(spec[0], F.coeffs)
+    np.multiply(grid.multipliers[2:], F.coeffs, out=spec[1:])
+    f, d1, d2 = _inverse(grid, spec, stack)
+    d1 *= d1
+    d2 *= d2
+    d1 += d2
+    return float(np.abs(f, out=f).max()), float(np.sqrt(d1.max()))
 
 
 def gradient_sup(f: RealField) -> float:

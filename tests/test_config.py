@@ -2,6 +2,7 @@
 
 import errno
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ class TestParseConfig:
             parse_config(MINIMAL + "just some words\n")
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("size, ok", [("32", False), ("63", False), ("64", True)])
+    def test_table_size_at_least_64(self, size, ok):
+        text = MINIMAL + f"modulus.table_size = {size}\n"
+        if ok:
+            assert parse_config(text).table_size == 64
+        else:
+            with pytest.raises(ConfigError, match="table_size") as err:
+                parse_config(text)
+            assert err.value.line == 6
+
     def test_odd_grid_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("grid.n = 64", "grid.n = 63"))
@@ -189,6 +200,41 @@ class TestSnapshot:
         write_snapshot(path, RealField(g, np.zeros((8, 8))), 0.0, 1.0, 1.0)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (8, "<I", 9),                     # odd n
+        (8, "<I", 6),                     # n below 8
+        (8, "<I", 2 ** 31),               # n far beyond the payload
+        (12, "<d", 0.0),
+        (12, "<d", -1.0),
+        (12, "<d", math.inf),
+        (12, "<d", math.nan),
+        (12, "<d", 5e-324),               # 2 pi / L overflows
+        (20, "<d", math.nan),             # t
+        (28, "<d", math.inf),             # gamma
+        (36, "<d", -math.inf),            # kappa
+        (44, "<d", math.nan),             # first field value
+    ])
+    def test_bad_header_or_values_rejected(self, tmp_path, offset, fmt, value):
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, RealField(Grid(8, 1.0), np.ones((8, 8))), 0.0, 1.0, 1.0)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    def test_subnormal_box_length_rejected(self, tmp_path):
+        # zeroing the upper half of L leaves a tiny positive subnormal
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, RealField(Grid(8, 2 * math.pi), np.ones((8, 8))),
+                       0.0, 1.0, 1.0)
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = bytes(4)
+        assert 0.0 < struct.unpack_from("<d", raw, 12)[0] < 1e-300
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="box length"):
             read_snapshot(path)
 
     def test_missing_file(self, tmp_path):

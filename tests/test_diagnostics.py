@@ -1,6 +1,8 @@
 """Tests for norm recording, decay fits, and boundedness checks."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,3 +174,22 @@ def test_integral_tail_fraction():
     assert frac < 1e-6
     total2, frac2 = integral_tail_fraction(ts, np.ones_like(ts))
     assert abs(frac2 - 0.1) < 1e-12
+
+
+def test_warm_record_norms_allocates_no_large_temporaries():
+    # the batched (theta, d1 theta, d2 theta) inverse and its reductions run in
+    # the per-thread workspace; made afresh they peak at about 2.2x the
+    # multiplier stack, in place at about 0.4x
+    g = Grid(128, TWO_PI)
+    state = initial_state(make_initial("random_h1", g, seed=5), SolverConfig(gamma=1.0))
+    series = NormSeries(betas=(0.5, 1.0))
+    record_norms(state, series)  # builds the workspace and the |k| powers
+    state = replace(state, t=0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record_norms(state, series)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * g.multipliers.nbytes

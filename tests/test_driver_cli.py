@@ -1,9 +1,23 @@
 """End-to-end tests for the run driver and the command-line interface."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqglab import NormSeries, parse_config, read_snapshot
+from sqglab import (
+    Grid,
+    NormSeries,
+    RealField,
+    SnapshotFormatError,
+    parse_config,
+    read_snapshot,
+    write_snapshot,
+)
 from sqglab.cli import main
 from sqglab.driver import run_simulation, sample_times
 
@@ -162,6 +176,18 @@ class TestCli:
         assert "modulus.r_max" in err[0] and "dx = 0.196" in err[0]
         assert not (tmp_path / "out" / "norms.csv").exists()
 
+    def test_table_size_below_64_exit_12(self, tmp_path, capsys):
+        config = write_config(tmp_path, (
+            "modulus.enabled = true\n"
+            "modulus.table_size = 32\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "modulus.table_size" in err[0] and "line 10" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_gradient_ok_follows_recorded_grad_sup(self, tmp_path):
         # the bound sup|grad theta| < omega'(0) is read from norms.csv's
         # grad_sup column; omega'(0) is about 3.15 delta3 and the cmt
@@ -252,3 +278,37 @@ class TestCli:
     def test_analyze_missing_norms_exit_10(self, tmp_path):
         assert main(["analyze", "--norms", str(tmp_path / "nope.csv"),
                      "--column", "linf", "--window", "0:1"]) == 10
+
+
+def _valid_snapshot_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.bin"
+        values = np.random.default_rng(0).standard_normal((8, 8))
+        write_snapshot(path, RealField(Grid(8, 2.0 * math.pi), values), 0.5, 1.0, 1.0)
+        return path.read_bytes()
+
+
+SNAPSHOT = _valid_snapshot_bytes()
+HEADER_BITS = 8 * 44
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0, max_value=HEADER_BITS - 1)),
+    st.tuples(st.just("cut"), st.integers(min_value=0, max_value=len(SNAPSHOT) - 1))))
+def test_damaged_snapshot_is_read_or_rejected(damage):
+    kind, where = damage
+    raw = bytearray(SNAPSHOT)
+    if kind == "flip":
+        raw[where // 8] ^= 1 << (where % 8)
+    else:
+        del raw[where:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            read_snapshot(path)
+        except SnapshotFormatError:
+            pass
+        code = main(["modulus-check", "--field", str(path), "--delta3", "0.1"])
+        assert code in (0, 11, 12)

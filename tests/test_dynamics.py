@@ -352,4 +352,4 @@ def test_warm_step_allocates_no_large_temporaries():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * g.multipliers.nbytes
+    assert peak <= 2.0 * g.multipliers.nbytes

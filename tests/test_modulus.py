@@ -343,6 +343,18 @@ def test_default_offsets_structure():
     assert any(d1 == -d2 and d1 > 0 for d1, d2 in offsets)
 
 
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_default_offsets_are_distinct_shifts(n):
+    # (n/2, n/2) and (n/2, -n/2) are one periodic shift: the first is kept
+    g = Grid(n, TWO_PI)
+    offsets = default_offsets(g, 10.0)
+    shifts = [(d1 % n, d2 % n) for d1, d2 in offsets]
+    assert len(set(shifts)) == len(shifts)
+    assert (n // 2, n // 2) in offsets and (n // 2, -(n // 2)) not in offsets
+    if n == 128:
+        assert len(offsets) == 55
+
+
 def test_import_leaves_scipy_unloaded(tmp_path):
     # neither the import, a table build nor a monitored run loads scipy
     import sqglab

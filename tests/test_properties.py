@@ -17,6 +17,7 @@ from sqglab import (
     riesz_velocity,
     sobolev_norm,
 )
+from sqglab.spectral import _forward, _inverse
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -87,3 +88,23 @@ def test_nonlinear_term_has_zero_mean(grid, seed, scale, dealias_enabled):
     weighted = grid.weights * np.abs(theta.coeffs)
     bound = np.sum(weighted) * np.sum(grid.kmag * weighted)
     assert abs(out.coeffs[0, 0]) <= 1e-13 * bound
+
+
+@SETTINGS
+@given(st.integers(min_value=4, max_value=32), st.integers(min_value=0, max_value=4),
+       seeds)
+def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
+    # batch 0 is a single unbatched field; the passes must repeat irfftn's and
+    # rfft2's bit for bit, so that trajectories do not change
+    n = 2 * half_n
+    grid = Grid(n, 1.0)
+    lead = (batch,) if batch else ()
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(lead + (n, n))
+    spec = np.empty(lead + grid.spectral_shape, dtype=complex)
+    assert np.array_equal(_forward(values, spec), np.fft.rfft2(values, norm="forward"))
+
+    spec = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+    expected = np.fft.irfftn(spec, s=(n, n), axes=(-2, -1), norm="forward")
+    out = np.empty(lead + (n, n))
+    assert np.array_equal(_inverse(grid, spec, out), expected)

@@ -20,6 +20,7 @@ from sqglab import (
     linf_norm,
     riesz_velocity,
     sobolev_norm,
+    sup_and_gradient_sup,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -137,6 +138,23 @@ class TestTransforms:
             quad = l2_norm(f) ** 2
             spectral = g.length ** 2 * np.sum(g.weights * np.abs(F.coeffs) ** 2)
             assert abs(quad - spectral) <= 1e-10 * quad
+
+
+    def test_transforms_leave_their_argument_untouched(self):
+        g = grid(32)
+        f = random_field(g, seed=4)
+        values = f.values.copy()
+        F = forward_transform(f)
+        assert np.array_equal(f.values, values)
+        coeffs = F.coeffs.copy()
+        back = inverse_transform(F)
+        assert np.array_equal(F.coeffs, coeffs)
+        sup_and_gradient_sup(F)
+        assert np.array_equal(F.coeffs, coeffs)
+        # results own their memory: later transforms do not overwrite them
+        kept = back.values.copy()
+        inverse_transform(forward_transform(random_field(g, seed=5)))
+        assert np.array_equal(back.values, kept)
 
 
 class TestFractionalLaplacian:

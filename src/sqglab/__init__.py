@@ -20,12 +20,10 @@ from .dynamics import (
     step,
 )
 from .errors import (
-    AccuracyError,
     BlowUpError,
     BudgetError,
     ConfigError,
     ConstructionError,
-    DomainError,
     InvalidFieldError,
     ParameterError,
     RangeError,
@@ -35,15 +33,12 @@ from .errors import (
 from .initial import band_limited_random, make_initial
 from .modulus import (
     BreachReport,
-    GradientBoundReport,
     ModulusOfContinuity,
     ScalingResult,
     build_knv_modulus,
     check_modulus,
     default_offsets,
     find_scaling,
-    gradient_bound_check,
-    omega_prime_shape,
 )
 from .oracles import (
     OracleReport,
@@ -62,7 +57,6 @@ from .spectral import (
     forward_transform,
     fractional_laplacian,
     gradient,
-    gradient_sup,
     inverse_transform,
     l2_norm,
     linf_norm,

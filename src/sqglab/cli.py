@@ -9,7 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BlowUpError, ConfigError, ParameterError, SnapshotFormatError
+from .errors import (
+    BlowUpError,
+    ConfigError,
+    ConstructionError,
+    ParameterError,
+    SnapshotFormatError,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -21,6 +27,8 @@ EXIT_BAD_CONFIG = 12
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .oracles import SUITES
+
     parser = argparse.ArgumentParser(
         prog="sqglab",
         description="Pseudo-spectral quasi-geostrophic solver and diagnostics")
@@ -35,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override output directory (also SQG_OUTPUT_DIR)")
 
     oracle = sub.add_parser("oracle", help="run validation oracles")
-    oracle.add_argument("--suite", required=True,
-                        choices=["all", "linear", "single-mode", "scaling",
-                                 "convolution"])
+    oracle.add_argument("--suite", required=True, choices=["all", *SUITES])
     oracle.add_argument("--output", default="oracle_report.csv")
 
     check = sub.add_parser("modulus-check", help="one-shot breach report")
@@ -74,8 +80,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .driver import run_oracle_suite
-    from .oracles import ORACLE_CSV_HEADER
+    from .oracles import ORACLE_CSV_HEADER, run_oracle_suite
 
     reports = run_oracle_suite(args.suite)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -96,8 +101,10 @@ def _cmd_modulus_check(args) -> int:
     snap = read_snapshot(args.field)
     try:
         mod = build_knv_modulus(args.delta3, args.r_max, table_size=args.table_size)
-    except ParameterError as exc:
-        raise ConfigError(f"modulus-check: {exc}") from None
+    except (ParameterError, ConstructionError) as exc:
+        raise ConfigError(
+            f"modulus-check: --delta3 {args.delta3}, --r-max {args.r_max}: "
+            f"no certificate table: {exc}") from None
     offsets = default_offsets(snap.field.grid, args.r_max)
     if not offsets:
         raise ConfigError(f"modulus-check: --r-max {args.r_max} is below one "
@@ -112,24 +119,29 @@ def _cmd_modulus_check(args) -> int:
 def _cmd_analyze(args) -> int:
     from .diagnostics import NormSeries, check_boundedness, fit_decay_exponent
 
-    series = NormSeries.read_csv(args.norms)
     try:
         a, b = args.window.split(":")
         window = (float(a), float(b))
     except ValueError:
         raise ConfigError(f"window must be A:B, got {args.window!r}") from None
-    if args.weight is None:
-        fit = fit_decay_exponent(series, args.column, window)
-        print("column,window_a,window_b,alpha,amplitude,residual_rms,n_samples")
-        print(f"{args.column},{window[0]:.17g},{window[1]:.17g},"
-              f"{fit.alpha:.17g},{fit.amplitude:.17g},{fit.residual_rms:.17g},"
-              f"{fit.n_samples}")
-    else:
-        res = check_boundedness(series, args.weight, args.column, window)
-        print("column,weight,window_a,window_b,sup,stabilized")
-        print(f"{args.column},{args.weight:.17g},{window[0]:.17g},"
-              f"{window[1]:.17g},{res.sup:.17g},"
-              f"{'true' if res.stabilized else 'false'}")
+    # a file that is not a norms series, or a column or window it cannot
+    # answer, is bad input: every reading and fitting error is a ValueError
+    try:
+        series = NormSeries.read_csv(args.norms)
+        if args.weight is None:
+            fit = fit_decay_exponent(series, args.column, window)
+            print("column,window_a,window_b,alpha,amplitude,residual_rms,n_samples")
+            print(f"{args.column},{window[0]:.17g},{window[1]:.17g},"
+                  f"{fit.alpha:.17g},{fit.amplitude:.17g},{fit.residual_rms:.17g},"
+                  f"{fit.n_samples}")
+        else:
+            res = check_boundedness(series, args.weight, args.column, window)
+            print("column,weight,window_a,window_b,sup,stabilized")
+            print(f"{args.column},{args.weight:.17g},{window[0]:.17g},"
+                  f"{window[1]:.17g},{res.sup:.17g},"
+                  f"{'true' if res.stabilized else 'false'}")
+    except ValueError as exc:
+        raise ConfigError(f"analyze: {exc}") from None
     return EXIT_OK
 
 

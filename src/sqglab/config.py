@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -17,11 +18,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str):
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 @dataclass
@@ -60,68 +68,45 @@ class RunConfig:
     log_per_decade: int = 10
 
 
-def _gamma_range(value: float):
-    if not 0.0 < value <= 2.0:
-        raise ValueError(f"gamma must lie in (0, 2], got {value}")
+# value rules: (test, what the key's value must do)
+_POSITIVE = (lambda v: v > 0.0, "be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
+_EVEN_GRID = (lambda v: v % 2 == 0 and v >= 8, "be even and >= 8")
+_GAMMA = (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]")
+_CFL = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")  # SolverConfig's range
+_TABLE_SIZE = (lambda v: v >= 64, "be >= 64")
+_PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
+# the extra norm orders 1 + beta must be >= 0
+_BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
 
 
-def _positive(name):
-    def check(value):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be > 0, got {value}")
-    return check
-
-
-def _non_negative(name):
-    def check(value):
-        if value < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    return check
-
-
-def _even_grid(value: int):
-    if value % 2 != 0 or value < 8:
-        raise ValueError(f"grid.n must be even and >= 8, got {value}")
-
-
-def _table_size(value: int):
-    if value < 64:
-        raise ValueError(f"modulus.table_size must be >= 64, got {value}")
-
-
-def _known_preset(value: str):
-    if value not in PRESETS:
-        raise ValueError(
-            f"unknown preset {value!r}; choose from {', '.join(PRESETS)}")
-
-
-# key -> (attribute, parser, validator or None, required)
+# key -> (attribute, parser, value rule or None, required)
 _KEYS = {
-    "grid.n": ("n", int, _even_grid, True),
-    "grid.length": ("length", float, _positive("grid.length"), True),
-    "dynamics.gamma": ("gamma", float, _gamma_range, True),
-    "dynamics.kappa": ("kappa", float, _non_negative("dynamics.kappa"), False),
-    "dynamics.cfl": ("cfl", float, _positive("dynamics.cfl"), False),
-    "dynamics.dt_max": ("dt_max", float, _positive("dynamics.dt_max"), False),
-    "dynamics.dt_min": ("dt_min", float, _positive("dynamics.dt_min"), False),
+    "grid.n": ("n", int, _EVEN_GRID, True),
+    "grid.length": ("length", _parse_float, _POSITIVE, True),
+    "dynamics.gamma": ("gamma", _parse_float, _GAMMA, True),
+    "dynamics.kappa": ("kappa", _parse_float, _NON_NEGATIVE, False),
+    "dynamics.cfl": ("cfl", _parse_float, _CFL, False),
+    "dynamics.dt_max": ("dt_max", _parse_float, _POSITIVE, False),
+    "dynamics.dt_min": ("dt_min", _parse_float, _POSITIVE, False),
     "dynamics.dealias": ("dealias", _parse_bool, None, False),
     "dynamics.nonlinear": ("nonlinear", _parse_bool, None, False),
-    "time.t_end": ("t_end", float, _positive("time.t_end"), True),
-    "time.sample_dt": ("sample_dt", float, _positive("time.sample_dt"), False),
-    "time.checkpoint_dt": ("checkpoint_dt", float, _non_negative("time.checkpoint_dt"), False),
-    "initial.preset": ("preset", str, _known_preset, False),
-    "initial.seed": ("seed", int, None, False),
-    "initial.amplitude": ("amplitude", float, None, False),
-    "initial.sigma": ("sigma", float, _non_negative("initial.sigma"), False),
+    "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
+    "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
+    "time.checkpoint_dt": ("checkpoint_dt", _parse_float, _NON_NEGATIVE, False),
+    "initial.preset": ("preset", str, _PRESET, False),
+    "initial.seed": ("seed", int, _NON_NEGATIVE, False),
+    "initial.amplitude": ("amplitude", _parse_float, None, False),
+    "initial.sigma": ("sigma", _parse_float, _NON_NEGATIVE, False),
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
-    "modulus.delta3": ("delta3", float, _positive("modulus.delta3"), False),
-    "modulus.r_max": ("r_max", float, _positive("modulus.r_max"), False),
-    "modulus.table_size": ("table_size", int, _table_size, False),
+    "modulus.delta3": ("delta3", _parse_float, _POSITIVE, False),
+    "modulus.r_max": ("r_max", _parse_float, _POSITIVE, False),
+    "modulus.table_size": ("table_size", int, _TABLE_SIZE, False),
     "output.directory": ("directory", str, None, False),
-    "output.betas": ("betas", _parse_float_list, None, False),
-    "output.snapshot_dt": ("snapshot_dt", float, _non_negative("output.snapshot_dt"), False),
+    "output.betas": ("betas", _parse_float_list, _BETAS, False),
+    "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
     "output.log_sampling": ("log_sampling", _parse_bool, None, False),
-    "output.log_min": ("log_min", float, _positive("output.log_min"), False),
+    "output.log_min": ("log_min", _parse_float, _POSITIVE, False),
     "output.log_per_decade": ("log_per_decade", int, None, False),
 }
 
@@ -129,7 +114,7 @@ _KEYS = {
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; every failure carries its line number."""
     config = RunConfig()
-    seen = set()
+    seen = {}  # key -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,21 +129,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in seen:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        seen.add(key)
-        attr, parser, validator, _ = _KEYS[key]
-        type_name = {int: "integer", float: "number", str: "string",
-                     _parse_bool: "boolean", _parse_float_list: "number list"}[parser]
+        seen[key] = lineno
+        attr, parser, rule, _ = _KEYS[key]
+        type_name = {int: "integer", _parse_float: "finite number", str: "string",
+                     _parse_bool: "boolean",
+                     _parse_float_list: "list of finite numbers"}[parser]
         try:
             parsed = parser(value)
         except ValueError:
             raise ConfigError(
                 f"cannot parse {value!r} as {type_name} for key {key!r}",
                 line=lineno) from None
-        if validator is not None:
-            try:
-                validator(parsed)
-            except ValueError as exc:
-                raise ConfigError(str(exc), line=lineno) from None
+        if rule is not None and not rule[0](parsed):
+            raise ConfigError(f"{key} must {rule[1]}, got {parsed!r}", line=lineno)
         setattr(config, attr, parsed)
 
     missing = [key for key, (_, _, _, required) in _KEYS.items()
@@ -167,7 +150,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     if config.dt_min > config.dt_max:
         raise ConfigError(
-            f"dynamics.dt_min = {config.dt_min} exceeds dt_max = {config.dt_max}")
+            f"dynamics.dt_min = {config.dt_min} exceeds dt_max = {config.dt_max}",
+            line=max(seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0)))
     return config
 
 

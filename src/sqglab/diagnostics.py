@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, ParameterError
+from .errors import BlowUpError, ParameterError
 from .spectral import sobolev_norms, sup_and_gradient_sup
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
@@ -76,20 +76,24 @@ class NormSeries:
 
     @classmethod
     def read_csv(cls, path) -> "NormSeries":
+        """Read a file written by ``write_csv``; the ``h1+<beta>`` columns of
+        its header give the betas, and every row is checked by ``append``."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if not header:
-                raise ParameterError(f"{path}: empty norms file")
-            columns = tuple(header.split(","))
-            series = cls.__new__(cls)
-            series.betas = ()
-            series.columns = columns
-            series._rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                series._rows.append([float(x) for x in line.split(",")])
+            names = header.split(",")
+            try:
+                series = cls(betas=[float(name.removeprefix("h1+"))
+                                    for name in names[len(BASE_COLUMNS):]])
+            except ValueError:
+                series = None
+            if series is None or tuple(names) != series.columns:
+                raise ParameterError(f"{path}: not a norms header: {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    try:
+                        series.append(line.split(","))
+                    except ValueError as exc:
+                        raise ParameterError(f"{path}, line {lineno}: {exc}") from None
         return series
 
 
@@ -129,9 +133,9 @@ def fit_decay_exponent(series: NormSeries, column: str, window) -> DecayFit:
         raise ParameterError(
             f"need >= 10 samples in window, have {np.count_nonzero(sel)}")
     if np.any(t[sel] <= 0.0):
-        raise DomainError("window contains non-positive times")
+        raise ParameterError("window contains non-positive times")
     if np.any(y[sel] <= 0.0):
-        raise DomainError(
+        raise ParameterError(
             f"column {column!r} has non-positive values in window; shrink it")
     lt, ly = np.log(t[sel]), np.log(y[sel])
     alpha, intercept = np.polyfit(lt, ly, 1)
@@ -175,7 +179,7 @@ def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
     if not np.any(sel):
         raise ParameterError("window contains no samples")
     if np.any(t[sel] <= 0.0):
-        raise DomainError("boundedness check requires positive times")
+        raise ParameterError("boundedness check requires positive times")
     weighted = t[sel] ** float(weight_exponent) * y[sel]
     sup = float(np.max(weighted))
     cut = max(t_a, t_b / 10.0)

@@ -1,4 +1,4 @@
-"""Run orchestration: schedules, checkpointing, norm recording, oracle suites."""
+"""Run orchestration: schedules, checkpointing, norm recording."""
 
 from __future__ import annotations
 
@@ -7,34 +7,14 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig
 from .diagnostics import NormSeries, record_norms
-from .dynamics import SolverConfig, SolverState, initial_state, nonlinear_term, run_until
-from .errors import ConfigError
+from .dynamics import SolverConfig, SolverState, initial_state, run_until
+from .errors import ConfigError, ConstructionError, ParameterError
 from .initial import make_initial
-from .modulus import (
-    BreachReport,
-    build_knv_modulus,
-    check_modulus,
-    default_offsets,
-)
-from .oracles import (
-    OracleReport,
-    convolution_nonlinearity,
-    linear_heat_exact,
-    scaling_consistency,
-    single_mode_exact,
-)
+from .modulus import BreachReport, build_knv_modulus, check_modulus, default_offsets
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import (
-    Grid,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    sobolev_norm,
-)
+from .spectral import Grid, forward_transform, inverse_transform
 
 
 @dataclass
@@ -145,8 +125,13 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             raise ConfigError(
                 f"modulus.r_max = {config.r_max} is below one grid cell "
                 f"(dx = {grid.dx}); the monitor would check no separation")
-        mod = build_knv_modulus(config.delta3, config.r_max,
-                                table_size=config.table_size)
+        try:
+            mod = build_knv_modulus(config.delta3, config.r_max,
+                                    table_size=config.table_size)
+        except (ParameterError, ConstructionError) as exc:
+            raise ConfigError(
+                f"modulus.delta3 = {config.delta3}, modulus.r_max = "
+                f"{config.r_max}: no certificate table: {exc}") from None
     breaches: list[BreachReport] = []
     gradient_ok = True
 
@@ -198,87 +183,3 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     return RunResult(state=state, series=series, breaches=breaches,
                      gradient_ok=gradient_ok, output_dir=out_dir,
                      norms_path=norms_path)
-
-
-# ---------------------------------------------------------------------------
-# oracle suites
-
-
-def _report(name, max_abs, max_rel, tol) -> OracleReport:
-    return OracleReport(name=name, max_abs_error=float(max_abs),
-                        max_rel_error=float(max_rel), tolerance=tol,
-                        passed=bool(max_rel <= tol))
-
-
-def linear_suite(seed: int = 0):
-    reports = []
-    grid = Grid(32, 2.0 * math.pi)
-    theta0 = make_initial("random_h1", grid, seed=seed)
-    for gamma in (0.5, 1.0, 1.5, 2.0):
-        config = SolverConfig(gamma=gamma, kappa=1.0, nonlinear_enabled=False)
-        state = run_until(initial_state(theta0, config), 1.0)
-        exact = linear_heat_exact(theta0, gamma, 1.0, 1.0)
-        diff = SpectralField(grid, state.theta.coeffs - exact.coeffs)
-        rel = sobolev_norm(diff, 0.0) / sobolev_norm(exact, 0.0)
-        max_abs = float(np.max(np.abs(diff.coeffs)))
-        reports.append(_report(f"linear_gamma{gamma:g}", max_abs, rel, 1e-12))
-    return reports
-
-
-def single_mode_suite():
-    grid = Grid(64, 2.0 * math.pi)
-    config = SolverConfig(gamma=1.0, kappa=1.0, cfl=0.5)
-    state = run_until(initial_state(make_initial("single_mode", grid), config), 1.0)
-    exact = single_mode_exact(grid, 1.0)
-    diff = inverse_transform(state.theta).values - exact.values
-    rel = float(np.max(np.abs(diff))) / math.exp(-1.0)
-    return [_report("single_mode", float(np.max(np.abs(diff))), rel, 1e-8)]
-
-
-def scaling_suite(seed: int = 0):
-    from .initial import band_limited_random
-
-    grid = Grid(128, 2.0 * math.pi)
-    theta0 = band_limited_random(grid, seed=seed, max_mode=grid.n // 6,
-                                 amplitude=0.5)
-    nonlinear = scaling_consistency(theta0, 2, 0.5, nonlinear=True,
-                                    tolerance=1e-5)
-    linear = scaling_consistency(theta0, 2, 0.5, nonlinear=False,
-                                 tolerance=1e-12)
-    return [nonlinear, linear]
-
-
-def convolution_suite(seeds=range(5)):
-    from .initial import band_limited_random
-
-    grid = Grid(16, 2.0 * math.pi)
-    reports = []
-    for seed in seeds:
-        theta0 = band_limited_random(grid, seed=seed, max_mode=5, amplitude=1.0)
-        direct = convolution_nonlinearity(theta0)
-        pseudo = nonlinear_term(theta0, dealias_enabled=True)
-        diff = np.max(np.abs(direct.coeffs - pseudo.coeffs))
-        scale = np.max(np.abs(direct.coeffs))
-        rel = float(diff / scale) if scale > 0 else 0.0
-        reports.append(_report(f"convolution_seed{seed}", diff, rel, 1e-10))
-    return reports
-
-
-SUITES = {
-    "linear": lambda: linear_suite(),
-    "single-mode": lambda: single_mode_suite(),
-    "scaling": lambda: scaling_suite(),
-    "convolution": lambda: convolution_suite(),
-}
-
-
-def run_oracle_suite(name: str):
-    if name == "all":
-        reports = []
-        for key in ("linear", "single-mode", "scaling", "convolution"):
-            reports.extend(SUITES[key]())
-        return reports
-    if name not in SUITES:
-        raise ConfigError(
-            f"unknown oracle suite {name!r}; choose all, {', '.join(SUITES)}")
-    return SUITES[name]()

@@ -6,7 +6,7 @@ class SqgError(Exception):
 
 
 class ParameterError(SqgError, ValueError):
-    """A scalar parameter is outside its admissible range."""
+    """A parameter, or data, is outside its admissible range or domain."""
 
 
 class InvalidFieldError(SqgError, ValueError):
@@ -30,12 +30,9 @@ class BudgetError(SqgError, RuntimeError):
     """A step-count or problem-size budget was exceeded."""
 
 
-class AccuracyError(SqgError, RuntimeError):
-    """A quadrature or certification step failed to reach its tolerance."""
-
-
 class ConstructionError(SqgError, RuntimeError):
-    """An object could not be built with the required properties."""
+    """An object could not be built with the required properties, or its
+    certification missed a tolerance."""
 
 
 class ConfigError(SqgError, ValueError):
@@ -58,7 +55,3 @@ class SnapshotFormatError(SqgError, ValueError):
 
 class RangeError(SqgError, ValueError):
     """A lookup argument falls outside the tabulated range."""
-
-
-class DomainError(SqgError, ValueError):
-    """Data is outside the mathematical domain of an operation."""

@@ -1,4 +1,5 @@
-"""Closed-form and brute-force reference solutions for validating the solver.
+"""Closed-form and brute-force reference solutions for validating the solver,
+and the oracle suites that ``sqglab oracle`` runs.
 
 Everything here is deliberately independent of the production code paths it
 checks: the convolution oracle assembles the advection term by a direct
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SolverConfig, initial_state, run_until, step
+from .dynamics import SolverConfig, initial_state, nonlinear_term, run_until, step
 from .errors import BudgetError, ConfigError, ParameterError
+from .initial import band_limited_random, make_initial
 from .spectral import (
     Grid,
     RealField,
@@ -33,7 +35,10 @@ class OracleReport:
     max_abs_error: float
     max_rel_error: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error <= self.tolerance
 
     def csv_row(self) -> str:
         return (f"{self.name},{self.max_abs_error:.17g},{self.max_rel_error:.17g},"
@@ -168,7 +173,6 @@ def scaling_consistency(
         max_abs_error=max_abs,
         max_rel_error=float(rel),
         tolerance=tolerance,
-        passed=bool(rel <= tolerance),
     )
 
 
@@ -196,3 +200,77 @@ def convergence_ratio(theta0: SpectralField, config: SolverConfig, t_end: float,
     if e2 == 0.0:
         raise ParameterError("refinement differences vanished; dt too small")
     return float(e1 / e2)
+
+
+# ---------------------------------------------------------------------------
+# oracle suites
+
+
+def linear_suite(seed: int = 0):
+    reports = []
+    grid = Grid(32, 2.0 * math.pi)
+    theta0 = make_initial("random_h1", grid, seed=seed)
+    for gamma in (0.5, 1.0, 1.5, 2.0):
+        config = SolverConfig(gamma=gamma, kappa=1.0, nonlinear_enabled=False)
+        state = run_until(initial_state(theta0, config), 1.0)
+        exact = linear_heat_exact(theta0, gamma, 1.0, 1.0)
+        diff = SpectralField(grid, state.theta.coeffs - exact.coeffs)
+        rel = sobolev_norm(diff, 0.0) / sobolev_norm(exact, 0.0)
+        max_abs = float(np.max(np.abs(diff.coeffs)))
+        reports.append(OracleReport(f"linear_gamma{gamma:g}", max_abs,
+                                    float(rel), 1e-12))
+    return reports
+
+
+def single_mode_suite():
+    grid = Grid(64, 2.0 * math.pi)
+    config = SolverConfig(gamma=1.0, kappa=1.0, cfl=0.5)
+    state = run_until(initial_state(make_initial("single_mode", grid), config), 1.0)
+    exact = single_mode_exact(grid, 1.0)
+    diff = inverse_transform(state.theta).values - exact.values
+    max_abs = float(np.max(np.abs(diff)))
+    return [OracleReport("single_mode", max_abs, max_abs / math.exp(-1.0), 1e-8)]
+
+
+def scaling_suite(seed: int = 0):
+    grid = Grid(128, 2.0 * math.pi)
+    theta0 = band_limited_random(grid, seed=seed, max_mode=grid.n // 6,
+                                 amplitude=0.5)
+    nonlinear = scaling_consistency(theta0, 2, 0.5, nonlinear=True,
+                                    tolerance=1e-5)
+    linear = scaling_consistency(theta0, 2, 0.5, nonlinear=False,
+                                 tolerance=1e-12)
+    return [nonlinear, linear]
+
+
+def convolution_suite(seeds=range(5)):
+    grid = Grid(16, 2.0 * math.pi)
+    reports = []
+    for seed in seeds:
+        theta0 = band_limited_random(grid, seed=seed, max_mode=5, amplitude=1.0)
+        direct = convolution_nonlinearity(theta0)
+        pseudo = nonlinear_term(theta0, dealias_enabled=True)
+        diff = np.max(np.abs(direct.coeffs - pseudo.coeffs))
+        scale = np.max(np.abs(direct.coeffs))
+        rel = float(diff / scale) if scale > 0 else 0.0
+        reports.append(OracleReport(f"convolution_seed{seed}", float(diff),
+                                    rel, 1e-10))
+    return reports
+
+
+# suite name -> suite; ``all`` runs them in this order
+SUITES = {
+    "linear": linear_suite,
+    "single-mode": single_mode_suite,
+    "scaling": scaling_suite,
+    "convolution": convolution_suite,
+}
+
+
+def run_oracle_suite(name: str) -> list[OracleReport]:
+    if name == "all":
+        return [report for suite in SUITES.values() for report in suite()]
+    if name not in SUITES:
+        raise ConfigError(
+            f"unknown oracle suite {name!r}; choose all, {', '.join(SUITES)}")
+    return SUITES[name]()

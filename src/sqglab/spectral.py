@@ -261,8 +261,3 @@ def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     d2 *= d2
     d1 += d2
     return float(np.abs(f, out=f).max()), float(np.sqrt(d1.max()))
-
-
-def gradient_sup(f: RealField) -> float:
-    """Grid maximum of |grad f| with the gradient computed spectrally."""
-    return sup_and_gradient_sup(forward_transform(f))[1]

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqglab import (
     ConfigError,
@@ -16,6 +18,7 @@ from sqglab import (
     read_snapshot,
     write_snapshot,
 )
+from sqglab.config import _KEYS
 
 MINIMAL = """
 grid.n = 64
@@ -119,6 +122,60 @@ class TestParseConfig:
     def test_odd_grid_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL.replace("grid.n = 64", "grid.n = 63"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("time.t_end", "inf", "finite number"),
+        ("initial.amplitude", "nan", "finite number"),
+        ("dynamics.kappa", "nan", "finite number"),
+        ("modulus.delta3", "-inf", "finite number"),
+        ("modulus.r_max", "inf", "finite number"),
+        ("output.betas", "0.5, nan", "finite numbers"),
+        ("output.betas", "-3", "output.betas must all be >= -1"),
+        ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
+        ("initial.seed", "-1", "initial.seed must be >= 0"),
+        ("dynamics.dt_max", "1e-12", "exceeds dt_max"),
+    ])
+    def test_number_out_of_solver_range_cites_its_line(self, key, value, message):
+        text, line = with_value(key, value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert message in str(err.value)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("value", ["-1", "1.0", "0, 0.5, 2"])
+    def test_betas_down_to_minus_one_accepted(self, value):
+        text, _ = with_value("output.betas", value)
+        assert parse_config(text).betas == tuple(float(b) for b in value.split(","))
+
+
+def with_value(key, value):
+    """MINIMAL with ``key = value``, on the key's own line if MINIMAL has it,
+    else appended; and that line's number."""
+    lines = MINIMAL.splitlines()
+    for number, line in enumerate(lines, start=1):
+        if line.startswith(key + " "):
+            lines[number - 1] = f"{key} = {value}"
+            return "\n".join(lines) + "\n", number
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n", len(lines) + 1
+
+
+HOSTILE = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "+inf", "-1", "-3", "0",
+                     "1e300", "-1e300", "1e-300", "1e-320", "junk", ""]),
+    st.floats().map(repr),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(str),
+    st.text(alphabet="abcxyz0123456789.-+e ,", max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_KEYS)), HOSTILE)
+def test_any_value_parses_or_cites_its_line(key, value):
+    text, line = with_value(key, value)
+    try:
+        parse_config(text)
+    except ConfigError as err:
+        assert err.line == line, str(err)
 
 
 class TestSnapshot:

@@ -9,7 +9,6 @@ import pytest
 
 from sqglab import (
     BlowUpError,
-    DomainError,
     Grid,
     NormSeries,
     ParameterError,
@@ -98,6 +97,34 @@ class TestNormSeries:
         for col in series.columns:
             assert np.array_equal(back.column(col), series.column(col))
 
+    def test_csv_round_trip_reads_betas_from_header(self, tmp_path):
+        series = NormSeries(betas=(0.5, 1.0, 0.25))
+        series.append([0.1, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+        path = tmp_path / "norms.csv"
+        series.write_csv(path)
+        back = NormSeries.read_csv(path)
+        assert back.betas == (0.5, 1.0, 0.25)
+        assert back.columns == series.columns
+        assert back.last("h1+0.25") == 9.0
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "not a norms header"),
+        ("t,linf,l2\n0.1,1,1\n", "not a norms header"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup,extra\n", "not a norms header"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup,h1+0.50\n", "not a norms header"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.1,1,1,x,1,1,1\n", "line 2"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.1,1,1,1,1,1\n", "line 2"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup\n\n0.1,1,nan,1,1,1,1\n", "line 3.*'l2'"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.2,1,1,1,1,1,1\n0.1,1,1,1,1,1,1\n",
+         "line 3.*increase"),
+    ])
+    def test_read_csv_rejects_what_write_csv_cannot_write(self, tmp_path, text,
+                                                           match):
+        path = tmp_path / "norms.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=match):
+            NormSeries.read_csv(path)
+
     def test_unknown_column(self):
         series = synthetic_series([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ParameterError):
@@ -135,7 +162,7 @@ class TestFitDecayExponent:
         ts = np.linspace(1.0, 2.0, 12)
         ys = np.linspace(1.0, -0.5, 12)
         series = synthetic_series(ts, ys)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             fit_decay_exponent(series, "linf", (1.0, 2.0))
 
 

@@ -188,6 +188,48 @@ class TestCli:
         assert "modulus.table_size" in err[0] and "line 10" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
+    @pytest.mark.parametrize("extra", [
+        "modulus.delta3 = 1e-320\n",
+        "modulus.r_max = 1e300\n",
+    ])
+    def test_modulus_table_that_cannot_be_built_exit_12(self, tmp_path, capsys,
+                                                        extra):
+        config = write_config(tmp_path, (
+            "modulus.enabled = true\n" + extra +
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "modulus.delta3" in err[0] and "modulus.r_max" in err[0]
+        assert not (tmp_path / "out" / "norms.csv").exists()
+
+    # values that pass a plain float() or int() but not the solver
+    @pytest.mark.parametrize("key, value", [
+        ("time.t_end", "inf"),
+        ("initial.amplitude", "nan"),
+        ("dynamics.kappa", "nan"),
+        ("output.betas", "nan"),
+        ("output.betas", "-3"),
+        ("dynamics.cfl", "5"),
+        ("initial.seed", "-1"),
+        ("modulus.delta3", "inf"),
+        ("modulus.r_max", "inf"),
+    ])
+    def test_out_of_range_config_value_exit_12(self, tmp_path, capsys, key, value):
+        lines = [line for line in BASE_CONFIG.splitlines()
+                 if not line.startswith(key + " ")]
+        lines += [f"{key} = {value}", f"output.directory = {tmp_path}/out"]
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(path)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: line {len(lines) - 1}: ")
+        assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_gradient_ok_follows_recorded_grad_sup(self, tmp_path):
         # the bound sup|grad theta| < omega'(0) is read from norms.csv's
         # grad_sup column; omega'(0) is about 3.15 delta3 and the cmt
@@ -226,10 +268,16 @@ class TestCli:
         assert fields[0] in ("true", "false")
         assert float(fields[4]) == 1.0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, names", [
         (["--delta3", "-1"], "delta3"),
         (["--delta3", "0.1", "--table-size", "32"], "table_size"),
         (["--delta3", "0.1", "--r-max", "0.05"], "--r-max"),
+        (["--delta3", "1e-320"], "--delta3"),
+        (["--delta3", "inf"], "--delta3"),
+        (["--delta3", "nan"], "--delta3"),
+        (["--delta3", "0.1", "--r-max", "1e300"], "--r-max"),
+        (["--delta3", "0.1", "--r-max", "inf"], "--r-max"),
     ])
     def test_modulus_check_bad_arguments_exit_12(self, tmp_path, capsys, args, names):
         config = write_config(tmp_path, (
@@ -274,6 +322,34 @@ class TestCli:
         row = out[1].split(",")
         assert abs(float(row[4]) - 1.0) < 1e-12
         assert row[5] == "true"
+
+    @pytest.mark.parametrize("text, args", [
+        ("", []),
+        ("time,value\n1,2\n", []),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.1,1,1,one,1,1,1\n", []),
+        (None, ["--column", "h9"]),
+        (None, ["--window", "5:6"]),
+        (None, ["--window", "1:0"]),
+        (None, ["--window", "1:0", "--weight", "1"]),
+        (None, ["--window", "1to2"]),
+    ])
+    def test_analyze_bad_input_exit_12(self, tmp_path, capsys, text, args):
+        path = tmp_path / "norms.csv"
+        argv = ["analyze", "--norms", str(path), "--column", "linf",
+                "--window", "0.1:10"]
+        if text is None:  # a good file, 30 samples of 5 t^-2: only args are bad
+            path.write_text("t,linf,l2,h1,h3_2,h2,grad_sup\n" + "".join(
+                ",".join([f"{t:.17g}"] + [f"{5.0 * t ** -2:.17g}"] * 6) + "\n"
+                for t in np.geomspace(0.1, 10.0, 30)))
+            assert main(argv) == 0
+            capsys.readouterr()
+        else:
+            path.write_text(text)
+        assert main(argv + args) == 12  # a repeated option takes the last value
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_analyze_missing_norms_exit_10(self, tmp_path):
         assert main(["analyze", "--norms", str(tmp_path / "nope.csv"),

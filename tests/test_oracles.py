@@ -25,6 +25,8 @@ from sqglab import (
     single_mode_exact,
     sobolev_norm,
 )
+from sqglab.cli import _build_parser
+from sqglab.oracles import OracleReport, SUITES, run_oracle_suite
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,3 +166,24 @@ def test_convergence_ratio_is_fourth_order():
     config = SolverConfig(gamma=1.0, kappa=1.0, dt_max=0.05)
     ratio = convergence_ratio(theta0, config, 0.1, 0.01)
     assert 14.0 <= ratio <= 18.0
+
+
+class TestSuites:
+    def test_passed_follows_the_tolerance(self):
+        assert OracleReport("x", 1.0, 1e-9, 1e-8).passed
+        assert OracleReport("x", 1.0, 1e-8, 1e-8).passed
+        assert not OracleReport("x", 1.0, 2e-8, 1e-8).passed
+        assert not OracleReport("x", 1.0, math.nan, 1e-8).passed
+        assert OracleReport("x", 1.0, 2e-8, 1e-8).csv_row() == (
+            "x,1,2e-08,1e-08,false")
+
+    def test_cli_offers_every_suite(self):
+        parser = _build_parser()
+        for name in ("all", *SUITES):
+            assert parser.parse_args(["oracle", "--suite", name]).suite == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["oracle", "--suite", "nope"])
+
+    def test_unknown_suite_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="choose all, linear"):
+            run_oracle_suite("nope")

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 oracle failure, 2 blow-up, 3 modulus breach under
---strict, 10 file not found, 11 malformed snapshot, 12 config error.
+--strict, 10 file not found (or a directory given for a file), 11 malformed
+snapshot, 12 config error or command-line usage error.
 """
 
 from __future__ import annotations
@@ -26,10 +27,18 @@ EXIT_BAD_SNAPSHOT = 11
 EXIT_BAD_CONFIG = 12
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 12, not 2, the blow-up code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .oracles import SUITES
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqglab",
         description="Pseudo-spectral quasi-geostrophic solver and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -157,6 +166,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    except IsADirectoryError as exc:
+        print(f"error: a directory, not a file: {exc.filename or exc}",
+              file=sys.stderr)
         return EXIT_NOT_FOUND
     except SnapshotFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

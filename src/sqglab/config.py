@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .dynamics import _MAX_STEPS
 from .errors import ConfigError
 from .initial import PRESETS
 
@@ -152,7 +153,32 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"dynamics.dt_min = {config.dt_min} exceeds dt_max = {config.dt_max}",
             line=max(seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0)))
+    _check_schedule(config, seen)
     return config
+
+
+def _check_schedule(config: RunConfig, seen: dict) -> None:
+    """Reject a schedule with more events than a run may take steps, before
+    the driver builds it: each event takes at least one step.  The counts
+    are computed, never listed, so a huge one fails at once."""
+    over = [(what, keys) for what, keys, dt in (
+        ("samples", ("time.t_end", "time.sample_dt"), config.sample_dt),
+        ("snapshots", ("time.t_end", "output.snapshot_dt"), config.snapshot_dt),
+        ("checkpoints", ("time.t_end", "time.checkpoint_dt"), config.checkpoint_dt),
+    ) if dt > 0.0 and config.t_end / dt + 1e-9 >= _MAX_STEPS + 1]
+    if config.log_sampling:
+        decades = math.log10(config.t_end) - math.log10(config.log_min)
+        # decades * per >= budget, without converting a huge per to float
+        if decades >= _MAX_STEPS / max(1, config.log_per_decade):
+            over.append(("log-spaced samples",
+                         ("time.t_end", "output.log_sampling", "output.log_min",
+                          "output.log_per_decade")))
+    if over:
+        what, keys = over[0]
+        given = [key for key in keys if key in seen]
+        raise ConfigError(
+            f"{', '.join(given)}: more than {_MAX_STEPS} {what}, the step "
+            f"budget of a run", line=max(seen[key] for key in given))
 
 
 def load_config(path) -> RunConfig:

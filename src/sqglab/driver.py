@@ -60,7 +60,7 @@ def sample_times(config: RunConfig):
     times.add(float(config.t_end))
     if config.log_sampling:
         per = max(1, int(config.log_per_decade))
-        decades = math.log10(config.t_end / config.log_min)
+        decades = math.log10(config.t_end) - math.log10(config.log_min)
         count = int(math.ceil(decades * per)) + 1
         for j in range(count + 1):
             tj = config.log_min * 10.0 ** (j / per)
@@ -76,8 +76,10 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     time; a snapshot whose grid, gamma or kappa differs from the config is
     rejected with ``ConfigError``.  The event schedule is regenerated from
     t = 0 and filtered, so a resumed run reproduces the uninterrupted
-    trajectory exactly (snapshot writes round-trip the in-memory state
-    through the serialized values).
+    trajectory exactly: snapshot writes round-trip the in-memory state
+    through the serialized values, and both the resumed and the continuing
+    run project them as ``initial_state`` does, so with dealiasing on every
+    state stays exactly zero outside ``dealias_mask``.
     """
     out_dir = resolve_output_dir(config, output_override)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,8 +98,8 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             raise ConfigError(
                 f"snapshot physics (gamma {snap.gamma}, kappa {snap.kappa}) "
                 f"does not match config (gamma {config.gamma}, kappa {config.kappa})")
-        state = SolverState(t=snap.t, theta=forward_transform(snap.field),
-                            dt=sconfig.dt_max, config=sconfig)
+        state = replace(initial_state(forward_transform(snap.field), sconfig),
+                        t=snap.t)
     else:
         state = initial_state(
             make_initial(config.preset, grid, seed=config.seed,
@@ -158,7 +160,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
                            config.gamma, config.kappa)
         # re-project through the stored values so a resumed run continues
         # from bit-identical state
-        return replace(st, theta=forward_transform(phys))
+        return replace(st, theta=initial_state(forward_transform(phys), sconfig).theta)
 
     start = state.t
     if start == 0.0 or any(abs(start - t) <= 1e-12 * max(1.0, start) for t in samples):

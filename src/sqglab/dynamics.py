@@ -6,11 +6,16 @@ semigroup is applied exactly and only the advection term is integrated
 numerically.  Advection is assembled pseudo-spectrally with 2/3-rule
 dealiasing.
 
+With dealiasing on, every state is exactly zero outside ``dealias_mask``:
+``initial_state`` truncates the data, and the right-hand side reads only the
+retained modes and writes zeros elsewhere, so its column passes run on the
+retained columns alone (see ``sqglab.spectral``).  The right-hand side of any
+theta is that of ``dealias(theta)``.
+
 A step allocates no large temporaries beyond the arrays it keeps: the
 right-hand side and the RK4 stage inputs are formed in place, in the
-per-thread workspace of ``sqglab.spectral``, and its transforms are the
-in-place 1-D passes described there.  The in-place operations repeat the
-operands and the order of the plain expressions, so trajectories are
+per-thread workspace of ``sqglab.spectral``.  The in-place operations repeat
+the operands and the order of the plain expressions, so trajectories are
 unchanged bit for bit.
 """
 
@@ -23,6 +28,8 @@ import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError
 from .spectral import SpectralField, _forward, _inverse, _workspace, dealias
+
+_MAX_STEPS = 1_000_000  # run_until's default step budget
 
 
 @dataclass(frozen=True)
@@ -73,12 +80,12 @@ class SolverState:
         computed on first use and is not a field, so ``dataclasses.replace``
         never carries it over to a new state.
         """
-        if not self.config.nonlinear_enabled:
-            return np.zeros_like(self.theta.coeffs), 0.0
         rhs = np.empty(self.theta.grid.spectral_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            u1, u2 = _advection(self.theta, self.config.dealias_enabled, rhs)
-            np.negative(rhs, out=rhs)
+            velocity = _rhs(self.theta, self.config, rhs)
+            if velocity is None:
+                return rhs, 0.0
+            u1, u2 = velocity
             u1 *= u1
             u2 *= u2
             u1 += u2
@@ -90,25 +97,25 @@ def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config)
 
 
-def _advection(theta: SpectralField, dealias_enabled: bool, out: np.ndarray):
+def _advection(theta: SpectralField, out: np.ndarray, dealiased_input: bool,
+               dealias_enabled: bool):
     """Write the coefficients of u . grad(theta) into ``out``; return the grid
     velocity (u1, u2).
 
     One batched inverse transform gives u1, u2 and both gradient components
-    on the grid; the product is formed there, transformed back and truncated
+    on the grid; with ``dealiased_input`` it reads only the modes the 2/3
+    rule keeps.  The product is formed there, transformed back and truncated
     by the 2/3 rule when enabled.  u1 and u2 are views into this thread's
     workspace, valid until its next call.
     """
     grid = theta.grid
     spec, stack, _ = _workspace.get(grid)
     np.multiply(grid.multipliers, theta.coeffs, out=spec)
-    u1, u2, t1, t2 = _inverse(grid, spec, stack)
+    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased_input)
     t1 *= u1
     t2 *= u2
     t1 += t2
-    _forward(t1, out)
-    if dealias_enabled:
-        out *= grid.dealias_mask
+    _forward(grid, t1, out, dealias_enabled)
     return u1, u2
 
 
@@ -119,23 +126,31 @@ def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True,
     Velocity and gradient are evaluated by multipliers, the product is formed
     in physical space, transformed back, and truncated by the 2/3 rule when
     enabled.  For divergence-free u the mean of the product vanishes, so the
-    zero mode of the output is zero up to roundoff.  The coefficients are
+    zero mode of the output is zero up to roundoff.  It reads every mode of
+    theta, unlike the stepper's right-hand side.  The coefficients are
     written into ``out`` (complex, shape ``grid.spectral_shape``) when given,
     else into a new array.
     """
     if out is None:
         out = np.empty(theta.grid.spectral_shape, dtype=complex)
-    _advection(theta, dealias_enabled, out)
+    _advection(theta, out, False, dealias_enabled)
     return SpectralField(theta.grid, out)
 
 
-def _rhs(theta: SpectralField, config: SolverConfig, out: np.ndarray) -> None:
-    """Write the right-hand side -u . grad(theta) into ``out``."""
+def _rhs(theta: SpectralField, config: SolverConfig, out: np.ndarray):
+    """Write the right-hand side -u . grad(theta) into ``out``; return the
+    grid velocity (u1, u2) as ``_advection`` does, or None without advection.
+
+    With dealiasing on it reads only theta's retained modes, so it is the
+    right-hand side of ``dealias(theta)``.
+    """
     if not config.nonlinear_enabled:
         out.fill(0.0)
-        return
-    nonlinear_term(theta, config.dealias_enabled, out=out)
-    np.negative(out, out=out)
+        return None
+    velocity = _advection(theta, out, config.dealias_enabled, config.dealias_enabled)
+    flat = out.view(np.float64)  # a sign flip: cheaper than complex negative
+    np.negative(flat, out=flat)
+    return velocity
 
 
 def step(state: SolverState, dt: float) -> SolverState:
@@ -225,7 +240,7 @@ def run_until(
     t_end: float,
     callbacks=(),
     callback_times=None,
-    max_steps: int = 1_000_000,
+    max_steps: int = _MAX_STEPS,
 ) -> SolverState:
     """Advance to t_end, landing exactly on t_end and every callback time.
 

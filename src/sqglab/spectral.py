@@ -1,38 +1,20 @@
 """Discrete Fourier representation of real scalar fields on a periodic box.
 
-Conventions
------------
-Grid points are x_j = (L/n) * j, j = 0..n-1 per axis, values stored row-major
-with the second axis fastest.  Coefficients follow the normalization
+Grid points are x_j = (L/n) * j, j = 0..n-1 per axis, stored row-major.
+Coefficients follow F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j) with
+k(m) = (2 pi / L) m.  Fields are real, so a ``SpectralField`` holds only the
+(n, n/2+1) half spectrum of ``numpy.fft.rfft2``: rows m1 = 0, 1, .., n/2-1,
+-n/2, .., -1 and columns m2 = 0, 1, .., n/2.  A mode of columns 1 .. n/2-1
+stands for its conjugate partner too, so full-lattice sums are half-lattice
+sums weighted by ``Grid.weights`` (2 there, 1 on columns 0 and n/2), and
+Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
 
-    F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j),   k(m) = (2 pi / L) m.
-
-Fields are real, so F(-m) = conj(F(m)) and only the half lattice m2 >= 0 is
-stored: a ``SpectralField`` holds the (n, n/2+1) array of ``numpy.fft.rfft2``,
-rows in FFT order (m1 = 0, 1, .., n/2-1, -n/2, .., -1) and columns
-m2 = 0, 1, .., n/2.  Hermitian symmetry holds by construction.  Every mode of
-columns 1 .. n/2-1 stands for itself and its conjugate partner, so sums over
-the full lattice become sums over the half lattice with ``Grid.weights``
-(2 there, 1 on columns 0 and n/2).  Parseval reads
-||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2, and the homogeneous Sobolev norms
-are plain weighted coefficient sums.
-
-Every 2-D transform runs as two 1-D passes, the ones ``numpy.fft.irfftn`` and
-``rfft2`` run, in the same order, so results are the same bit for bit.  The
-inverse is a complex ``ifft`` down the columns, in place on a scratch half
-spectrum, then a real ``irfft`` along the rows into the grid values; the
-forward transform is a real ``rfft`` along the rows into the half spectrum,
-then an ``fft`` down its columns in place.  Written this way the passes
-allocate nothing: ``irfftn`` would allocate its complex column-pass result on
-every call.  The scratch lives in a per-thread workspace keyed by
-``Grid.spectral_shape``: a (4, n, n/2+1) half-spectrum stack, a (4, n, n)
-grid stack and one half spectrum (the RK4 stage input of
-``sqglab.dynamics``).  It is a ``threading.local``, not scratch on ``Grid``,
-so threads working on one grid never share buffers; within a thread only one
-right-hand side or one norm sample runs at a time, so they share it.
-Multi-MiB temporaries made afresh on every call would cost more than the
-transforms: glibc maps such blocks anew and hands them back to the kernel on
-free, so each step would take thousands of minor page faults.
+Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
+results match them bit for bit; the column passes work in place on scratch
+in a per-thread workspace, so threads never share buffers and a step
+allocates nothing large.  Under the 2/3 rule the advection right-hand side
+reads and writes only the modes |m1|, |m2| <= n/3, so its column passes run
+on the first n//3 + 1 columns alone (Patterson and Orszag, 1971).
 """
 
 from __future__ import annotations
@@ -154,17 +136,40 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _live(grid: Grid, dealiased: bool) -> tuple[int, slice]:
+    """The count of leading columns the column passes transform and the dead
+    rows within them: n//3 + 1 columns (m2 <= n/3) and the rows with
+    |m1| > n/3 under the 2/3 rule, else all n/2 + 1 columns and no rows."""
+    live = grid.n // 3 + 1 if dealiased else grid.n // 2 + 1
+    return live, slice(live, grid.n - live + 1)
+
+
+def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
+             dealiased: bool = False) -> np.ndarray:
     """Grid values of one or a stack of half spectra, written into ``out``.
-    ``spec`` is scratch: the column pass overwrites it."""
-    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    ``spec`` is scratch: the column pass overwrites it.  With ``dealiased``
+    only the modes in ``dealias_mask`` are read: the others are zeroed and
+    the column pass skips their columns."""
+    live, dead = _live(grid, dealiased)
+    spec[..., dead, :live] = 0.0
+    cols = spec[..., :live]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    spec[..., live:] = 0.0
     return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
 
 
-def _forward(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Half spectrum of one or a stack of grid values, written into ``out``."""
+def _forward(grid: Grid, values: np.ndarray, out: np.ndarray,
+             dealiased: bool = False) -> np.ndarray:
+    """Half spectrum of one or a stack of grid values, written into ``out``.
+    With ``dealiased`` it is truncated by the 2/3 rule: the column pass
+    skips the dead columns, and the modes outside ``dealias_mask`` are 0."""
+    live, dead = _live(grid, dealiased)
     np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=-2, norm="forward", out=out)
+    cols = out[..., :live]
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    out[..., dead, :live] = 0.0
+    out[..., live:] = 0.0
+    return out
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -176,7 +181,7 @@ def forward_transform(f: RealField) -> SpectralField:
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError("field values contain non-finite entries")
     out = np.empty(f.grid.spectral_shape, dtype=complex)
-    return SpectralField(f.grid, _forward(values, out))
+    return SpectralField(f.grid, _forward(f.grid, values, out))
 
 
 def inverse_transform(F: SpectralField) -> RealField:

@@ -142,6 +142,38 @@ class TestParseConfig:
         assert message in str(err.value)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("lines", [
+        ["time.sample_dt = 1e-300"],
+        ["time.sample_dt = 1e-7"],
+        ["output.snapshot_dt = 5e-7"],
+        ["time.checkpoint_dt = 1e-300"],
+        ["output.log_sampling = true", "output.log_per_decade = 1000000000000"],
+        ["output.log_per_decade = 10" + "0" * 400, "output.log_sampling = true"],
+        ["output.log_sampling = true", "output.log_min = 1e-300",
+         "output.log_per_decade = 4000"],
+    ])
+    def test_schedule_beyond_the_step_budget_cites_the_later_key(self, lines):
+        text = MINIMAL + "\n".join(lines) + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "more than 1000000" in str(err.value)
+        assert err.value.line == len(text.splitlines())
+
+    def test_schedule_bound_cites_t_end_when_it_comes_last(self):
+        text = MINIMAL.replace("time.t_end = 1.0",
+                               "time.sample_dt = 1e-3\ntime.t_end = 1e300")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "time.t_end, time.sample_dt" in str(err.value)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("lines", [
+        ["time.sample_dt = 1e-6"],  # exactly the budget
+        ["output.log_sampling = true", "output.log_per_decade = 100000"],
+    ])
+    def test_schedule_within_the_step_budget_accepted(self, lines):
+        parse_config(MINIMAL + "\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("value", ["-1", "1.0", "0, 0.5, 2"])
     def test_betas_down_to_minus_one_accepted(self, value):
         text, _ = with_value("output.betas", value)

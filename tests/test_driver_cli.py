@@ -73,6 +73,20 @@ class TestDriver:
             for col in full.series.columns[1:]:
                 assert full.series.column(col)[j] == resumed.series.column(col)[i]
 
+    def test_states_stay_dealiased_across_checkpoint_and_restart(self, tmp_path):
+        outside = ~Grid(32, 2.0 * math.pi).dealias_mask
+        text = BASE_CONFIG + "time.checkpoint_dt = 0.5\noutput.snapshot_dt = 0.5\n"
+        full = run_simulation(
+            parse_config(text + f"output.directory = {tmp_path}/full\n"))
+        # the final state is the one re-projected by the t = 1 checkpoint
+        assert np.all(full.state.theta.coeffs[outside] == 0)
+        plain = parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/resumed\n")
+        # from t = 1 the resumed run takes no step; from t = 0.5 it steps
+        for snap, stepped in (("checkpoint.bin", False), ("snap_0.500000.bin", True)):
+            resumed = run_simulation(plain, restart=tmp_path / "full" / snap)
+            assert (resumed.state.step_count > 0) is stepped
+            assert np.all(resumed.state.theta.coeffs[outside] == 0)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SQG_OUTPUT_DIR", str(tmp_path / "env_out"))
         config = parse_config(BASE_CONFIG)
@@ -110,6 +124,44 @@ class TestCli:
 
     def test_missing_config_exit_10(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 10
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["run"],
+        ["run", "--config", "run.cfg", "--bogus"],
+        ["oracle", "--suite", "nope"],
+        ["modulus-check", "--field", "snap.bin", "--delta3", "abc"],
+    ])
+    def test_usage_error_exit_12(self, capsys, argv):
+        # 2 is the blow-up code; argparse's usage line is kept
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 12
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sqglab") and "error: " in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{dir}"],
+        ["run", "--config", "{cfg}", "--restart", "{dir}"],
+        ["modulus-check", "--field", "{dir}", "--delta3", "0.1"],
+        ["analyze", "--norms", "{dir}", "--column", "linf", "--window", "0:1"],
+    ])
+    def test_directory_for_a_file_exit_10(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        names = {"dir": str(tmp_path), "cfg": str(cfg)}
+        assert main([arg.format(**names) for arg in argv]) == 10
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tmp_path) in err[0]
 
     def test_bad_config_exit_12(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -216,6 +268,8 @@ class TestCli:
         ("initial.seed", "-1"),
         ("modulus.delta3", "inf"),
         ("modulus.r_max", "inf"),
+        ("time.sample_dt", "1e-300"),
+        ("output.snapshot_dt", "1e-300"),
     ])
     def test_out_of_range_config_value_exit_12(self, tmp_path, capsys, key, value):
         lines = [line for line in BASE_CONFIG.splitlines()

@@ -151,6 +151,9 @@ class TestStep:
                 state = step(state, 0.05)
         assert err.value.t > 0.0
         assert err.value.step_count >= 1
+        # a dealiased run keeps every mode outside the 2/3 block at 0, so the
+        # reported mode lies inside it
+        assert max(map(abs, err.value.mode)) <= g.n / 3
 
     def test_step_size_validation(self):
         g = Grid(16, TWO_PI)

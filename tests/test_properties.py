@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from sqglab import (
     Grid,
     RealField,
+    SolverConfig,
+    SolverState,
+    SpectralField,
     dealias,
     forward_transform,
+    initial_state,
     inverse_transform,
     l2_norm,
     nonlinear_term,
@@ -23,6 +27,8 @@ SETTINGS = settings(max_examples=30, deadline=None)
 
 grids = st.builds(Grid, st.sampled_from([8, 10, 12, 16, 24, 32]),
                   st.floats(min_value=0.5, max_value=20.0))
+even_grids = st.builds(Grid, st.integers(min_value=4, max_value=32).map(lambda h: 2 * h),
+                       st.floats(min_value=0.5, max_value=20.0))  # n even in 8-64
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 scales = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -95,16 +101,55 @@ def test_nonlinear_term_has_zero_mean(grid, seed, scale, dealias_enabled):
        seeds)
 def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     # batch 0 is a single unbatched field; the passes must repeat irfftn's and
-    # rfft2's bit for bit, so that trajectories do not change
+    # rfft2's bit for bit, so that trajectories do not change, and the pruned
+    # passes must repeat them on the 2/3-rule truncation
     n = 2 * half_n
     grid = Grid(n, 1.0)
+    mask = grid.dealias_mask
     lead = (batch,) if batch else ()
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(lead + (n, n))
     spec = np.empty(lead + grid.spectral_shape, dtype=complex)
-    assert np.array_equal(_forward(values, spec), np.fft.rfft2(values, norm="forward"))
+    full = np.fft.rfft2(values, norm="forward")
+    assert np.array_equal(_forward(grid, values, spec), full)
+    pruned = _forward(grid, values, spec, dealiased=True)
+    assert np.array_equal(pruned, full * mask)
+    assert np.all(pruned[..., ~mask] == 0)
 
     spec = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
-    expected = np.fft.irfftn(spec, s=(n, n), axes=(-2, -1), norm="forward")
     out = np.empty(lead + (n, n))
-    assert np.array_equal(_inverse(grid, spec, out), expected)
+    for dealiased, kept in ((False, spec), (True, spec * mask)):
+        expected = np.fft.irfftn(kept, s=(n, n), axes=(-2, -1), norm="forward")
+        assert np.array_equal(_inverse(grid, spec.copy(), out, dealiased), expected)
+
+
+def _rhs_of(theta, dealiased_state):
+    """The stepper's first RK4 stage and sup|u|, from a state built as
+    ``initial_state`` builds it or from theta as given."""
+    config = SolverConfig(gamma=1.0)
+    if dealiased_state:
+        return initial_state(theta, config).stage1
+    return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config).stage1
+
+
+@SETTINGS
+@given(even_grids, seeds, scales)
+def test_rhs_of_dealiased_theta_matches_full_width_reference(grid, seed, scale):
+    theta = dealias(forward_transform(random_field(grid, seed, scale)))
+    rhs, _ = _rhs_of(theta, True)
+    n = grid.n
+    u1, u2, d1, d2 = np.fft.irfftn(grid.multipliers * theta.coeffs, s=(n, n),
+                                   axes=(-2, -1), norm="forward")
+    product = np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward")
+    assert np.array_equal(rhs, -dealias(SpectralField(grid, product)).coeffs)
+
+
+@SETTINGS
+@given(even_grids, seeds, scales)
+def test_rhs_reads_only_the_retained_modes(grid, seed, scale):
+    theta = forward_transform(random_field(grid, seed, scale))
+    rhs, umax = _rhs_of(theta, False)
+    rhs_kept, umax_kept = _rhs_of(theta, True)
+    assert np.array_equal(rhs, rhs_kept)
+    assert umax == umax_kept
+    assert np.all(rhs[~grid.dealias_mask] == 0)

@@ -183,4 +183,8 @@ def _check_schedule(config: RunConfig, seen: dict) -> None:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    return parse_config(text)

@@ -1,9 +1,20 @@
-"""Run orchestration: schedules, checkpointing, norm recording."""
+"""Run orchestration: schedules, checkpointing, norm recording.
+
+After the initial sample, a run's sample diagnostics (``record_norms``, then
+the modulus check and the gradient bound) run on one background thread, in
+sample order with at most one sample waiting, while the stepper goes on; a
+run uses up to two cores.  The outputs and the failure behaviour are those
+of running them in line: the queue is drained before every snapshot or
+checkpoint and before ``norms.csv`` is written, and the first diagnostics
+error is raised in place of anything the stepper raises after it.
+"""
 
 from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -79,11 +90,11 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     trajectory exactly: snapshot writes round-trip the in-memory state
     through the serialized values, and both the resumed and the continuing
     run project them as ``initial_state`` does, so with dealiasing on every
-    state stays exactly zero outside ``dealias_mask``.
+    state stays exactly zero outside ``dealias_mask``.  The output directory
+    is created only after the set-up, the initial sample included, has
+    succeeded.
     """
     out_dir = resolve_output_dir(config, output_override)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     grid = Grid(config.n, config.length)
     sconfig = solver_config(config)
     if restart is not None:
@@ -150,7 +161,29 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             if not series.last("grad_sup") < mod.omega_prime_at_zero:
                 gradient_ok = False
 
+    # states are frozen and a step never writes an array it has returned, so
+    # the worker reads them without a lock.  Its first error is raised on the
+    # run's thread by drain; it skips the samples after it, which the serial
+    # order would never have reached.
+    pending = queue.Queue(maxsize=1)
+    failure: list[BaseException] = []
+
+    def work():
+        while (st := pending.get()) is not None:
+            if not failure:
+                try:
+                    observe(st)
+                except BaseException as exc:
+                    failure.append(exc)
+            pending.task_done()
+
+    def drain():
+        pending.join()
+        if failure:
+            raise failure[0]
+
     def persist(st: SolverState, kinds) -> SolverState:
+        drain()
         phys = inverse_transform(st.theta)
         if "snapshot" in kinds:
             write_snapshot(out_dir / f"snap_{st.t:.6f}.bin", phys, st.t,
@@ -162,11 +195,16 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
         # from bit-identical state
         return replace(st, theta=initial_state(forward_transform(phys), sconfig).theta)
 
+    # the initial sample is the last of the set-up: a run that fails before
+    # its first step leaves no output directory
     start = state.t
     if start == 0.0 or any(abs(start - t) <= 1e-12 * max(1.0, start) for t in samples):
         observe(state)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     norms_path = out_dir / "norms.csv"
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
     try:
         for t_ev in sorted(events):
             if t_ev <= start:
@@ -176,11 +214,16 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             if "snapshot" in kinds or "checkpoint" in kinds:
                 state = persist(state, kinds)
             if "sample" in kinds:
-                observe(state)
+                pending.put(state)
         if state.t < config.t_end:
             state = run_until(state, config.t_end)
     finally:
-        series.write_csv(norms_path)
+        try:
+            drain()
+        finally:
+            pending.put(None)
+            worker.join()
+            series.write_csv(norms_path)
 
     return RunResult(state=state, series=series, breaches=breaches,
                      gradient_ok=gradient_ok, output_dir=out_dir,

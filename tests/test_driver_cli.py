@@ -1,15 +1,20 @@
 """End-to-end tests for the run driver and the command-line interface."""
 
+import contextlib
+import io
 import math
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqglab import (
+    BlowUpError,
     Grid,
     NormSeries,
     RealField,
@@ -18,6 +23,7 @@ from sqglab import (
     read_snapshot,
     write_snapshot,
 )
+from sqglab import driver, dynamics
 from sqglab.cli import main
 from sqglab.driver import run_simulation, sample_times
 
@@ -174,6 +180,14 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNK" + bytes(200))
         code = main(["run", "--config", str(config), "--restart", str(bad)])
         assert code == 11
+        assert not (tmp_path / "out").exists()
+
+    def test_restart_from_missing_snapshot_exit_10(self, tmp_path, capsys):
+        config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        missing = tmp_path / "none.bin"
+        assert main(["run", "--config", str(config), "--restart", str(missing)]) == 10
+        assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_restart_physics_mismatch_exit_12(self, tmp_path, capsys):
         config = write_config(tmp_path, (
@@ -191,7 +205,7 @@ class TestCli:
             code = main(["run", "--config", str(other), "--restart", str(snap)])
             assert code == 12
             assert "snapshot physics" in capsys.readouterr().err
-            assert not (tmp_path / key / "norms.csv").exists()
+            assert not (tmp_path / key).exists()
 
     def test_blow_up_exit_2(self, tmp_path):
         config = tmp_path / "explode.cfg"
@@ -226,7 +240,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "modulus.r_max" in err[0] and "dx = 0.196" in err[0]
-        assert not (tmp_path / "out" / "norms.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_table_size_below_64_exit_12(self, tmp_path, capsys):
         config = write_config(tmp_path, (
@@ -255,7 +269,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "modulus.delta3" in err[0] and "modulus.r_max" in err[0]
-        assert not (tmp_path / "out" / "norms.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     # values that pass a plain float() or int() but not the solver
     @pytest.mark.parametrize("key, value", [
@@ -408,6 +422,203 @@ class TestCli:
     def test_analyze_missing_norms_exit_10(self, tmp_path):
         assert main(["analyze", "--norms", str(tmp_path / "nope.csv"),
                      "--column", "linf", "--window", "0:1"]) == 10
+
+
+# samples every 0.25 to t = 1, snapshots every 0.5, a checkpoint at 1: the
+# stepper passes a sample between snapshots without waiting for the worker
+EVENTS = (
+    "output.snapshot_dt = 0.5\n"
+    "time.checkpoint_dt = 1.0\n"
+    "modulus.enabled = true\n"
+    "modulus.delta3 = 0.1\n"
+)
+SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def fail_record_norms_at(monkeypatch, t_s, wait=None):
+    """Make the driver's record_norms raise BlowUpError at sample time t_s,
+    after ``wait`` is set if one is given; returns the errors raised."""
+    raised = []
+    real = driver.record_norms
+
+    def record_norms(state, series):
+        if state.t == t_s:
+            if wait is not None:
+                wait.wait(timeout=10.0)
+            raised.append(BlowUpError(state.t, state.step_count, (0, 0)))
+            raise raised[-1]
+        return real(state, series)
+
+    monkeypatch.setattr(driver, "record_norms", record_norms)
+    return raised
+
+
+class TestDiagnosticsWorker:
+    """The sample diagnostics run beside the stepper, with the outputs and
+    failures of running them in line."""
+
+    def run_failing(self, tmp_path, capsys):
+        config = write_config(tmp_path,
+                              EVENTS + f"output.directory = {tmp_path}/out\n")
+        threads = threading.active_count()
+        code = main(["run", "--config", str(config)])
+        assert threading.active_count() == threads  # the worker has stopped
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def assert_stopped_at(self, tmp_path, t_s):
+        out = tmp_path / "out"
+        rows = NormSeries.read_csv(out / "norms.csv").t
+        assert list(rows) == [t for t in SAMPLES if t < t_s]
+        snaps = sorted(float(p.name[len("snap_"):-len(".bin")])
+                       for p in out.glob("snap_*.bin"))
+        assert snaps == [t for t in (0.5, 1.0) if t <= t_s]
+
+    @pytest.mark.parametrize("t_s", SAMPLES[1:])
+    def test_diagnostics_failure_ends_the_run_at_its_sample(
+            self, tmp_path, capsys, monkeypatch, t_s):
+        raised = fail_record_norms_at(monkeypatch, t_s)
+        code, err = self.run_failing(tmp_path, capsys)
+        assert code == 2
+        assert len(raised) == 1  # later samples are skipped
+        assert err == f"error: {raised[0]}\n"
+        self.assert_stopped_at(tmp_path, t_s)
+
+    def test_diagnostics_failure_wins_over_a_later_stepper_blow_up(
+            self, tmp_path, capsys, monkeypatch):
+        # the sample at 0.5 fails only once the step after it has blown up,
+        # so the stepper's error is raised first; the sample's is reported
+        stepper_failed = threading.Event()
+        raised = fail_record_norms_at(monkeypatch, 0.5, wait=stepper_failed)
+        real_step = dynamics.step
+
+        def step(state, dt):
+            if state.t >= 0.5:
+                stepper_failed.set()
+                raise BlowUpError(state.t + dt, state.step_count + 1, (1, 1))
+            return real_step(state, dt)
+
+        monkeypatch.setattr(dynamics, "step", step)
+        code, err = self.run_failing(tmp_path, capsys)
+        assert stepper_failed.is_set()
+        assert code == 2
+        assert len(raised) == 1
+        assert err == f"error: {raised[0]}\n"
+        self.assert_stopped_at(tmp_path, 0.5)
+
+    def test_concurrent_runs_match_a_lone_run(self, tmp_path):
+        # more runs than cores, each with its own worker, switching often
+        def run(name):
+            return run_simulation(parse_config(
+                BASE_CONFIG + EVENTS + f"output.directory = {tmp_path}/{name}\n"))
+
+        lone = run("lone")
+        results = {}
+        threads = [threading.Thread(target=lambda k=k: results.update({k: run(k)}))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(results) == list(range(4))
+        snaps = sorted(lone.output_dir.glob("*.bin"))
+        assert len(snaps) == 3 and lone.breaches
+        for result in results.values():
+            assert result.norms_path.read_bytes() == lone.norms_path.read_bytes()
+            assert (result.breaches, result.gradient_ok) == (lone.breaches,
+                                                            lone.gradient_ok)
+            for snap in snaps:
+                assert (result.output_dir / snap.name).read_bytes() == snap.read_bytes()
+
+    def test_initial_sample_failure_leaves_no_output_directory(
+            self, tmp_path, capsys, monkeypatch):
+        raised = fail_record_norms_at(monkeypatch, 0.0)
+        code, err = self.run_failing(tmp_path, capsys)
+        assert code == 2
+        assert err == f"error: {raised[0]}\n"
+        assert not (tmp_path / "out").exists()
+
+
+# Command-line vectors for the property test below.  No command can run from
+# them: every file is missing, a directory, empty or malformed, an empty file
+# (a valid all-defaults config) is never a --config, and no --suite value
+# names a suite.
+CLI_FILES = {
+    "missing": None,
+    "dir": None,
+    "empty": b"",
+    "text": b"not a config, a snapshot or a norms table\n",
+    "binary": b"\xff\xfe\x00SQG" + bytes(64),
+    "header": b"t,linf,l2,h1,h3_2,h2,grad_sup\n",
+    "badvalue": b"grid.n = 7\n",
+}
+CONFIG_FILES = [f"{{{name}}}" for name in CLI_FILES if name != "empty"]
+ANY_FILE = [f"{{{name}}}" for name in CLI_FILES]
+NUMBERS = ["0.1", "-1", "0", "64", "32", "nan", "inf", "1e-320", "1e300", "abc", ""]
+OPTION_VALUES = {
+    "--config": CONFIG_FILES,
+    "--restart": ANY_FILE,
+    "--output": ["{outdir}"],
+    "--suite": ["nope", "ALL", "single_mode", ""],
+    "--field": ANY_FILE,
+    "--delta3": NUMBERS,
+    "--r-max": NUMBERS,
+    "--table-size": NUMBERS,
+    "--norms": ANY_FILE,
+    "--column": ["linf", "h2", "h9", ""],
+    "--window": ["0:1", "1:0", "0.1:10", "1to2", ""],
+    "--weight": NUMBERS,
+}
+FLAGS = ["--strict", "--help", "-h", "--bogus"]
+STRAYS = ["extra", "{text}", "{dir}", "0.1", "--"]
+COMMANDS = ["run", "oracle", "modulus-check", "analyze", "frobnicate"]
+
+
+@st.composite
+def cli_vectors(draw):
+    argv = [draw(st.sampled_from(COMMANDS))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["option", "option", "flag", "stray"]))
+        if kind == "option":
+            option = draw(st.sampled_from(sorted(OPTION_VALUES)))
+            argv += [option, draw(st.sampled_from(OPTION_VALUES[option]))]
+        else:
+            argv.append(draw(st.sampled_from(FLAGS if kind == "flag" else STRAYS)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_vectors())
+@example(["run", "--config", "{binary}"])
+@example(["analyze", "--norms", "{binary}", "--column", "linf", "--window", "0:1"])
+@example(["modulus-check", "--field", "{empty}", "--delta3", "0.1"])
+def test_any_argument_vector_ends_in_a_documented_exit_code(tmp_path, argv):
+    names = {"outdir": str(tmp_path / "out")}
+    for name, content in CLI_FILES.items():
+        path = tmp_path / name
+        names[name] = str(path)
+        if name == "dir":
+            path.mkdir(exist_ok=True)
+        elif content is not None:
+            path.write_bytes(content)
+    argv = [arg.format(**names) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 10, 11, 12), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not (tmp_path / "out").exists()
 
 
 def _valid_snapshot_bytes():

@@ -24,9 +24,7 @@ from .errors import (
     BudgetError,
     ConfigError,
     ConstructionError,
-    InvalidFieldError,
     ParameterError,
-    RangeError,
     SnapshotFormatError,
     SqgError,
 )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 oracle failure, 2 blow-up, 3 modulus breach under
---strict, 10 file not found (or a directory given for a file), 11 malformed
-snapshot, 12 config error or command-line usage error.
+--strict, 4 step budget exceeded, 10 file not found or a directory given for
+a file, 11 malformed snapshot, 12 config or command-line usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import sys
 
 from .errors import (
     BlowUpError,
+    BudgetError,
     ConfigError,
     ConstructionError,
     ParameterError,
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BLOWUP = 2
 EXIT_BREACH = 3
+EXIT_BUDGET = 4
 EXIT_NOT_FOUND = 10
 EXIT_BAD_SNAPSHOT = 11
 EXIT_BAD_CONFIG = 12
@@ -59,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--field", required=True, help="snapshot file")
     check.add_argument("--delta3", type=float, required=True)
     check.add_argument("--r-max", type=float, default=10.0)
-    check.add_argument("--table-size", type=int, default=256)
 
     analyze = sub.add_parser("analyze", help="fit or bound a norms.csv column")
     analyze.add_argument("--norms", required=True)
@@ -109,7 +110,7 @@ def _cmd_modulus_check(args) -> int:
 
     snap = read_snapshot(args.field)
     try:
-        mod = build_knv_modulus(args.delta3, args.r_max, table_size=args.table_size)
+        mod = build_knv_modulus(args.delta3, args.r_max)
     except (ParameterError, ConstructionError) as exc:
         raise ConfigError(
             f"modulus-check: --delta3 {args.delta3}, --r-max {args.r_max}: "
@@ -171,15 +172,10 @@ def main(argv=None) -> int:
         print(f"error: a directory, not a file: {exc.filename or exc}",
               file=sys.stderr)
         return EXIT_NOT_FOUND
-    except SnapshotFormatError as exc:
+    except (SnapshotFormatError, ConfigError, BlowUpError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SNAPSHOT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return {SnapshotFormatError: EXIT_BAD_SNAPSHOT, ConfigError: EXIT_BAD_CONFIG,
+                BlowUpError: EXIT_BLOWUP, BudgetError: EXIT_BUDGET}[type(exc)]
 
 
 if __name__ == "__main__":

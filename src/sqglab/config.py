@@ -44,7 +44,6 @@ class RunConfig:
     cfl: float = 0.5
     dt_max: float = 0.05
     dt_min: float = 1e-10
-    dealias: bool = True
     nonlinear: bool = True
     # time
     t_end: float = 0.0
@@ -59,7 +58,6 @@ class RunConfig:
     modulus_enabled: bool = False
     delta3: float = 0.1
     r_max: float = 10.0
-    table_size: int = 256
     # output
     directory: str = "out"
     betas: tuple = field(default_factory=tuple)
@@ -75,7 +73,7 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
 _EVEN_GRID = (lambda v: v % 2 == 0 and v >= 8, "be even and >= 8")
 _GAMMA = (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]")
 _CFL = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")  # SolverConfig's range
-_TABLE_SIZE = (lambda v: v >= 64, "be >= 64")
+_AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
 _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 # the extra norm orders 1 + beta must be >= 0
 _BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
@@ -90,7 +88,6 @@ _KEYS = {
     "dynamics.cfl": ("cfl", _parse_float, _CFL, False),
     "dynamics.dt_max": ("dt_max", _parse_float, _POSITIVE, False),
     "dynamics.dt_min": ("dt_min", _parse_float, _POSITIVE, False),
-    "dynamics.dealias": ("dealias", _parse_bool, None, False),
     "dynamics.nonlinear": ("nonlinear", _parse_bool, None, False),
     "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
     "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
@@ -102,13 +99,12 @@ _KEYS = {
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
     "modulus.delta3": ("delta3", _parse_float, _POSITIVE, False),
     "modulus.r_max": ("r_max", _parse_float, _POSITIVE, False),
-    "modulus.table_size": ("table_size", int, _TABLE_SIZE, False),
     "output.directory": ("directory", str, None, False),
     "output.betas": ("betas", _parse_float_list, _BETAS, False),
     "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
     "output.log_sampling": ("log_sampling", _parse_bool, None, False),
     "output.log_min": ("log_min", _parse_float, _POSITIVE, False),
-    "output.log_per_decade": ("log_per_decade", int, None, False),
+    "output.log_per_decade": ("log_per_decade", int, _AT_LEAST_ONE, False),
 }
 
 
@@ -169,7 +165,7 @@ def _check_schedule(config: RunConfig, seen: dict) -> None:
     if config.log_sampling:
         decades = math.log10(config.t_end) - math.log10(config.log_min)
         # decades * per >= budget, without converting a huge per to float
-        if decades >= _MAX_STEPS / max(1, config.log_per_decade):
+        if decades >= _MAX_STEPS / config.log_per_decade:
             over.append(("log-spaced samples",
                          ("time.t_end", "output.log_sampling", "output.log_min",
                           "output.log_per_decade")))

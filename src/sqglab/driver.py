@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .config import RunConfig
 from .diagnostics import NormSeries, record_norms
-from .dynamics import SolverConfig, SolverState, initial_state, run_until
+from .dynamics import (SolverConfig, SolverState, _snap_tolerance, initial_state,
+                       run_until)
 from .errors import ConfigError, ConstructionError, ParameterError
 from .initial import make_initial
 from .modulus import BreachReport, build_knv_modulus, check_modulus, default_offsets
@@ -45,7 +46,6 @@ def solver_config(config: RunConfig) -> SolverConfig:
         cfl=config.cfl,
         dt_max=config.dt_max,
         dt_min=config.dt_min,
-        dealias_enabled=config.dealias,
         nonlinear_enabled=config.nonlinear,
     )
 
@@ -64,20 +64,43 @@ def _cadence_times(dt: float, t_end: float):
     return [i * dt for i in range(1, count + 1)]
 
 
+def _log_times(config: RunConfig):
+    if not config.log_sampling:
+        return []
+    per = config.log_per_decade
+    decades = math.log10(config.t_end) - math.log10(config.log_min)
+    count = int(math.ceil(decades * per)) + 1
+    return [config.log_min * 10.0 ** (j / per) for j in range(count + 1)]
+
+
+def _schedule(config: RunConfig) -> dict[float, set]:
+    """Event times in increasing order, each mapped to its kinds: "sample"
+    on the sample_dt grid, at the optional log-spaced times and at t_end,
+    "snapshot" and "checkpoint" on their cadences.
+
+    A time past t_end, or within ``run_until``'s snap tolerance below it, is
+    t_end exactly, and a time within that tolerance of an earlier event joins
+    it, so no two events fall on the same state and the run ends at t_end.
+    """
+    end = float(config.t_end)
+    near_end = end - _snap_tolerance(end)
+    wanted = [(t, "sample") for t in
+              _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
+    wanted += [(t, "snapshot") for t in _cadence_times(config.snapshot_dt, end)]
+    wanted += [(t, "checkpoint")
+               for t in _cadence_times(config.checkpoint_dt, end)]
+    events: dict[float, set] = {}
+    last = -math.inf
+    for t, kind in sorted((t if t < near_end else end, kind) for t, kind in wanted):
+        if t - last > _snap_tolerance(t):
+            last = t
+        events.setdefault(last, set()).add(kind)
+    return events
+
+
 def sample_times(config: RunConfig):
-    """Diagnostic sample times: the uniform sample_dt grid, optional
-    log-spaced times, and t_end itself."""
-    times = set(_cadence_times(config.sample_dt, config.t_end))
-    times.add(float(config.t_end))
-    if config.log_sampling:
-        per = max(1, int(config.log_per_decade))
-        decades = math.log10(config.t_end) - math.log10(config.log_min)
-        count = int(math.ceil(decades * per)) + 1
-        for j in range(count + 1):
-            tj = config.log_min * 10.0 ** (j / per)
-            if tj <= config.t_end:
-                times.add(float(tj))
-    return sorted(times)
+    """Diagnostic sample times, in increasing order; the last is t_end."""
+    return [t for t, kinds in _schedule(config).items() if "sample" in kinds]
 
 
 def run_simulation(config: RunConfig, restart=None, output_override=None) -> RunResult:
@@ -89,10 +112,9 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     t = 0 and filtered, so a resumed run reproduces the uninterrupted
     trajectory exactly: snapshot writes round-trip the in-memory state
     through the serialized values, and both the resumed and the continuing
-    run project them as ``initial_state`` does, so with dealiasing on every
-    state stays exactly zero outside ``dealias_mask``.  The output directory
-    is created only after the set-up, the initial sample included, has
-    succeeded.
+    run project them as ``initial_state`` does, so every state stays exactly
+    zero outside ``dealias_mask``.  The output directory is created only
+    after the set-up, the initial sample included, has succeeded.
     """
     out_dir = resolve_output_dir(config, output_override)
     grid = Grid(config.n, config.length)
@@ -118,18 +140,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
                          sigma=config.sigma if config.sigma > 0 else None),
             sconfig)
 
-    samples = sample_times(config)
-    snapshots = set(_cadence_times(config.snapshot_dt, config.t_end))
-    checkpoints = set(_cadence_times(config.checkpoint_dt, config.t_end))
-
-    events: dict[float, set] = {}
-    for t in samples:
-        events.setdefault(t, set()).add("sample")
-    for t in snapshots:
-        events.setdefault(t, set()).add("snapshot")
-    for t in checkpoints:
-        events.setdefault(t, set()).add("checkpoint")
-
+    events = _schedule(config)
     series = NormSeries(betas=config.betas)
     mod = offsets = None
     if config.modulus_enabled:
@@ -139,8 +150,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
                 f"modulus.r_max = {config.r_max} is below one grid cell "
                 f"(dx = {grid.dx}); the monitor would check no separation")
         try:
-            mod = build_knv_modulus(config.delta3, config.r_max,
-                                    table_size=config.table_size)
+            mod = build_knv_modulus(config.delta3, config.r_max)
         except (ParameterError, ConstructionError) as exc:
             raise ConfigError(
                 f"modulus.delta3 = {config.delta3}, modulus.r_max = "
@@ -198,7 +208,8 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     # the initial sample is the last of the set-up: a run that fails before
     # its first step leaves no output directory
     start = state.t
-    if start == 0.0 or any(abs(start - t) <= 1e-12 * max(1.0, start) for t in samples):
+    if start == 0.0 or any(abs(start - t) <= 1e-12 * max(1.0, start)
+                           for t, kinds in events.items() if "sample" in kinds):
         observe(state)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,17 +217,14 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     worker = threading.Thread(target=work, daemon=True)
     worker.start()
     try:
-        for t_ev in sorted(events):
+        for t_ev, kinds in events.items():
             if t_ev <= start:
                 continue
             state = run_until(state, t_ev)
-            kinds = events[t_ev]
             if "snapshot" in kinds or "checkpoint" in kinds:
                 state = persist(state, kinds)
             if "sample" in kinds:
                 pending.put(state)
-        if state.t < config.t_end:
-            state = run_until(state, config.t_end)
     finally:
         try:
             drain()

@@ -6,11 +6,11 @@ semigroup is applied exactly and only the advection term is integrated
 numerically.  Advection is assembled pseudo-spectrally with 2/3-rule
 dealiasing.
 
-With dealiasing on, every state is exactly zero outside ``dealias_mask``:
-``initial_state`` truncates the data, and the right-hand side reads only the
-retained modes and writes zeros elsewhere, so its column passes run on the
-retained columns alone (see ``sqglab.spectral``).  The right-hand side of any
-theta is that of ``dealias(theta)``.
+Every state is exactly zero outside ``dealias_mask``: ``initial_state``
+truncates the data, and the advection term reads only the retained modes and
+writes zeros elsewhere, so its column passes run on the retained columns
+alone (see ``sqglab.spectral``).  The advection term of any theta is that of
+``dealias(theta)``.
 
 A step allocates no large temporaries beyond the arrays it keeps: the
 right-hand side and the RK4 stage inputs are formed in place, in the
@@ -32,6 +32,12 @@ from .spectral import SpectralField, _forward, _inverse, _workspace, dealias
 _MAX_STEPS = 1_000_000  # run_until's default step budget
 
 
+def _snap_tolerance(t: float) -> float:
+    """How close ``run_until`` comes to a scheduled time t before it snaps
+    the state's time to t instead of stepping."""
+    return 1e-14 * max(1.0, abs(t))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Dynamics parameters.
@@ -46,7 +52,6 @@ class SolverConfig:
     cfl: float = 0.5
     dt_max: float = 0.05
     dt_min: float = 1e-10
-    dealias_enabled: bool = True
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
@@ -63,11 +68,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """One point on a trajectory: (t, theta, current dt, config, step count)."""
+    """One point on a trajectory: (t, theta, config, step count)."""
 
     t: float
     theta: SpectralField
-    dt: float
     config: SolverConfig
     step_count: int = 0
 
@@ -93,61 +97,49 @@ class SolverState:
 
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
-    theta = dealias(theta0) if config.dealias_enabled else theta0
-    return SolverState(t=0.0, theta=theta, dt=config.dt_max, config=config)
+    return SolverState(t=0.0, theta=dealias(theta0), config=config)
 
 
-def _advection(theta: SpectralField, out: np.ndarray, dealiased_input: bool,
-               dealias_enabled: bool):
+def _advection(theta: SpectralField, out: np.ndarray):
     """Write the coefficients of u . grad(theta) into ``out``; return the grid
     velocity (u1, u2).
 
     One batched inverse transform gives u1, u2 and both gradient components
-    on the grid; with ``dealiased_input`` it reads only the modes the 2/3
-    rule keeps.  The product is formed there, transformed back and truncated
-    by the 2/3 rule when enabled.  u1 and u2 are views into this thread's
-    workspace, valid until its next call.
+    on the grid, reading only the modes the 2/3 rule keeps.  The product is
+    formed there, transformed back and truncated by the 2/3 rule.  u1 and u2
+    are views into this thread's workspace, valid until its next call.
     """
     grid = theta.grid
     spec, stack, _ = _workspace.get(grid)
     np.multiply(grid.multipliers, theta.coeffs, out=spec)
-    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased_input)
+    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased=True)
     t1 *= u1
     t2 *= u2
     t1 += t2
-    _forward(grid, t1, out, dealias_enabled)
+    _forward(grid, t1, out, dealiased=True)
     return u1, u2
 
 
-def nonlinear_term(theta: SpectralField, dealias_enabled: bool = True,
-                   out: np.ndarray | None = None) -> SpectralField:
-    """Spectral coefficients of u . grad(theta), assembled pseudo-spectrally.
-
-    Velocity and gradient are evaluated by multipliers, the product is formed
-    in physical space, transformed back, and truncated by the 2/3 rule when
-    enabled.  For divergence-free u the mean of the product vanishes, so the
-    zero mode of the output is zero up to roundoff.  It reads every mode of
-    theta, unlike the stepper's right-hand side.  The coefficients are
-    written into ``out`` (complex, shape ``grid.spectral_shape``) when given,
-    else into a new array.
+def nonlinear_term(theta: SpectralField) -> SpectralField:
+    """Spectral coefficients of u . grad(theta) for ``dealias(theta)``, as the
+    stepper computes them: velocity and gradient are evaluated by
+    multipliers, the product is formed in physical space, transformed back
+    and truncated by the 2/3 rule.  For divergence-free u the mean of the
+    product vanishes, so the zero mode of the output is zero up to roundoff.
     """
-    if out is None:
-        out = np.empty(theta.grid.spectral_shape, dtype=complex)
-    _advection(theta, out, False, dealias_enabled)
+    out = np.empty(theta.grid.spectral_shape, dtype=complex)
+    _advection(theta, out)
     return SpectralField(theta.grid, out)
 
 
 def _rhs(theta: SpectralField, config: SolverConfig, out: np.ndarray):
     """Write the right-hand side -u . grad(theta) into ``out``; return the
     grid velocity (u1, u2) as ``_advection`` does, or None without advection.
-
-    With dealiasing on it reads only theta's retained modes, so it is the
-    right-hand side of ``dealias(theta)``.
     """
     if not config.nonlinear_enabled:
         out.fill(0.0)
         return None
-    velocity = _advection(theta, out, config.dealias_enabled, config.dealias_enabled)
+    velocity = _advection(theta, out)
     flat = out.view(np.float64)  # a sign flip: cheaper than complex negative
     np.negative(flat, out=flat)
     return velocity
@@ -210,13 +202,8 @@ def step(state: SolverState, dt: float) -> SolverState:
         raise BlowUpError(state.t + dt, state.step_count + 1,
                           (grid.m1[i, 0], grid.m2[0, j]))
 
-    return SolverState(
-        t=state.t + dt,
-        theta=SpectralField(grid, new),
-        dt=dt,
-        config=config,
-        step_count=state.step_count + 1,
-    )
+    return SolverState(t=state.t + dt, theta=SpectralField(grid, new), config=config,
+                       step_count=state.step_count + 1)
 
 
 def adapt_dt(state: SolverState) -> float:
@@ -259,7 +246,7 @@ def run_until(
     event_set = set(events)
     steps_taken = 0
     for target in schedule:
-        eps = 1e-14 * max(1.0, abs(target))
+        eps = _snap_tolerance(target)
         while state.t < target - eps:
             if steps_taken >= max_steps:
                 raise BudgetError(

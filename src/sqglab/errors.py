@@ -6,11 +6,8 @@ class SqgError(Exception):
 
 
 class ParameterError(SqgError, ValueError):
-    """A parameter, or data, is outside its admissible range or domain."""
-
-
-class InvalidFieldError(SqgError, ValueError):
-    """Field data contains non-finite entries or has the wrong shape."""
+    """A parameter or data is outside its admissible range or domain: field
+    values that are non-finite or misshapen, or a lookup outside a table."""
 
 
 class BlowUpError(SqgError, ArithmeticError):
@@ -51,7 +48,3 @@ class ConfigError(SqgError, ValueError):
 
 class SnapshotFormatError(SqgError, ValueError):
     """A snapshot file has a bad magic number, version, or payload size."""
-
-
-class RangeError(SqgError, ValueError):
-    """A lookup argument falls outside the tabulated range."""

@@ -18,9 +18,9 @@ def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
                    gradient, so it evolves by pure dissipation.
     cmt            sin(x1) sin(x2) + cos(x2), the classical smooth test field.
     random_h1      random-phase field with coefficient modulus |m|^{-2-delta}
-                   (delta = 0.05), mean-free and normalized to unit
-                   homogeneous H^1 norm: H^1 data whose higher norms diverge
-                   as the resolution grows.
+                   (delta = 0.05), mean-free, with homogeneous H^1 norm
+                   |amplitude|: H^1 data whose higher norms diverge as the
+                   resolution grows.
     gaussian_bump  exp(-|x - center|^2 / sigma^2), mean removed, concentrated
                    at the box center (sigma defaults to L/10).
     """
@@ -32,7 +32,7 @@ def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
         return forward_transform(
             RealField(grid, amplitude * (np.sin(x1) * np.sin(x2) + np.cos(x2))))
     if preset == "random_h1":
-        return _random_h1(grid, seed)
+        return SpectralField(grid, amplitude * _random_h1(grid, seed).coeffs)
     if preset == "gaussian_bump":
         x1, x2 = grid.points()
         if sigma is None or sigma <= 0.0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError, RangeError
+from .errors import ConstructionError, ParameterError
 from .spectral import RealField, Grid
 
 # Composite Gauss-Legendre rule in x = log s: panel width and nodes per panel
@@ -45,6 +45,9 @@ from .spectral import RealField, Grid
 # which the integrals are below 1e-19 of the table values.
 _PANEL_WIDTH, _PANEL_NODES = 0.25, 8
 _X_LOW, _X_PAD = -90.0, 45.0
+# Table nodes, log-spaced on [1e-4 r_max, r_max]: the spacing ratio is small
+# enough that _certify's second differences resolve omega'' to 1%.
+_TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
 
 
 def _shape_tables(r: np.ndarray):
@@ -88,7 +91,7 @@ class ModulusOfContinuity:
         """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or np.any(r > self.r_table[-1] * (1.0 + 1e-12)):
-            raise RangeError(
+            raise ParameterError(
                 f"separation outside tabulated range (0, {self.r_max}]")
         xs = np.concatenate(([0.0], self.r_table))
         ys = np.concatenate(([0.0], self.omega))
@@ -105,33 +108,19 @@ class BreachReport:
     time: float
 
 
-def build_knv_modulus(
-    delta3: float,
-    r_max: float,
-    table_size: int = 256,
-    r_min: float | None = None,
-) -> ModulusOfContinuity:
-    """Construct and certify the modulus table on log-spaced nodes.
-
-    The default span (r_min = 1e-4 * r_max) keeps the spacing ratio small
-    enough that the second-difference certificate below resolves omega'' to
-    1% even at the minimum table size of 64.
-    """
+def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
+    """Construct and certify the modulus table on log-spaced nodes."""
     if not delta3 > 0.0:
         raise ParameterError(f"delta3 must be > 0, got {delta3}")
-    if not r_max > 0.0:
-        raise ParameterError(f"r_max must be > 0, got {r_max}")
-    if table_size < 64:
-        raise ParameterError(f"table_size must be >= 64, got {table_size}")
-    if r_min is None:
-        r_min = 1e-4 * r_max
-    if not 0.0 < r_min < r_max:
-        raise ParameterError(f"need 0 < r_min < r_max, got {r_min}")
+    r_min = _TABLE_SPAN * r_max
+    if not 0.0 < r_min < r_max < math.inf:
+        raise ParameterError(
+            f"r_max must be finite, with 1e-4 r_max > 0, got {r_max}")
 
     # a huge r_max overflows on the way: _certify rejects the non-finite or
     # non-monotone table that results, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.geomspace(r_min, r_max, int(table_size))
+        r = np.geomspace(r_min, r_max, _TABLE_SIZE)
         op, omega, op0 = _shape_tables(r)
         mod = ModulusOfContinuity(
             delta3=float(delta3),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFieldError, ParameterError
+from .errors import ParameterError
 
 
 class Grid:
@@ -176,10 +176,10 @@ def forward_transform(f: RealField) -> SpectralField:
     """Transform grid values to Fourier coefficients."""
     values = np.asarray(f.values, dtype=np.float64)
     if values.shape != (f.grid.n, f.grid.n):
-        raise InvalidFieldError(
+        raise ParameterError(
             f"expected shape {(f.grid.n, f.grid.n)}, got {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise InvalidFieldError("field values contain non-finite entries")
+        raise ParameterError("field values contain non-finite entries")
     out = np.empty(f.grid.spectral_shape, dtype=complex)
     return SpectralField(f.grid, _forward(f.grid, values, out))
 

@@ -37,7 +37,7 @@ class TestParseConfig:
         assert config.cfl == 0.5
         assert config.sample_dt == 0.25
         assert config.preset == "single_mode"
-        assert config.dealias is True
+        assert config.nonlinear is True
         assert config.betas == ()
 
     def test_gamma_out_of_range_cites_interval_and_line(self):
@@ -86,18 +86,18 @@ class TestParseConfig:
 
     def test_booleans_and_lists(self):
         text = MINIMAL + (
-            "dynamics.dealias = off\n"
+            "dynamics.nonlinear = off\n"
             "output.log_sampling = true\n"
             "output.betas = 0.5, 1.0\n"
         )
         config = parse_config(text)
-        assert config.dealias is False
+        assert config.nonlinear is False
         assert config.log_sampling is True
         assert config.betas == (0.5, 1.0)
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "dynamics.dealias = maybe\n")
+            parse_config(MINIMAL + "dynamics.nonlinear = maybe\n")
         assert "boolean" in str(err.value)
 
     def test_unknown_preset_rejected(self):
@@ -108,16 +108,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "just some words\n")
         assert err.value.line == 6
-
-    @pytest.mark.parametrize("size, ok", [("32", False), ("63", False), ("64", True)])
-    def test_table_size_at_least_64(self, size, ok):
-        text = MINIMAL + f"modulus.table_size = {size}\n"
-        if ok:
-            assert parse_config(text).table_size == 64
-        else:
-            with pytest.raises(ConfigError, match="table_size") as err:
-                parse_config(text)
-            assert err.value.line == 6
 
     def test_odd_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -134,6 +124,8 @@ class TestParseConfig:
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("dynamics.dt_max", "1e-12", "exceeds dt_max"),
+        ("output.log_per_decade", "0", "output.log_per_decade must be >= 1"),
+        ("output.log_per_decade", "-3", "output.log_per_decade must be >= 1"),
     ])
     def test_number_out_of_solver_range_cites_its_line(self, key, value, message):
         text, line = with_value(key, value)

@@ -73,7 +73,7 @@ class TestNormSeries:
         g = Grid(16, TWO_PI)
         coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[1, 2] = math.inf
-        state = SolverState(t=0.5, theta=SpectralField(g, coeffs), dt=0.05,
+        state = SolverState(t=0.5, theta=SpectralField(g, coeffs),
                             config=SolverConfig(gamma=1.0), step_count=7)
         with pytest.raises(BlowUpError) as err, np.errstate(invalid="ignore"):
             record_norms(state, NormSeries())

@@ -112,6 +112,34 @@ class TestDriver:
         assert times[-1] == 1.0
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    @pytest.mark.parametrize("t_end, sample_dt, rows", [
+        ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("2.1", "0.7", [0.0, 0.7, 1.4, 2.1]),
+    ])
+    def test_one_row_per_sample_time_and_the_run_ends_at_t_end(
+            self, tmp_path, t_end, sample_dt, rows):
+        # i * sample_dt misses t_end by one ulp here (0.30000000000000004,
+        # 2.0999999999999996): the last sample is t_end itself
+        text = (BASE_CONFIG.replace("time.t_end = 1.0", f"time.t_end = {t_end}")
+                .replace("time.sample_dt = 0.25", f"time.sample_dt = {sample_dt}"))
+        config = parse_config(text + f"output.directory = {tmp_path}/out\n")
+        result = run_simulation(config)
+        assert result.state.t == float(t_end)
+        assert list(NormSeries.read_csv(result.norms_path).t) == rows
+
+    def test_coinciding_event_times_are_one_event(self):
+        # 3 * 0.1 = 0.30000000000000004 is within run_until's snap tolerance
+        # of the snapshot time 0.3
+        config = parse_config(BASE_CONFIG.replace("time.sample_dt = 0.25",
+                                                  "time.sample_dt = 0.1")
+                              + "output.snapshot_dt = 0.3\n")
+        events = driver._schedule(config)
+        times = list(events)
+        assert times == sorted(times) and times[-1] == 1.0
+        assert all(b - a > 1e-14 for a, b in zip(times, times[1:]))
+        assert events[0.3] == {"sample", "snapshot"}
+        assert sample_times(config) == [t for t in times if "sample" in events[t]]
+
     def test_snapshot_header_matches_run(self, tmp_path):
         text = BASE_CONFIG + "output.snapshot_dt = 0.5\n"
         config = parse_config(text + f"output.directory = {tmp_path}/out\n")
@@ -217,6 +245,17 @@ class TestCli:
         ))
         assert main(["run", "--config", str(config)]) == 2
 
+    def test_step_budget_exceeded_exit_4(self, tmp_path, capsys, monkeypatch):
+        real = driver.run_until
+        monkeypatch.setattr(driver, "run_until",
+                            lambda state, t_end: real(state, t_end, max_steps=2))
+        config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        assert main(["run", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: exceeded 2 steps")
+
     def test_modulus_breach_strict_exit_3(self, tmp_path, capsys):
         config = write_config(tmp_path, (
             "modulus.enabled = true\n"
@@ -240,18 +279,6 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "modulus.r_max" in err[0] and "dx = 0.196" in err[0]
-        assert not (tmp_path / "out").exists()
-
-    def test_table_size_below_64_exit_12(self, tmp_path, capsys):
-        config = write_config(tmp_path, (
-            "modulus.enabled = true\n"
-            "modulus.table_size = 32\n"
-            f"output.directory = {tmp_path}/out\n"
-        ))
-        assert main(["run", "--config", str(config)]) == 12
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "modulus.table_size" in err[0] and "line 10" in err[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
@@ -284,6 +311,8 @@ class TestCli:
         ("modulus.r_max", "inf"),
         ("time.sample_dt", "1e-300"),
         ("output.snapshot_dt", "1e-300"),
+        ("output.log_per_decade", "0"),
+        ("output.log_per_decade", "-3"),
     ])
     def test_out_of_range_config_value_exit_12(self, tmp_path, capsys, key, value):
         lines = [line for line in BASE_CONFIG.splitlines()
@@ -339,7 +368,7 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, names", [
         (["--delta3", "-1"], "delta3"),
-        (["--delta3", "0.1", "--table-size", "32"], "table_size"),
+        (["--delta3", "0.1", "--r-max", "-1"], "--r-max"),
         (["--delta3", "0.1", "--r-max", "0.05"], "--r-max"),
         (["--delta3", "1e-320"], "--delta3"),
         (["--delta3", "inf"], "--delta3"),
@@ -570,7 +599,6 @@ OPTION_VALUES = {
     "--field": ANY_FILE,
     "--delta3": NUMBERS,
     "--r-max": NUMBERS,
-    "--table-size": NUMBERS,
     "--norms": ANY_FILE,
     "--column": ["linf", "h2", "h9", ""],
     "--window": ["0:1", "1:0", "0.1:10", "1to2", ""],

@@ -14,11 +14,13 @@ from sqglab import (
     BudgetError,
     Grid,
     ParameterError,
+    RealField,
     SolverConfig,
     SpectralField,
     adapt_dt,
     convolution_nonlinearity,
     dealias,
+    forward_transform,
     initial_state,
     inverse_transform,
     make_initial,
@@ -44,7 +46,7 @@ def reference_step(state, dt):
     grid, config, th = state.theta.grid, state.config, state.theta.coeffs
 
     def rhs(c):
-        return -nonlinear_term(SpectralField(grid, c), config.dealias_enabled).coeffs
+        return -nonlinear_term(SpectralField(grid, c)).coeffs
 
     lam = config.kappa * grid.kmag_pow(config.gamma)
     e_full = np.exp(-lam * dt)
@@ -100,6 +102,18 @@ class TestNonlinearTerm:
         direct = convolution_nonlinearity(theta)
         scale = np.max(np.abs(direct.coeffs))
         assert np.max(np.abs(pseudo.coeffs - direct.coeffs)) < 1e-10 * scale
+
+    def test_matches_convolution_oracle_on_data_that_is_not_band_limited(self):
+        # both read only the modes the 2/3 rule keeps, as the stepper does
+        g = Grid(16, TWO_PI)
+        rng = np.random.default_rng(7)
+        theta = forward_transform(RealField(g, rng.standard_normal((16, 16))))
+        assert np.any(theta.coeffs[~g.dealias_mask] != 0)
+        pseudo = nonlinear_term(theta)
+        direct = convolution_nonlinearity(theta)
+        scale = np.max(np.abs(direct.coeffs))
+        assert np.max(np.abs(pseudo.coeffs - direct.coeffs)) < 1e-10 * scale
+        assert np.array_equal(pseudo.coeffs, nonlinear_term(dealias(theta)).coeffs)
 
     def test_zero_mean_output(self):
         g = Grid(32, TWO_PI)

@@ -51,6 +51,15 @@ def test_random_h1_normalization_and_mean():
     inverse_transform(F)  # real-valuedness
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 2.5, -0.5])
+def test_random_h1_h1_norm_is_the_amplitude(amplitude):
+    g = Grid(32, TWO_PI)
+    unit = make_initial("random_h1", g, seed=3)
+    theta = make_initial("random_h1", g, seed=3, amplitude=amplitude)
+    assert math.isclose(sobolev_norm(theta, 1.0), abs(amplitude), rel_tol=1e-12)
+    assert np.array_equal(theta.coeffs, amplitude * unit.coeffs)
+
+
 def test_random_h1_amplitude_profile():
     g = Grid(32, TWO_PI)
     F = make_initial("random_h1", g, seed=3)

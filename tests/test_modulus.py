@@ -15,7 +15,6 @@ from scipy.integrate import quad, simpson
 from sqglab import (
     Grid,
     ParameterError,
-    RangeError,
     RealField,
     build_knv_modulus,
     check_modulus,
@@ -85,10 +84,9 @@ class TestConstruction:
             build_knv_modulus(0.0, 10.0)
         with pytest.raises(ParameterError):
             build_knv_modulus(-0.1, 10.0)
-        with pytest.raises(ParameterError):
-            build_knv_modulus(0.1, 10.0, table_size=32)
-        with pytest.raises(ParameterError):
-            build_knv_modulus(0.1, 0.0)
+        for r_max in (0.0, 1e-320, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                build_knv_modulus(0.1, r_max)
 
     def test_omega_prime_at_zero_against_independent_oracle(self):
         coarse = simpson_omega_prime0(20000)
@@ -99,8 +97,8 @@ class TestConstruction:
         assert abs(mod.omega_prime_at_zero - OMEGA_PRIME0_D3_01) < 1e-10
 
     def test_linearity_in_delta3(self):
-        a = build_knv_modulus(0.1, 5.0, table_size=128)
-        b = build_knv_modulus(0.2, 5.0, table_size=128)
+        a = build_knv_modulus(0.1, 5.0)
+        b = build_knv_modulus(0.2, 5.0)
         assert np.allclose(b.omega, 2.0 * a.omega, rtol=1e-13, atol=0.0)
         assert np.allclose(b.omega_prime, 2.0 * a.omega_prime, rtol=1e-13, atol=0.0)
         assert abs(b.omega_prime_at_zero - 2.0 * a.omega_prime_at_zero) < 1e-14
@@ -130,9 +128,6 @@ class TestConstruction:
         first = second[r[1:-1] <= r[0] * 10.0]
         assert np.all(np.diff(first) > 0)
 
-    def test_minimum_table_size_builds(self):
-        build_knv_modulus(0.1, 10.0, table_size=64)
-
     def test_subadditivity(self):
         mod = build_knv_modulus(0.1, 10.0)
         rng = np.random.default_rng(0)
@@ -143,7 +138,7 @@ class TestConstruction:
             assert lhs <= rhs * (1.0 + 1e-12)
 
     def test_unbounded_growth_trend(self):
-        values = [build_knv_modulus(0.1, r_max, table_size=128).omega[-1]
+        values = [build_knv_modulus(0.1, r_max).omega[-1]
                   for r_max in (1e2, 1e4, 1e6)]
         assert values[0] < values[1] < values[2]
         # no sign of a finite limit at 1% resolution
@@ -217,7 +212,7 @@ class TestCheckModulus:
     def test_out_of_range_offset(self):
         field = RealField(self.grid, np.zeros((64, 64)))
         mod = build_knv_modulus(0.1, 2 * self.grid.dx)
-        with pytest.raises(RangeError):
+        with pytest.raises(ParameterError, match="tabulated range"):
             check_modulus(field, mod, [(30, 0)])
 
 
@@ -268,11 +263,11 @@ def test_check_modulus_matches_roll_loop(case):
 
 
 def test_check_modulus_validates_before_differencing():
-    # a RangeError for the last offset comes before any difference is taken,
-    # so a field whose values cannot be differenced still reports it
+    # the range error for the last offset comes before any difference is
+    # taken, so a field whose values cannot be differenced still reports it
     field = types.SimpleNamespace(grid=Grid(64, TWO_PI), values=None)
     mod = build_knv_modulus(0.1, 1.0)
-    with pytest.raises(RangeError):
+    with pytest.raises(ParameterError, match="tabulated range"):
         check_modulus(field, mod, [(1, 0), (2, 0), (40, 0)])
     with pytest.raises(ParameterError):
         check_modulus(field, mod, [(1, 0), (0, 0)])

@@ -7,7 +7,6 @@ import pytest
 
 from sqglab import (
     Grid,
-    InvalidFieldError,
     ParameterError,
     RealField,
     SpectralField,
@@ -126,7 +125,7 @@ class TestTransforms:
         g = grid(8)
         values = np.zeros((8, 8))
         values[3, 4] = np.inf
-        with pytest.raises(InvalidFieldError):
+        with pytest.raises(ParameterError, match="non-finite"):
             forward_transform(RealField(g, values))
 
     def test_parseval(self):

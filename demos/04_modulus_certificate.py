@@ -4,9 +4,11 @@ The certificate omega is built from omega''(r) = -delta3/(sqrt(r) +
 r^2 log r): strictly increasing, concave, unbounded, with finite slope at
 zero and curvature diverging at zero.  Any bounded smooth field becomes
 admissible after a box rescaling theta(Cx); the search doubles C until the
-monitor reports a comfortable margin, and the monitored run then verifies
-that the margin and the gradient bound sup|grad theta| < omega'(0) survive
-the evolution.
+monitor reports a comfortable margin, and the monitored run then checks
+whether the margin survives the evolution.  It also prints the gap
+omega'(0) - sup|grad theta|, for reference only: omega is concave, so
+omega(r) < omega'(0) r, and a positive gap does not imply the bound at
+small separations.
 """
 
 import math
@@ -29,7 +31,7 @@ print(f"  C = {result.c}: worst ratio {result.report.worst_ratio:.3f} "
       f"at lattice offset {result.report.worst_offset}")
 grad_sup = sq.sup_and_gradient_sup(sq.forward_transform(result.field))[1]
 op0 = mod.omega_prime_at_zero
-print(f"  gradient bound: sup|grad| = {grad_sup:.4f} "
+print(f"  gradient gap: sup|grad| = {grad_sup:.4f} "
       f"< omega'(0) = {op0:.4f} (margin {op0 - grad_sup:.4f})")
 
 print("== monitored run of the rescaled data to t = 10 ==")

@@ -53,12 +53,8 @@ from .spectral import (
     SpectralField,
     dealias,
     forward_transform,
-    fractional_laplacian,
-    gradient,
     inverse_transform,
-    l2_norm,
     linf_norm,
-    riesz_velocity,
     sobolev_norm,
     sobolev_norms,
     sup_and_gradient_sup,

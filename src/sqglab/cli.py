@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="exit 3 if the modulus monitor reports a breach")
     run.add_argument("--output", default=None,
-                     help="override output directory (also SQG_OUTPUT_DIR)")
+                     help="override output.directory")
 
     oracle = sub.add_parser("oracle", help="run validation oracles")
     oracle.add_argument("--suite", required=True, choices=["all", *SUITES])
@@ -111,14 +111,10 @@ def _cmd_modulus_check(args) -> int:
     snap = read_snapshot(args.field)
     try:
         mod = build_knv_modulus(args.delta3, args.r_max)
+        offsets = default_offsets(snap.field.grid, args.r_max)
     except (ParameterError, ConstructionError) as exc:
-        raise ConfigError(
-            f"modulus-check: --delta3 {args.delta3}, --r-max {args.r_max}: "
-            f"no certificate table: {exc}") from None
-    offsets = default_offsets(snap.field.grid, args.r_max)
-    if not offsets:
-        raise ConfigError(f"modulus-check: --r-max {args.r_max} is below one "
-                          f"grid cell (dx = {snap.field.grid.dx})")
+        raise ConfigError(f"modulus-check: --delta3 {args.delta3}, --r-max "
+                          f"{args.r_max}: {exc}") from None
     report = check_modulus(snap.field, mod, offsets, t=snap.t)
     print("breached,worst_ratio,worst_offset_d1,worst_offset_d2,time")
     print(f"{'true' if report.breached else 'false'},{report.worst_ratio:.17g},"

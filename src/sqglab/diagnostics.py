@@ -48,12 +48,6 @@ class NormSeries:
         j = self._index(name)
         return np.array([row[j] for row in self._rows])
 
-    def last(self, name: str) -> float:
-        """The named column's value in the latest row."""
-        if not self._rows:
-            raise ParameterError("series has no rows")
-        return self._rows[-1][self._index(name)]
-
     def append(self, row):
         row = [float(x) for x in row]
         if len(row) != len(self.columns):
@@ -166,7 +160,12 @@ class BoundednessResult:
 
 def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
                       window=None) -> BoundednessResult:
-    """Weighted-sup boundedness check over positive sample times."""
+    """Weighted-sup boundedness check over positive sample times.  A weight
+    that is not finite, or a weighted sup that overflows, raises
+    ``ParameterError``."""
+    weight_exponent = float(weight_exponent)
+    if not np.isfinite(weight_exponent):
+        raise ParameterError(f"weight must be finite, got {weight_exponent}")
     t = series.t
     y = series.column(column)
     if window is None:
@@ -180,28 +179,32 @@ def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
         raise ParameterError("window contains no samples")
     if np.any(t[sel] <= 0.0):
         raise ParameterError("boundedness check requires positive times")
-    weighted = t[sel] ** float(weight_exponent) * y[sel]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = t[sel] ** weight_exponent * y[sel]
     sup = float(np.max(weighted))
+    if not np.isfinite(sup):
+        raise ParameterError(
+            f"t^{weight_exponent:g} * {column} is not finite in the window")
     cut = max(t_a, t_b / 10.0)
     early = weighted[t[sel] <= cut]
     stabilized = bool(early.size > 0 and np.max(early) >= sup * (1.0 - 0.01))
     return BoundednessResult(
         sup=sup,
         stabilized=stabilized,
-        weight=float(weight_exponent),
+        weight=weight_exponent,
         window=(t_a, t_b),
     )
 
 
-def integral_tail_fraction(t, y, tail: float = 0.1):
+def integral_tail_fraction(t, y):
     """Trapezoid integral of y over t and the fraction carried by the final
-    ``tail`` portion of the time window (used for convergence-of-tail checks)."""
+    tenth of the time window (used for convergence-of-tail checks)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size < 3:
         raise ParameterError("need at least 3 samples")
     total = float(np.trapezoid(y, t))
-    cut = t[-1] - tail * (t[-1] - t[0])
+    cut = t[-1] - 0.1 * (t[-1] - t[0])
     sel = t <= cut
     head = float(np.trapezoid(y[sel], t[sel]))
     frac = 0.0 if total == 0.0 else (total - head) / total

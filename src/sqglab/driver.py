@@ -1,18 +1,17 @@
 """Run orchestration: schedules, checkpointing, norm recording.
 
 After the initial sample, a run's sample diagnostics (``record_norms``, then
-the modulus check and the gradient bound) run on one background thread, in
-sample order with at most one sample waiting, while the stepper goes on; a
-run uses up to two cores.  The outputs and the failure behaviour are those
-of running them in line: the queue is drained before every snapshot or
-checkpoint and before ``norms.csv`` is written, and the first diagnostics
-error is raised in place of anything the stepper raises after it.
+the modulus check) run on one background thread, in sample order with at
+most one sample waiting, while the stepper goes on; a run uses up to two
+cores.  The outputs and the failure behaviour are those of running them in
+line: the queue is drained before every snapshot or checkpoint and before
+``norms.csv`` is written, and the first diagnostics error is raised in place
+of anything the stepper raises after it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import queue
 import threading
 from dataclasses import dataclass, replace
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .diagnostics import NormSeries, record_norms
-from .dynamics import (SolverConfig, SolverState, _snap_tolerance, initial_state,
+from .dynamics import (SolverConfig, SolverState, _event_times, initial_state,
                        run_until)
 from .errors import ConfigError, ConstructionError, ParameterError
 from .initial import make_initial
@@ -34,7 +33,6 @@ class RunResult:
     state: SolverState
     series: NormSeries
     breaches: list
-    gradient_ok: bool
     output_dir: Path
     norms_path: Path
 
@@ -48,13 +46,6 @@ def solver_config(config: RunConfig) -> SolverConfig:
         dt_min=config.dt_min,
         nonlinear_enabled=config.nonlinear,
     )
-
-
-def resolve_output_dir(config: RunConfig, override=None) -> Path:
-    if override is not None:
-        return Path(override)
-    env = os.environ.get("SQG_OUTPUT_DIR")
-    return Path(env) if env else Path(config.directory)
 
 
 def _cadence_times(dt: float, t_end: float):
@@ -76,25 +67,20 @@ def _log_times(config: RunConfig):
 def _schedule(config: RunConfig) -> dict[float, set]:
     """Event times in increasing order, each mapped to its kinds: "sample"
     on the sample_dt grid, at the optional log-spaced times and at t_end,
-    "snapshot" and "checkpoint" on their cadences.
-
-    A time past t_end, or within ``run_until``'s snap tolerance below it, is
-    t_end exactly, and a time within that tolerance of an earlier event joins
-    it, so no two events fall on the same state and the run ends at t_end.
+    "snapshot" and "checkpoint" on their cadences.  Times are merged as
+    ``run_until`` merges its callback times, so no two events fall on the
+    same state and the run ends at t_end.
     """
     end = float(config.t_end)
-    near_end = end - _snap_tolerance(end)
     wanted = [(t, "sample") for t in
               _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
     wanted += [(t, "snapshot") for t in _cadence_times(config.snapshot_dt, end)]
     wanted += [(t, "checkpoint")
                for t in _cadence_times(config.checkpoint_dt, end)]
+    at = _event_times([t for t, _ in wanted], end)
     events: dict[float, set] = {}
-    last = -math.inf
-    for t, kind in sorted((t if t < near_end else end, kind) for t, kind in wanted):
-        if t - last > _snap_tolerance(t):
-            last = t
-        events.setdefault(last, set()).add(kind)
+    for t, kind in sorted(wanted):
+        events.setdefault(at[t], set()).add(kind)
     return events
 
 
@@ -116,7 +102,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     zero outside ``dealias_mask``.  The output directory is created only
     after the set-up, the initial sample included, has succeeded.
     """
-    out_dir = resolve_output_dir(config, output_override)
+    out_dir = Path(config.directory if output_override is None else output_override)
     grid = Grid(config.n, config.length)
     sconfig = solver_config(config)
     if restart is not None:
@@ -136,40 +122,28 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     else:
         state = initial_state(
             make_initial(config.preset, grid, seed=config.seed,
-                         amplitude=config.amplitude,
-                         sigma=config.sigma if config.sigma > 0 else None),
+                         amplitude=config.amplitude, sigma=config.sigma),
             sconfig)
 
     events = _schedule(config)
     series = NormSeries(betas=config.betas)
     mod = offsets = None
     if config.modulus_enabled:
-        offsets = default_offsets(grid, config.r_max)
-        if not offsets:
-            raise ConfigError(
-                f"modulus.r_max = {config.r_max} is below one grid cell "
-                f"(dx = {grid.dx}); the monitor would check no separation")
         try:
             mod = build_knv_modulus(config.delta3, config.r_max)
+            offsets = default_offsets(grid, config.r_max)
         except (ParameterError, ConstructionError) as exc:
-            raise ConfigError(
-                f"modulus.delta3 = {config.delta3}, modulus.r_max = "
-                f"{config.r_max}: no certificate table: {exc}") from None
+            raise ConfigError(f"modulus.delta3 = {config.delta3}, modulus.r_max = "
+                              f"{config.r_max}: {exc}") from None
     breaches: list[BreachReport] = []
-    gradient_ok = True
 
     def observe(st: SolverState):
-        # one inverse transform per sample: the gradient bound reuses the
-        # sup|grad theta| that record_norms has just appended
-        nonlocal gradient_ok
         record_norms(st, series)
         if mod is not None:
             report = check_modulus(inverse_transform(st.theta), mod, offsets,
                                    t=st.t)
             if report.breached:
                 breaches.append(report)
-            if not series.last("grad_sup") < mod.omega_prime_at_zero:
-                gradient_ok = False
 
     # states are frozen and a step never writes an array it has returned, so
     # the worker reads them without a lock.  Its first error is raised on the
@@ -206,10 +180,13 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
         return replace(st, theta=initial_state(forward_transform(phys), sconfig).theta)
 
     # the initial sample is the last of the set-up: a run that fails before
-    # its first step leaves no output directory
+    # its first step leaves no output directory.  The start falls on the
+    # events that the schedule's rule merges with it; a start past t_end is
+    # not moved onto t_end.
     start = state.t
-    if start == 0.0 or any(abs(start - t) <= 1e-12 * max(1.0, start)
-                           for t, kinds in events.items() if "sample" in kinds):
+    at = _event_times([start, *events], max(start, config.t_end))
+    if start == 0.0 or any("sample" in kinds for t, kinds in events.items()
+                           if at[t] == at[start]):
         observe(state)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,7 +195,7 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
     worker.start()
     try:
         for t_ev, kinds in events.items():
-            if t_ev <= start:
+            if at[t_ev] <= at[start]:
                 continue
             state = run_until(state, t_ev)
             if "snapshot" in kinds or "checkpoint" in kinds:
@@ -234,5 +211,4 @@ def run_simulation(config: RunConfig, restart=None, output_override=None) -> Run
             series.write_csv(norms_path)
 
     return RunResult(state=state, series=series, breaches=breaches,
-                     gradient_ok=gradient_ok, output_dir=out_dir,
-                     norms_path=norms_path)
+                     output_dir=out_dir, norms_path=norms_path)

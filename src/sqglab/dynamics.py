@@ -21,6 +21,7 @@ unchanged bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -36,6 +37,23 @@ def _snap_tolerance(t: float) -> float:
     """How close ``run_until`` comes to a scheduled time t before it snaps
     the state's time to t instead of stepping."""
     return 1e-14 * max(1.0, abs(t))
+
+
+def _event_times(times, t_end: float) -> dict[float, float]:
+    """Each of ``times`` mapped to the time of the event it falls on, in
+    increasing order.  A time past t_end, or within the snap tolerance below
+    it, is t_end exactly, and a time within the snap tolerance of an earlier
+    event joins it, so no two events fall on the same state."""
+    end = float(t_end)
+    near_end = end - _snap_tolerance(end)
+    events: dict[float, float] = {}
+    last = -math.inf
+    for t in sorted({float(t) for t in times}):
+        at = t if t < near_end else end
+        if at - last > _snap_tolerance(at):
+            last = at
+        events[t] = last
+    return events
 
 
 @dataclass(frozen=True)
@@ -213,8 +231,6 @@ def adapt_dt(state: SolverState) -> float:
     following ``step`` reuses.
     """
     config = state.config
-    if not config.nonlinear_enabled:
-        return config.dt_max
     umax = state.stage1[1]
     if umax == 0.0:
         return config.dt_max
@@ -231,21 +247,19 @@ def run_until(
 ) -> SolverState:
     """Advance to t_end, landing exactly on t_end and every callback time.
 
-    callback_times is an increasing sequence of times in (state.t, t_end];
-    every callback is invoked with the state at each of those times (and not
-    otherwise).  Steps are chosen by adapt_dt, truncated to hit scheduled
-    times exactly, so the trajectory is deterministic for a given schedule.
+    callback_times holds the times in (state.t, t_end] at which every
+    callback is invoked with the state (and not otherwise); times that fall
+    on one event by ``_event_times`` fire once.  Steps are chosen by
+    adapt_dt, truncated to hit scheduled times exactly, so the trajectory is
+    deterministic for a given schedule.
     """
     if t_end < state.t:
         raise ParameterError(f"t_end = {t_end} precedes current t = {state.t}")
-    events = [] if callback_times is None else sorted(
-        {float(tc) for tc in callback_times if state.t < tc <= t_end})
-    schedule = list(events)
-    if not schedule or schedule[-1] < t_end:
-        schedule.append(float(t_end))
-    event_set = set(events)
+    wanted = () if callback_times is None else [
+        tc for tc in callback_times if state.t < tc <= t_end]
+    events = set(_event_times(wanted, t_end).values())
     steps_taken = 0
-    for target in schedule:
+    for target in sorted(events | {float(t_end)}):
         eps = _snap_tolerance(target)
         while state.t < target - eps:
             if steps_taken >= max_steps:
@@ -257,7 +271,7 @@ def run_until(
         # snap to the scheduled time so diagnostic stamps are exact
         if state.t != target:
             state = replace(state, t=target)
-        if target in event_set:
+        if target in events:
             for cb in callbacks:
                 cb(state)
     return state

@@ -174,8 +174,14 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
     r_max along both axes and both diagonals, filtered to the tabulated range
     and to at most half the box (beyond which the periodic wrap shortens the
     true separation).  Each periodic shift is listed once: at n/2 cells the
-    two diagonals are the same shift, and only (n/2, n/2) is kept.
+    two diagonals are the same shift, and only (n/2, n/2) is kept.  An
+    r_max below one grid cell leaves no separation to check and raises
+    ``ParameterError``.
     """
+    if not r_max >= grid.dx:
+        raise ParameterError(
+            f"r_max = {r_max} is below one grid cell (dx = {grid.dx}); the "
+            f"monitor would check no separation")
     max_cells = grid.n // 2
     cells = set(range(1, min(8, max_cells) + 1))
     top_axis = int(min(max_cells, r_max / grid.dx))
@@ -185,8 +191,6 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
             cells.update(int(round(c)) for c in np.geomspace(1, top, 12))
     offsets = {}  # shift mod n -> the first offset giving it
     for c in sorted(cells):
-        if c < 1:
-            continue
         candidates = []
         if c * grid.dx <= r_max and c <= top_axis:
             candidates += [(c, 0), (0, c)]
@@ -248,29 +252,26 @@ class ScalingResult:
     report: BreachReport
 
 
-def find_scaling(
-    theta0: RealField,
-    mod: ModulusOfContinuity,
-    target_ratio: float = 0.9,
-    max_doublings: int = 60,
-) -> ScalingResult:
+def find_scaling(theta0: RealField, mod: ModulusOfContinuity) -> ScalingResult:
     """Find C (a power of two) so that theta0(C x) satisfies the modulus.
 
     theta0(C x) sampled on a box of length C L carries exactly the original
     grid values, so doubling the box length realizes the rescaling without
     interpolation.  Doubling stops once the monitor reports a worst ratio
-    <= target_ratio over the default offsets.
+    <= 0.9 over the default offsets, and fails with ``ConstructionError``
+    once the stretched grid cell passes mod.r_max.
     """
     c = 1
-    for _ in range(max_doublings + 1):
+    while True:
         grid = Grid(theta0.grid.n, c * theta0.grid.length)
         field = RealField(grid, theta0.values)
-        offsets = default_offsets(grid, mod.r_max)
-        if not offsets:
-            break
+        try:
+            offsets = default_offsets(grid, mod.r_max)
+        except ParameterError:
+            raise ConstructionError(
+                f"no admissible rescaling: at C = {c} the grid cell "
+                f"{grid.dx} is past r_max = {mod.r_max}") from None
         report = check_modulus(field, mod, offsets)
-        if report.worst_ratio <= target_ratio:
+        if report.worst_ratio <= 0.9:
             return ScalingResult(c=c, field=field, report=report)
         c *= 2
-    raise ConstructionError(
-        f"no admissible rescaling found within {max_doublings} doublings")

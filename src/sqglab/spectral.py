@@ -192,30 +192,6 @@ def inverse_transform(F: SpectralField) -> RealField:
     return RealField(grid, _inverse(grid, spec, np.empty((grid.n, grid.n))))
 
 
-def fractional_laplacian(F: SpectralField, gamma: float) -> SpectralField:
-    """Apply (-Laplace)^{gamma/2}, i.e. multiply by |k|^gamma (zero mode -> 0)."""
-    if not 0.0 < gamma <= 2.0:
-        raise ParameterError(f"gamma must lie in (0, 2], got {gamma}")
-    return SpectralField(F.grid, F.grid.kmag_pow(gamma) * F.coeffs)
-
-
-def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Velocity (u1, u2) = (-R2 theta, R1 theta) from the scalar.
-
-    u1 = -i k2/|k| theta, u2 = +i k1/|k| theta; the zero mode and the Nyquist
-    lines are set to zero (the symbol is undefined at k = 0 and odd on the
-    Nyquist lines).  The result is divergence free mode by mode.
-    """
-    u1, u2 = theta.grid.multipliers[:2] * theta.coeffs
-    return SpectralField(theta.grid, u1), SpectralField(theta.grid, u2)
-
-
-def gradient(F: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Spectral gradient components (i k1 F, i k2 F), Nyquist zeroed per axis."""
-    g1, g2 = F.grid.multipliers[2:] * F.coeffs
-    return SpectralField(F.grid, g1), SpectralField(F.grid, g2)
-
-
 def dealias(F: SpectralField) -> SpectralField:
     """2/3-rule truncation: zero coefficients with max(|m1|, |m2|) > n/3."""
     return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
@@ -245,11 +221,6 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
 def linf_norm(f: RealField) -> float:
     """Grid maximum of |f|."""
     return float(np.max(np.abs(f.values)))
-
-
-def l2_norm(f: RealField) -> float:
-    """L^2 norm by direct grid quadrature."""
-    return float(np.sqrt(np.sum(f.values ** 2))) * f.grid.dx
 
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:

@@ -105,7 +105,7 @@ class TestNormSeries:
         back = NormSeries.read_csv(path)
         assert back.betas == (0.5, 1.0, 0.25)
         assert back.columns == series.columns
-        assert back.last("h1+0.25") == 9.0
+        assert back.column("h1+0.25")[-1] == 9.0
 
     @pytest.mark.parametrize("text, match", [
         ("", "not a norms header"),

@@ -27,11 +27,6 @@ from sqglab import driver, dynamics
 from sqglab.cli import main
 from sqglab.driver import run_simulation, sample_times
 
-
-@pytest.fixture(autouse=True)
-def isolated_output_env(monkeypatch):
-    monkeypatch.delenv("SQG_OUTPUT_DIR", raising=False)
-
 BASE_CONFIG = """
 grid.n = 32
 grid.length = 6.283185307179586
@@ -93,13 +88,6 @@ class TestDriver:
             assert (resumed.state.step_count > 0) is stepped
             assert np.all(resumed.state.theta.coeffs[outside] == 0)
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQG_OUTPUT_DIR", str(tmp_path / "env_out"))
-        config = parse_config(BASE_CONFIG)
-        result = run_simulation(config)
-        assert result.output_dir == tmp_path / "env_out"
-        assert (tmp_path / "env_out" / "norms.csv").exists()
-
     def test_log_sampling_times(self):
         config = parse_config(BASE_CONFIG + (
             "output.log_sampling = true\n"
@@ -155,6 +143,14 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "norms.csv").exists()
         assert "completed" in capsys.readouterr().out
+
+    def test_output_flag_overrides_output_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        flag = tmp_path / "flag"
+        assert main(["run", "--config", str(config), "--output", str(flag)]) == 0
+        assert str(flag / "norms.csv") in capsys.readouterr().out
+        assert len(NormSeries.read_csv(flag / "norms.csv")) == 5
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_10(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 10
@@ -327,20 +323,6 @@ class TestCli:
         assert key in err[0]
         assert not (tmp_path / "out").exists()
 
-    def test_gradient_ok_follows_recorded_grad_sup(self, tmp_path):
-        # the bound sup|grad theta| < omega'(0) is read from norms.csv's
-        # grad_sup column; omega'(0) is about 3.15 delta3 and the cmt
-        # gradient at t <= 1 is between 0.3 and 5
-        for delta3, expected in (("10.0", True), ("0.01", False)):
-            config = parse_config(BASE_CONFIG + (
-                "modulus.enabled = true\n"
-                f"modulus.delta3 = {delta3}\n"
-                f"output.directory = {tmp_path}/d{delta3}\n"))
-            result = run_simulation(config)
-            grad = NormSeries.read_csv(result.norms_path).column("grad_sup")
-            assert 0.3 < grad.min() and grad.max() < 5.0
-            assert result.gradient_ok is expected
-
     def test_oracle_suite_exit_zero_and_csv(self, tmp_path, capsys):
         out = tmp_path / "oracle_report.csv"
         assert main(["oracle", "--suite", "single-mode", "--output", str(out)]) == 0
@@ -429,7 +411,11 @@ class TestCli:
         (None, ["--window", "1:0"]),
         (None, ["--window", "1:0", "--weight", "1"]),
         (None, ["--window", "1to2"]),
+        (None, ["--weight", "nan"]),
+        (None, ["--weight", "inf"]),
+        (None, ["--weight", "1e300"]),  # t^1e300 overflows at t = 10
     ])
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_analyze_bad_input_exit_12(self, tmp_path, capsys, text, args):
         path = tmp_path / "norms.csv"
         argv = ["analyze", "--norms", str(path), "--column", "linf",
@@ -561,8 +547,7 @@ class TestDiagnosticsWorker:
         assert len(snaps) == 3 and lone.breaches
         for result in results.values():
             assert result.norms_path.read_bytes() == lone.norms_path.read_bytes()
-            assert (result.breaches, result.gradient_ok) == (lone.breaches,
-                                                            lone.gradient_ok)
+            assert result.breaches == lone.breaches
             for snap in snaps:
                 assert (result.output_dir / snap.name).read_bytes() == snap.read_bytes()
 

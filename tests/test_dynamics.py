@@ -25,7 +25,6 @@ from sqglab import (
     inverse_transform,
     make_initial,
     nonlinear_term,
-    riesz_velocity,
     run_until,
     sobolev_norm,
     step,
@@ -183,8 +182,9 @@ class TestStep:
         rhs, umax = state.stage1
         assert state.stage1[0] is rhs  # computed once per state
         assert np.array_equal(rhs, -nonlinear_term(state.theta).coeffs)
-        u1, u2 = riesz_velocity(state.theta)
-        speed = np.hypot(inverse_transform(u1).values, inverse_transform(u2).values)
+        u1, u2 = (inverse_transform(SpectralField(g, u)).values
+                  for u in g.multipliers[:2] * state.theta.coeffs)
+        speed = np.hypot(u1, u2)
         assert abs(umax - np.max(speed)) <= 1e-14 * umax
 
     def test_replace_drops_the_cached_stage(self):
@@ -310,6 +310,16 @@ class TestRunUntil:
         run_until(state, 0.3, callbacks=[lambda s_: seen.append(s_.t)],
                   callback_times=[0.1, 0.2, 0.3])
         assert seen == [0.1, 0.2, 0.3]
+
+    def test_near_duplicate_callback_times_fire_once(self):
+        # 3 * 0.1 = 0.30000000000000004 is within the snap tolerance of 0.3,
+        # and the float below 0.5 within it of t_end: each pair is one event
+        g = Grid(32, TWO_PI)
+        state = initial_state(make_initial("cmt", g), critical_config())
+        seen = []
+        run_until(state, 0.5, callbacks=[lambda s_: seen.append(s_.t)],
+                  callback_times=[0.3, 0.1 * 3, np.nextafter(0.5, 0.0), 0.5])
+        assert seen == [0.3, 0.5]
 
     def test_budget_error(self):
         g = Grid(32, TWO_PI)

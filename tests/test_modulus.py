@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from sqglab import (
+    ConstructionError,
     Grid,
     ParameterError,
     RealField,
@@ -295,6 +296,14 @@ class TestFindScaling:
         result = find_scaling(tiny, mod)
         assert result.c == 1
 
+    def test_fails_once_the_stretched_cell_passes_r_max(self):
+        # dx = 0.785 at C = 1 and 1.57 > r_max at C = 2: data this large
+        # never reaches the margin before no separation is left to check
+        g = Grid(8, TWO_PI)
+        theta0 = RealField(g, 1e3 * inverse_transform(make_initial("cmt", g)).values)
+        with pytest.raises(ConstructionError):
+            find_scaling(theta0, build_knv_modulus(0.1, 1.0))
+
 
 def test_default_offsets_structure():
     g = Grid(64, TWO_PI)
@@ -305,6 +314,14 @@ def test_default_offsets_structure():
         0 < math.hypot(d1, d2) * g.dx <= 10.0 + 1e-12 for d1, d2 in offsets)
     assert any(d1 == d2 for d1, d2 in offsets)      # diagonals present
     assert any(d1 == -d2 and d1 > 0 for d1, d2 in offsets)
+
+
+def test_default_offsets_below_one_cell_raise():
+    g = Grid(32, TWO_PI)
+    for r_max in (0.99 * g.dx, 0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="below one grid cell"):
+            default_offsets(g, r_max)
+    assert default_offsets(g, g.dx) == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 128])

@@ -42,7 +42,7 @@ history = []
 
 def monitor(st):
     phys = sq.inverse_transform(st.theta)
-    report = sq.check_modulus(phys, mod, offsets, t=st.t)
+    report = sq.check_modulus(phys, mod, offsets)
     margin = mod.omega_prime_at_zero - sq.sup_and_gradient_sup(st.theta)[1]
     history.append((st.t, report.worst_ratio, margin))
 

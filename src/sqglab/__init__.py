@@ -23,7 +23,6 @@ from .errors import (
     BlowUpError,
     BudgetError,
     ConfigError,
-    ConstructionError,
     ParameterError,
     SnapshotFormatError,
     SqgError,

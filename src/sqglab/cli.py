@@ -14,7 +14,6 @@ from .errors import (
     BlowUpError,
     BudgetError,
     ConfigError,
-    ConstructionError,
     ParameterError,
     SnapshotFormatError,
 )
@@ -38,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .config import RunConfig
     from .oracles import SUITES
 
     parser = _Parser(
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strict", action="store_true",
                      help="exit 3 if the modulus monitor reports a breach")
     run.add_argument("--output", default=None,
-                     help="override output.directory")
+                     help="set output.directory")
 
     oracle = sub.add_parser("oracle", help="run validation oracles")
     oracle.add_argument("--suite", required=True, choices=["all", *SUITES])
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("modulus-check", help="one-shot breach report")
     check.add_argument("--field", required=True, help="snapshot file")
     check.add_argument("--delta3", type=float, required=True)
-    check.add_argument("--r-max", type=float, default=10.0)
+    check.add_argument("--r-max", type=float, default=RunConfig.r_max)
 
     analyze = sub.add_parser("analyze", help="fit or bound a norms.csv column")
     analyze.add_argument("--norms", required=True)
@@ -75,8 +75,9 @@ def _cmd_run(args) -> int:
     from .driver import run_simulation
 
     config = load_config(args.config)
-    result = run_simulation(config, restart=args.restart,
-                            output_override=args.output)
+    if args.output is not None:
+        config.directory = args.output
+    result = run_simulation(config, restart=args.restart)
     final = result.state
     print(f"completed t = {final.t:.6g} after {final.step_count} steps; "
           f"norms -> {result.norms_path}")
@@ -112,13 +113,13 @@ def _cmd_modulus_check(args) -> int:
     try:
         mod = build_knv_modulus(args.delta3, args.r_max)
         offsets = default_offsets(snap.field.grid, args.r_max)
-    except (ParameterError, ConstructionError) as exc:
+    except ParameterError as exc:
         raise ConfigError(f"modulus-check: --delta3 {args.delta3}, --r-max "
                           f"{args.r_max}: {exc}") from None
-    report = check_modulus(snap.field, mod, offsets, t=snap.t)
+    report = check_modulus(snap.field, mod, offsets)
     print("breached,worst_ratio,worst_offset_d1,worst_offset_d2,time")
     print(f"{'true' if report.breached else 'false'},{report.worst_ratio:.17g},"
-          f"{report.worst_offset[0]},{report.worst_offset[1]},{report.time:.17g}")
+          f"{report.worst_offset[0]},{report.worst_offset[1]},{snap.t:.17g}")
     return EXIT_OK
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dynamics import _MAX_STEPS
-from .errors import ConfigError
+from .dynamics import _MAX_STEPS, SolverConfig, _event_times
+from .errors import ConfigError, ParameterError
 from .initial import PRESETS
+from .spectral import _usable_length
 
 
 def _parse_bool(text: str) -> bool:
@@ -36,17 +37,12 @@ def _parse_float_list(text: str):
 @dataclass
 class RunConfig:
     # grid
-    n: int = 0
-    length: float = 0.0
-    # dynamics
-    gamma: float = 0.0
-    kappa: float = 1.0
-    cfl: float = 0.5
-    dt_max: float = 0.05
-    dt_min: float = 1e-10
-    nonlinear: bool = True
+    n: int
+    length: float
+    # dynamics, with SolverConfig's defaults
+    solver: SolverConfig
     # time
-    t_end: float = 0.0
+    t_end: float
     sample_dt: float = 0.25
     checkpoint_dt: float = 0.0
     # initial
@@ -60,7 +56,7 @@ class RunConfig:
     r_max: float = 10.0
     # output
     directory: str = "out"
-    betas: tuple = field(default_factory=tuple)
+    betas: tuple = ()
     snapshot_dt: float = 0.0
     log_sampling: bool = False
     log_min: float = 1e-3
@@ -71,6 +67,7 @@ class RunConfig:
 _POSITIVE = (lambda v: v > 0.0, "be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
 _EVEN_GRID = (lambda v: v % 2 == 0 and v >= 8, "be even and >= 8")
+_BOX_LENGTH = (_usable_length, "be > 0 with 2 pi / L finite")
 _GAMMA = (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]")
 _CFL = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")  # SolverConfig's range
 _AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
@@ -79,16 +76,17 @@ _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 _BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
 
 
-# key -> (attribute, parser, value rule or None, required)
+# key -> (attribute, parser, value rule or None, required); the attributes
+# of the dynamics keys are SolverConfig's
 _KEYS = {
     "grid.n": ("n", int, _EVEN_GRID, True),
-    "grid.length": ("length", _parse_float, _POSITIVE, True),
+    "grid.length": ("length", _parse_float, _BOX_LENGTH, True),
     "dynamics.gamma": ("gamma", _parse_float, _GAMMA, True),
     "dynamics.kappa": ("kappa", _parse_float, _NON_NEGATIVE, False),
     "dynamics.cfl": ("cfl", _parse_float, _CFL, False),
     "dynamics.dt_max": ("dt_max", _parse_float, _POSITIVE, False),
     "dynamics.dt_min": ("dt_min", _parse_float, _POSITIVE, False),
-    "dynamics.nonlinear": ("nonlinear", _parse_bool, None, False),
+    "dynamics.nonlinear": ("nonlinear_enabled", _parse_bool, None, False),
     "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
     "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
     "time.checkpoint_dt": ("checkpoint_dt", _parse_float, _NON_NEGATIVE, False),
@@ -110,7 +108,7 @@ _KEYS = {
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; every failure carries its line number."""
-    config = RunConfig()
+    values, dynamics = {}, {}
     seen = {}  # key -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,29 +137,74 @@ def parse_config(text: str) -> RunConfig:
                 line=lineno) from None
         if rule is not None and not rule[0](parsed):
             raise ConfigError(f"{key} must {rule[1]}, got {parsed!r}", line=lineno)
-        setattr(config, attr, parsed)
+        (dynamics if key.startswith("dynamics.") else values)[attr] = parsed
 
     missing = [key for key, (_, _, _, required) in _KEYS.items()
                if required and key not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    if config.dt_min > config.dt_max:
-        raise ConfigError(
-            f"dynamics.dt_min = {config.dt_min} exceeds dt_max = {config.dt_max}",
-            line=max(seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0)))
+    try:
+        solver = SolverConfig(**dynamics)
+    except ParameterError as exc:
+        # the value rules leave only the pair dt_min <= dt_max to fail here
+        raise ConfigError(f"dynamics.{exc}", line=max(
+            seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0))) from None
+    config = RunConfig(solver=solver, **values)
     _check_schedule(config, seen)
     return config
 
 
+def _cadence_count(dt: float, t_end: float) -> int:
+    """How many multiples of dt lie in (0, t_end], forgiving the rounding of
+    t_end; 0 when dt is 0 (off).  The count is computed, never listed, and
+    capped one past the step budget, so a huge one costs nothing."""
+    if dt <= 0.0:
+        return 0
+    return math.floor(min(t_end / dt + 1e-9, _MAX_STEPS + 1))
+
+
+def _cadence_times(dt: float, t_end: float) -> list:
+    return [i * dt for i in range(1, _cadence_count(dt, t_end) + 1)]
+
+
+def _log_times(config: RunConfig) -> list:
+    if not config.log_sampling:
+        return []
+    per = config.log_per_decade
+    decades = math.log10(config.t_end) - math.log10(config.log_min)
+    count = int(math.ceil(decades * per)) + 1
+    return [config.log_min * 10.0 ** (j / per) for j in range(count + 1)]
+
+
+def _schedule(config: RunConfig) -> dict[float, set]:
+    """Event times in increasing order, each mapped to its kinds: "sample"
+    on the sample_dt grid, at the optional log-spaced times and at t_end,
+    "snapshot" and "checkpoint" on their cadences.  Times are merged as
+    ``run_until`` merges its callback times, so no two events fall on the
+    same state and the run ends at t_end.
+    """
+    end = float(config.t_end)
+    wanted = [(t, "sample") for t in
+              _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
+    wanted += [(t, "snapshot") for t in _cadence_times(config.snapshot_dt, end)]
+    wanted += [(t, "checkpoint")
+               for t in _cadence_times(config.checkpoint_dt, end)]
+    at = _event_times([t for t, _ in wanted], end)
+    events: dict[float, set] = {}
+    for t, kind in sorted(wanted):
+        events.setdefault(at[t], set()).add(kind)
+    return events
+
+
 def _check_schedule(config: RunConfig, seen: dict) -> None:
     """Reject a schedule with more events than a run may take steps, before
-    the driver builds it: each event takes at least one step.  The counts
+    ``_schedule`` builds it: each event takes at least one step.  The counts
     are computed, never listed, so a huge one fails at once."""
     over = [(what, keys) for what, keys, dt in (
         ("samples", ("time.t_end", "time.sample_dt"), config.sample_dt),
         ("snapshots", ("time.t_end", "output.snapshot_dt"), config.snapshot_dt),
         ("checkpoints", ("time.t_end", "time.checkpoint_dt"), config.checkpoint_dt),
-    ) if dt > 0.0 and config.t_end / dt + 1e-9 >= _MAX_STEPS + 1]
+    ) if _cadence_count(dt, config.t_end) > _MAX_STEPS]
     if config.log_sampling:
         decades = math.log10(config.t_end) - math.log10(config.log_min)
         # decades * per >= budget, without converting a huge per to float

@@ -79,9 +79,11 @@ class SolverConfig:
             raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
         if not 0.0 < self.cfl <= 1.0:
             raise ParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 < self.dt_min <= self.dt_max:
+        if not 0.0 < self.dt_min:
+            raise ParameterError(f"dt_min must be > 0, got {self.dt_min}")
+        if not self.dt_min <= self.dt_max:
             raise ParameterError(
-                f"need 0 < dt_min <= dt_max, got ({self.dt_min}, {self.dt_max})")
+                f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")
 
 
 @dataclass(frozen=True)

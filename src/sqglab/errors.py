@@ -7,7 +7,8 @@ class SqgError(Exception):
 
 class ParameterError(SqgError, ValueError):
     """A parameter or data is outside its admissible range or domain: field
-    values that are non-finite or misshapen, or a lookup outside a table."""
+    values that are non-finite or misshapen, a lookup outside a table, or an
+    object that cannot be built with the required properties."""
 
 
 class BlowUpError(SqgError, ArithmeticError):
@@ -25,11 +26,6 @@ class BlowUpError(SqgError, ArithmeticError):
 
 class BudgetError(SqgError, RuntimeError):
     """A step-count or problem-size budget was exceeded."""
-
-
-class ConstructionError(SqgError, RuntimeError):
-    """An object could not be built with the required properties, or its
-    certification missed a tolerance."""
 
 
 class ConfigError(SqgError, ValueError):

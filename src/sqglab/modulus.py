@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ParameterError
 from .spectral import RealField, Grid
 
 # Composite Gauss-Legendre rule in x = log s: panel width and nodes per panel
@@ -105,7 +105,6 @@ class BreachReport:
     breached: bool
     worst_ratio: float
     worst_offset: tuple[int, int]
-    time: float
 
 
 def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
@@ -137,15 +136,15 @@ def _certify(mod: ModulusOfContinuity):
     """Check the certificate conditions on the freshly built table."""
     r, om, op = mod.r_table, mod.omega, mod.omega_prime
     if not np.isfinite(mod.omega_prime_at_zero):
-        raise ConstructionError("omega'(0) is not finite")
+        raise ParameterError("omega'(0) is not finite")
     if not (np.all(np.diff(om) > 0.0) and np.all(om > 0.0)):
-        raise ConstructionError("omega is not strictly increasing")
+        raise ParameterError("omega is not strictly increasing")
     if not np.all(op > 0.0):
-        raise ConstructionError("omega' is not positive everywhere")
+        raise ParameterError("omega' is not positive everywhere")
     if not np.all(np.diff(op) < 0.0):
-        raise ConstructionError("omega' is not strictly decreasing")
+        raise ParameterError("omega' is not strictly decreasing")
     if not op[0] < mod.omega_prime_at_zero:
-        raise ConstructionError("omega'(0) does not dominate the table")
+        raise ParameterError("omega'(0) does not dominate the table")
 
     # Second differences must reproduce omega'' to 1% at interior nodes ...
     h1 = r[1:-1] - r[:-2]
@@ -157,13 +156,13 @@ def _certify(mod: ModulusOfContinuity):
     exact = -mod.delta3 / (np.sqrt(mid) + mid ** 2 * np.log(mid))
     rel = np.abs(second - exact) / np.abs(exact)
     if not np.max(rel) <= 0.01:  # NaN fails too
-        raise ConstructionError(
+        raise ParameterError(
             f"second-difference certificate off by {np.max(rel):.2e} > 1%")
     # ... and diverge monotonically to -inf over the first table decade.
     first_decade = mid <= r[0] * 10.0
     d = second[first_decade]
     if d.size >= 3 and not np.all(np.diff(d) > 0.0):
-        raise ConstructionError(
+        raise ParameterError(
             "second differences do not diverge monotonically at 0+")
 
 
@@ -201,12 +200,7 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
     return list(offsets.values())
 
 
-def check_modulus(
-    field: RealField,
-    mod: ModulusOfContinuity,
-    offsets,
-    t: float = 0.0,
-) -> BreachReport:
+def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> BreachReport:
     """Compare grid differences against omega over the given lattice offsets.
 
     For each offset d the maximum of |f(x+d) - f(x)| over the periodic grid
@@ -235,12 +229,8 @@ def check_modulus(
         if ratio > worst:
             worst = ratio
             worst_offset = (d1, d2)
-    return BreachReport(
-        breached=bool(worst > 1.0),
-        worst_ratio=float(worst),
-        worst_offset=worst_offset,
-        time=float(t),
-    )
+    return BreachReport(breached=bool(worst > 1.0), worst_ratio=float(worst),
+                        worst_offset=worst_offset)
 
 
 @dataclass(frozen=True)
@@ -258,7 +248,7 @@ def find_scaling(theta0: RealField, mod: ModulusOfContinuity) -> ScalingResult:
     theta0(C x) sampled on a box of length C L carries exactly the original
     grid values, so doubling the box length realizes the rescaling without
     interpolation.  Doubling stops once the monitor reports a worst ratio
-    <= 0.9 over the default offsets, and fails with ``ConstructionError``
+    <= 0.9 over the default offsets, and fails with ``ParameterError``
     once the stretched grid cell passes mod.r_max.
     """
     c = 1
@@ -268,7 +258,7 @@ def find_scaling(theta0: RealField, mod: ModulusOfContinuity) -> ScalingResult:
         try:
             offsets = default_offsets(grid, mod.r_max)
         except ParameterError:
-            raise ConstructionError(
+            raise ParameterError(
                 f"no admissible rescaling: at C = {c} the grid cell "
                 f"{grid.dx} is past r_max = {mod.r_max}") from None
         report = check_modulus(field, mod, offsets)

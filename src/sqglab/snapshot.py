@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SnapshotFormatError
+from .errors import ParameterError, SnapshotFormatError
 from .spectral import Grid, RealField
 
 MAGIC = b"SQG1"
@@ -63,10 +63,6 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
-        if n % 2 != 0 or n < 8:
-            raise SnapshotFormatError(f"{path}: grid size {n} is not even and >= 8")
-        if not (0.0 < length < math.inf and math.isfinite(2.0 * math.pi / length)):
-            raise SnapshotFormatError(f"{path}: box length {length!r} is not usable")
         for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
             if not math.isfinite(value):
                 raise SnapshotFormatError(f"{path}: {name} is {value!r}")
@@ -75,9 +71,13 @@ def read_snapshot(path) -> Snapshot:
         if size != expected:
             raise SnapshotFormatError(
                 f"{path}: payload has {size} bytes, expected {expected}")
+        # built only once the file size vouches for n
+        try:
+            grid = Grid(n, length)
+        except ParameterError as exc:
+            raise SnapshotFormatError(f"{path}: {exc}") from None
         payload = fh.read(expected)
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
     if not np.all(np.isfinite(values)):
         raise SnapshotFormatError(f"{path}: field values are not all finite")
-    grid = Grid(n, length)
     return Snapshot(field=RealField(grid, values), t=t, gamma=gamma, kappa=kappa)

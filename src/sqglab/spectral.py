@@ -19,12 +19,19 @@ on the first n//3 + 1 columns alone (Patterson and Orszag, 1971).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
+
+
+def _usable_length(length) -> bool:
+    """A box length L is usable when 0 < L < inf and the wavenumber unit
+    2 pi / L is finite, which a subnormal L overflows."""
+    return 0.0 < length < math.inf and math.isfinite(2.0 * math.pi / length)
 
 
 class Grid:
@@ -45,8 +52,9 @@ class Grid:
         n = int(n)
         if n % 2 != 0 or n < 8:
             raise ParameterError(f"grid size must be even and >= 8, got {n}")
-        if not np.isfinite(length) or length <= 0:
-            raise ParameterError(f"box length must be positive, got {length}")
+        if not _usable_length(length):
+            raise ParameterError(
+                f"box length must be > 0 with 2 pi / L finite, got {length!r}")
         self.n = n
         self.length = float(length)
         self.dx = self.length / n

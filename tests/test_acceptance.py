@@ -214,7 +214,7 @@ def test_criterion_09_modulus_monitor():
 
     def monitor(st):
         phys = inverse_transform(st.theta)
-        ratios.append(check_modulus(phys, mod, offsets, t=st.t).worst_ratio)
+        ratios.append(check_modulus(phys, mod, offsets).worst_ratio)
         margins.append(mod.omega_prime_at_zero - sup_and_gradient_sup(st.theta)[1])
 
     monitor(state)

@@ -14,6 +14,7 @@ from sqglab import (
     Grid,
     RealField,
     SnapshotFormatError,
+    SolverConfig,
     parse_config,
     read_snapshot,
     write_snapshot,
@@ -32,12 +33,9 @@ class TestParseConfig:
     def test_minimal_with_defaults(self):
         config = parse_config(MINIMAL)
         assert config.n == 64
-        assert config.gamma == 1.0
-        assert config.kappa == 1.0
-        assert config.cfl == 0.5
+        assert config.solver == SolverConfig(gamma=1.0)  # its defaults
         assert config.sample_dt == 0.25
         assert config.preset == "single_mode"
-        assert config.nonlinear is True
         assert config.betas == ()
 
     def test_gamma_out_of_range_cites_interval_and_line(self):
@@ -91,7 +89,7 @@ class TestParseConfig:
             "output.betas = 0.5, 1.0\n"
         )
         config = parse_config(text)
-        assert config.nonlinear is False
+        assert config.solver.nonlinear_enabled is False
         assert config.log_sampling is True
         assert config.betas == (0.5, 1.0)
 
@@ -124,6 +122,7 @@ class TestParseConfig:
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("dynamics.dt_max", "1e-12", "exceeds dt_max"),
+        ("grid.length", "1e-320", "grid.length must be > 0 with 2 pi / L finite"),
         ("output.log_per_decade", "0", "output.log_per_decade must be >= 1"),
         ("output.log_per_decade", "-3", "output.log_per_decade must be >= 1"),
     ])

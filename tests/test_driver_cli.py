@@ -25,7 +25,8 @@ from sqglab import (
 )
 from sqglab import driver, dynamics
 from sqglab.cli import main
-from sqglab.driver import run_simulation, sample_times
+from sqglab.config import _schedule
+from sqglab.driver import run_simulation
 
 BASE_CONFIG = """
 grid.n = 32
@@ -94,7 +95,7 @@ class TestDriver:
             "output.log_min = 0.001\n"
             "output.log_per_decade = 5\n"
         ))
-        times = sample_times(config)
+        times = [t for t, kinds in _schedule(config).items() if "sample" in kinds]
         assert 0.001 in times
         assert any(t < 0.25 for t in times)
         assert times[-1] == 1.0
@@ -121,12 +122,11 @@ class TestDriver:
         config = parse_config(BASE_CONFIG.replace("time.sample_dt = 0.25",
                                                   "time.sample_dt = 0.1")
                               + "output.snapshot_dt = 0.3\n")
-        events = driver._schedule(config)
+        events = _schedule(config)
         times = list(events)
         assert times == sorted(times) and times[-1] == 1.0
         assert all(b - a > 1e-14 for a, b in zip(times, times[1:]))
         assert events[0.3] == {"sample", "snapshot"}
-        assert sample_times(config) == [t for t in times if "sample" in events[t]]
 
     def test_snapshot_header_matches_run(self, tmp_path):
         text = BASE_CONFIG + "output.snapshot_dt = 0.5\n"
@@ -231,6 +231,26 @@ class TestCli:
             assert "snapshot physics" in capsys.readouterr().err
             assert not (tmp_path / key).exists()
 
+    def test_restart_past_t_end_exit_12(self, tmp_path, capsys):
+        config = write_config(tmp_path, (
+            "output.snapshot_dt = 0.5\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        early = write_config(tmp_path, f"output.directory = {tmp_path}/early\n",
+                             name="early.cfg")
+        early.write_text(early.read_text().replace("time.t_end = 1.0",
+                                                   "time.t_end = 0.5"))
+        snap = tmp_path / "out" / "snap_1.000000.bin"
+        assert main(["run", "--config", str(early), "--restart", str(snap)]) == 12
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "time.t_end = 0.5" in err[0] and "t = 1.0" in err[0]
+        assert not (tmp_path / "early").exists()
+
     def test_blow_up_exit_2(self, tmp_path):
         config = tmp_path / "explode.cfg"
         config.write_text(BASE_CONFIG.replace("dynamics.kappa = 1.0",
@@ -295,7 +315,9 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # values that pass a plain float() or int() but not the solver
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("key, value", [
+        ("grid.length", "1e-320"),  # 2 pi / L overflows
         ("time.t_end", "inf"),
         ("initial.amplitude", "nan"),
         ("dynamics.kappa", "nan"),
@@ -543,13 +565,14 @@ class TestDiagnosticsWorker:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert sorted(results) == list(range(4))
-        snaps = sorted(lone.output_dir.glob("*.bin"))
+        snaps = sorted(lone.norms_path.parent.glob("*.bin"))
         assert len(snaps) == 3 and lone.breaches
         for result in results.values():
             assert result.norms_path.read_bytes() == lone.norms_path.read_bytes()
             assert result.breaches == lone.breaches
             for snap in snaps:
-                assert (result.output_dir / snap.name).read_bytes() == snap.read_bytes()
+                assert ((result.norms_path.parent / snap.name).read_bytes()
+                        == snap.read_bytes())
 
     def test_initial_sample_failure_leaves_no_output_directory(
             self, tmp_path, capsys, monkeypatch):

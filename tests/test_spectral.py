@@ -56,6 +56,8 @@ class TestGrid:
             Grid(4, 1.0)
         with pytest.raises(ParameterError):
             Grid(8, -1.0)
+        with pytest.raises(ParameterError, match="box length"):
+            Grid(8, 5e-324)  # 2 pi / L overflows
 
     def test_wavenumber_lattice(self):
         g = grid(8, 4.0)

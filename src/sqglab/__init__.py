@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ParameterError,
     SnapshotFormatError,
-    SqgError,
 )
 from .initial import band_limited_random, make_initial
 from .modulus import (

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 oracle failure, 2 blow-up, 3 modulus breach under
---strict, 4 step budget exceeded, 10 file not found or a directory given for
-a file, 11 malformed snapshot, 12 config or command-line usage error.
+--strict, 4 step budget exceeded or a grid too large to allocate, 10 a file
+or directory that cannot be opened or created, 11 malformed snapshot, 12
+config or command-line usage error.
 """
 
 from __future__ import annotations
@@ -165,10 +166,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except IsADirectoryError as exc:
-        print(f"error: a directory, not a file: {exc.filename or exc}",
-              file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (SnapshotFormatError, ConfigError, BlowUpError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {SnapshotFormatError: EXIT_BAD_SNAPSHOT, ConfigError: EXIT_BAD_CONFIG,

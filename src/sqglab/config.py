@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import _MAX_STEPS, SolverConfig, _event_times
+from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
 from .errors import ConfigError, ParameterError
 from .initial import PRESETS
-from .spectral import _usable_length
+from .spectral import _LENGTH, _SIZE, _SPAN
 
 
 def _parse_bool(text: str) -> bool:
@@ -66,26 +66,22 @@ class RunConfig:
 # value rules: (test, what the key's value must do)
 _POSITIVE = (lambda v: v > 0.0, "be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
-_EVEN_GRID = (lambda v: v % 2 == 0 and v >= 8, "be even and >= 8")
-_BOX_LENGTH = (_usable_length, "be > 0 with 2 pi / L finite")
-_GAMMA = (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]")
-_CFL = (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")  # SolverConfig's range
 _AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
 _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 # the extra norm orders 1 + beta must be >= 0
 _BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
 
 
-# key -> (attribute, parser, value rule or None, required); the attributes
-# of the dynamics keys are SolverConfig's
+# key -> (attribute, parser, value rule or None, required); the grid and
+# dynamics keys reuse Grid's and SolverConfig's rules and attribute names
 _KEYS = {
-    "grid.n": ("n", int, _EVEN_GRID, True),
-    "grid.length": ("length", _parse_float, _BOX_LENGTH, True),
-    "dynamics.gamma": ("gamma", _parse_float, _GAMMA, True),
-    "dynamics.kappa": ("kappa", _parse_float, _NON_NEGATIVE, False),
-    "dynamics.cfl": ("cfl", _parse_float, _CFL, False),
+    "grid.n": ("n", int, _SIZE, True),
+    "grid.length": ("length", _parse_float, _LENGTH, True),
+    "dynamics.gamma": ("gamma", _parse_float, _RULES["gamma"], True),
+    "dynamics.kappa": ("kappa", _parse_float, _RULES["kappa"], False),
+    "dynamics.cfl": ("cfl", _parse_float, _RULES["cfl"], False),
     "dynamics.dt_max": ("dt_max", _parse_float, _POSITIVE, False),
-    "dynamics.dt_min": ("dt_min", _parse_float, _POSITIVE, False),
+    "dynamics.dt_min": ("dt_min", _parse_float, _RULES["dt_min"], False),
     "dynamics.nonlinear": ("nonlinear_enabled", _parse_bool, None, False),
     "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
     "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
@@ -143,6 +139,11 @@ def parse_config(text: str) -> RunConfig:
                if required and key not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    n, length = values["n"], values["length"]
+    if not _SPAN[0](n, length):
+        raise ConfigError(
+            f"grid.n and grid.length must {_SPAN[1]}, got n = {n}, L = {length!r}",
+            line=max(seen["grid.n"], seen["grid.length"]))
     try:
         solver = SolverConfig(**dynamics)
     except ParameterError as exc:

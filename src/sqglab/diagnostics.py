@@ -92,14 +92,18 @@ class NormSeries:
 
 
 def record_norms(state, series: NormSeries) -> NormSeries:
-    """Append one row of norms for the given solver state."""
+    """Append one row of norms for the given solver state; a norm that is not
+    finite (squares can overflow) raises ``BlowUpError`` naming its column."""
     theta = state.theta
-    linf, grad_sup = sup_and_gradient_sup(theta)
-    l2, h1, h3_2, h2, *extra = sobolev_norms(
-        theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        linf, grad_sup = sup_and_gradient_sup(theta)
+        l2, h1, h3_2, h2, *extra = sobolev_norms(
+            theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
     row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
-    if not all(np.isfinite(row)):
-        raise BlowUpError(state.t, state.step_count, (0, 0))
+    finite = np.isfinite(row)
+    if not finite.all():
+        raise BlowUpError(state.t, state.step_count,
+                          norm=series.columns[int(np.argmin(finite))])
     series.append(row)
     return series
 
@@ -108,7 +112,6 @@ def record_norms(state, series: NormSeries) -> NormSeries:
 class DecayFit:
     """Least-squares power law ||.|| ~ amplitude * t^alpha on a log-log window."""
 
-    window: tuple[float, float]
     alpha: float
     amplitude: float
     residual_rms: float
@@ -135,7 +138,6 @@ def fit_decay_exponent(series: NormSeries, column: str, window) -> DecayFit:
     alpha, intercept = np.polyfit(lt, ly, 1)
     resid = ly - (alpha * lt + intercept)
     return DecayFit(
-        window=(t_a, t_b),
         alpha=float(alpha),
         amplitude=float(np.exp(intercept)),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
@@ -154,8 +156,6 @@ class BoundednessResult:
 
     sup: float
     stabilized: bool
-    weight: float
-    window: tuple[float, float]
 
 
 def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
@@ -188,12 +188,7 @@ def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
     cut = max(t_a, t_b / 10.0)
     early = weighted[t[sel] <= cut]
     stabilized = bool(early.size > 0 and np.max(early) >= sup * (1.0 - 0.01))
-    return BoundednessResult(
-        sup=sup,
-        stabilized=stabilized,
-        weight=weight_exponent,
-        window=(t_a, t_b),
-    )
+    return BoundednessResult(sup=sup, stabilized=stabilized)
 
 
 def integral_tail_fraction(t, y):

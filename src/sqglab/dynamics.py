@@ -30,7 +30,14 @@ import numpy as np
 from .errors import BlowUpError, BudgetError, ParameterError
 from .spectral import SpectralField, _forward, _inverse, _workspace, dealias
 
-_MAX_STEPS = 1_000_000  # run_until's default step budget
+_MAX_STEPS = 1_000_000  # run_until's step budget
+# SolverConfig's rules, field -> (test, what it must do); config reuses them
+_RULES = {
+    "gamma": (lambda v: 0.0 < v <= 2.0, "lie in (0, 2]"),
+    "kappa": (lambda v: v >= 0.0, "be >= 0"),
+    "cfl": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "dt_min": (lambda v: v > 0.0, "be > 0"),
+}
 
 
 def _snap_tolerance(t: float) -> float:
@@ -73,14 +80,10 @@ class SolverConfig:
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 2.0:
-            raise ParameterError(f"gamma must lie in (0, 2], got {self.gamma}")
-        if self.kappa < 0.0:
-            raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 < self.dt_min:
-            raise ParameterError(f"dt_min must be > 0, got {self.dt_min}")
+        for name, (test, what) in _RULES.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ParameterError(f"{name} must {what}, got {value}")
         if not self.dt_min <= self.dt_max:
             raise ParameterError(
                 f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")
@@ -245,7 +248,6 @@ def run_until(
     t_end: float,
     callbacks=(),
     callback_times=None,
-    max_steps: int = _MAX_STEPS,
 ) -> SolverState:
     """Advance to t_end, landing exactly on t_end and every callback time.
 
@@ -253,7 +255,7 @@ def run_until(
     callback is invoked with the state (and not otherwise); times that fall
     on one event by ``_event_times`` fire once.  Steps are chosen by
     adapt_dt, truncated to hit scheduled times exactly, so the trajectory is
-    deterministic for a given schedule.
+    deterministic for a given schedule.  It takes at most ``_MAX_STEPS`` steps.
     """
     if t_end < state.t:
         raise ParameterError(f"t_end = {t_end} precedes current t = {state.t}")
@@ -264,9 +266,9 @@ def run_until(
     for target in sorted(events | {float(t_end)}):
         eps = _snap_tolerance(target)
         while state.t < target - eps:
-            if steps_taken >= max_steps:
+            if steps_taken >= _MAX_STEPS:
                 raise BudgetError(
-                    f"exceeded {max_steps} steps before reaching t = {t_end}")
+                    f"exceeded {_MAX_STEPS} steps before reaching t = {t_end}")
             dt = min(adapt_dt(state), target - state.t)
             state = step(state, dt)
             steps_taken += 1

@@ -1,34 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each extends a builtin error."""
 
 
-class SqgError(Exception):
-    """Base class for all package errors."""
-
-
-class ParameterError(SqgError, ValueError):
+class ParameterError(ValueError):
     """A parameter or data is outside its admissible range or domain: field
     values that are non-finite or misshapen, a lookup outside a table, or an
     object that cannot be built with the required properties."""
 
 
-class BlowUpError(SqgError, ArithmeticError):
-    """The solution developed non-finite coefficients."""
+class BlowUpError(ArithmeticError):
+    """The solution became non-finite: its coefficients, with ``mode`` the
+    largest offending mode, or else (``mode`` None) the norm ``norm``."""
 
-    def __init__(self, t, step_count, mode):
+    def __init__(self, t, step_count, mode=None, norm=None):
         self.t = float(t)
         self.step_count = int(step_count)
-        self.mode = tuple(int(m) for m in mode)
+        self.mode = None if mode is None else tuple(int(m) for m in mode)
+        at = f"at t = {self.t:.6g} (step {self.step_count})"
         super().__init__(
-            f"non-finite coefficients at t = {self.t:.6g} "
-            f"(step {self.step_count}), largest offending mode {self.mode}"
-        )
+            f"non-finite norm {norm!r} {at}" if self.mode is None else
+            f"non-finite coefficients {at}, largest offending mode {self.mode}")
 
 
-class BudgetError(SqgError, RuntimeError):
-    """A step-count or problem-size budget was exceeded."""
+class BudgetError(RuntimeError):
+    """A run exceeded its step budget."""
 
 
-class ConfigError(SqgError, ValueError):
+class ConfigError(ValueError):
     """Invalid run configuration.
 
     ``line`` is the 1-based line number in the config text when the error
@@ -42,5 +39,6 @@ class ConfigError(SqgError, ValueError):
         super().__init__(message)
 
 
-class SnapshotFormatError(SqgError, ValueError):
-    """A snapshot file has a bad magic number, version, or payload size."""
+class SnapshotFormatError(ValueError):
+    """A snapshot file is not a whole snapshot: a bad magic number, version
+    or payload size, non-finite values, or a grid that cannot be built."""

@@ -28,10 +28,13 @@ import numpy as np
 from .errors import ParameterError
 
 
-def _usable_length(length) -> bool:
-    """A box length L is usable when 0 < L < inf and the wavenumber unit
-    2 pi / L is finite, which a subnormal L overflows."""
-    return 0.0 < length < math.inf and math.isfinite(2.0 * math.pi / length)
+# Grid's rules, (test, what the value must do), which the grid.* keys reuse;
+# the largest |k|, at m = (n/2, n/2), can overflow where 2 pi / L does not
+_SIZE = (lambda n: n % 2 == 0 and n >= 8, "be even and >= 8")
+_LENGTH = (lambda length: 0.0 < length < math.inf
+           and math.isfinite(2.0 * math.pi / length), "be > 0 with 2 pi / L finite")
+_SPAN = (lambda n, length: math.isfinite(2.0 * math.pi / length * (n // 2) * 2 ** 0.5),
+         "give a finite largest wavenumber (2 pi / L) n / sqrt 2")
 
 
 class Grid:
@@ -50,11 +53,13 @@ class Grid:
 
     def __init__(self, n: int, length: float):
         n = int(n)
-        if n % 2 != 0 or n < 8:
-            raise ParameterError(f"grid size must be even and >= 8, got {n}")
-        if not _usable_length(length):
-            raise ParameterError(
-                f"box length must be > 0 with 2 pi / L finite, got {length!r}")
+        if not _SIZE[0](n):
+            raise ParameterError(f"grid size must {_SIZE[1]}, got {n}")
+        if not _LENGTH[0](length):
+            raise ParameterError(f"box length must {_LENGTH[1]}, got {length!r}")
+        if not _SPAN[0](n, length):
+            raise ParameterError(f"grid size and box length must {_SPAN[1]}, "
+                                 f"got n = {n}, L = {length!r}")
         self.n = n
         self.length = float(length)
         self.dx = self.length / n
@@ -99,9 +104,6 @@ class Grid:
     def __eq__(self, other):
         return (isinstance(other, Grid) and other.n == self.n
                 and other.length == self.length)
-
-    def __hash__(self):
-        return hash((self.n, self.length))
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length})"

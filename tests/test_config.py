@@ -133,6 +133,21 @@ class TestParseConfig:
         assert message in str(err.value)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        (MINIMAL.replace("grid.n = 64", "grid.n = 16").replace(
+            "grid.length = 6.283185307179586", "grid.length = 1e-307"), 3),
+        (MINIMAL.replace("grid.n = 64\n", "").replace(
+            "grid.length = 6.283185307179586", "grid.length = 1e-307")
+         + "grid.n = 16\n", 5),
+    ], ids=["n first", "n last"])
+    def test_box_whose_largest_wavenumber_overflows_cites_the_later_key(
+            self, text, line):
+        # 2 pi / L is finite, but (2 pi / L) n / sqrt 2 is not
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "grid.n and grid.length must give a finite" in str(err.value)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("lines", [
         ["time.sample_dt = 1e-300"],
         ["time.sample_dt = 1e-7"],

@@ -193,6 +193,52 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(tmp_path) in err[0]
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{file}/x"],
+        ["run", "--config", "{cfg}", "--restart", "{file}/x"],
+        ["modulus-check", "--field", "{file}/x", "--delta3", "0.1"],
+        ["analyze", "--norms", "{file}/x", "--column", "linf", "--window", "0:1"],
+        ["run", "--config", "{cfg}", "--output", "{file}"],
+    ])
+    def test_path_under_or_output_onto_a_file_exit_10(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        file = tmp_path / "file"
+        file.write_text("a regular file\n")
+        names = {"file": str(file), "cfg": str(cfg)}
+        assert main([arg.format(**names) for arg in argv]) == 10
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(file) in err[0]
+        assert file.read_text() == "a regular file\n"
+        assert not (tmp_path / "out").exists()
+
+    # inputs that pass every config rule but not the run
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
+    @pytest.mark.parametrize("lines, code, message", [
+        # the first n^2 array passes the address space: allocation fails at once
+        (["grid.n = 10000000"], 4, "error: out of memory: "),
+        # finite coefficients whose squared norms overflow
+        (["initial.amplitude = 1e200"], 2, "error: non-finite norm 'l2' at t = 0 "),
+    ])
+    def test_input_the_run_cannot_take_exits_with_its_code(self, tmp_path, capsys,
+                                                            lines, code, message):
+        keys = [line.split(" ")[0] for line in lines]
+        kept = [line for line in BASE_CONFIG.splitlines()
+                if line.split(" ")[0] not in keys]
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(kept + lines + [f"output.directory = {tmp_path}/out"])
+                        + "\n")
+        assert main(["run", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith(message)
+        assert "mode" not in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_12(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG + "grd.n = 8\n")
@@ -262,9 +308,7 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 2
 
     def test_step_budget_exceeded_exit_4(self, tmp_path, capsys, monkeypatch):
-        real = driver.run_until
-        monkeypatch.setattr(driver, "run_until",
-                            lambda state, t_end: real(state, t_end, max_steps=2))
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 2)
         config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
         assert main(["run", "--config", str(config)]) == 4
         captured = capsys.readouterr()
@@ -318,6 +362,7 @@ class TestCli:
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("key, value", [
         ("grid.length", "1e-320"),  # 2 pi / L overflows
+        ("grid.length", "1e-307"),  # (2 pi / L) n / sqrt 2 overflows at n = 32
         ("time.t_end", "inf"),
         ("initial.amplitude", "nan"),
         ("dynamics.kappa", "nan"),
@@ -584,12 +629,13 @@ class TestDiagnosticsWorker:
 
 
 # Command-line vectors for the property test below.  No command can run from
-# them: every file is missing, a directory, empty or malformed, an empty file
-# (a valid all-defaults config) is never a --config, and no --suite value
-# names a suite.
+# them: every file is missing, a directory, a path under a regular file, empty
+# or malformed, an empty file (a valid all-defaults config) is never a
+# --config, and no --suite value names a suite.
 CLI_FILES = {
     "missing": None,
     "dir": None,
+    "text/x": None,  # under the regular file "text"
     "empty": b"",
     "text": b"not a config, a snapshot or a norms table\n",
     "binary": b"\xff\xfe\x00SQG" + bytes(64),

@@ -58,6 +58,8 @@ class TestGrid:
             Grid(8, -1.0)
         with pytest.raises(ParameterError, match="box length"):
             Grid(8, 5e-324)  # 2 pi / L overflows
+        with pytest.raises(ParameterError, match="largest wavenumber"):
+            Grid(16, 1e-307)  # 2 pi / L is finite, (2 pi / L) n / sqrt 2 is not
 
     def test_wavenumber_lattice(self):
         g = grid(8, 4.0)

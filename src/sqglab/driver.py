@@ -17,14 +17,18 @@ import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, _schedule
 from .diagnostics import NormSeries, record_norms
 from .dynamics import SolverState, _event_times, initial_state, run_until
 from .errors import ConfigError, ParameterError
 from .initial import make_initial
-from .modulus import BreachReport, build_knv_modulus, check_modulus, default_offsets
+from .modulus import (BreachReport, _lattice_bound, build_knv_modulus,
+                      check_modulus, default_offsets)
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import Grid, forward_transform, inverse_transform
+from .spectral import (Grid, RealField, _workspace, forward_transform,
+                       inverse_transform)
 
 
 @dataclass
@@ -71,14 +75,22 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
         state = replace(initial_state(forward_transform(snap.field), solver),
                         t=snap.t)
     else:
-        state = initial_state(
-            make_initial(config.preset, grid, seed=config.seed,
-                         amplitude=config.amplitude, sigma=config.sigma),
-            solver)
+        # an amplitude near the float range overflows the preset's grid values
+        # (ParameterError) or their transform: a config error, not a blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                theta0 = make_initial(config.preset, grid, seed=config.seed,
+                                      amplitude=config.amplitude, sigma=config.sigma)
+            except ParameterError:
+                theta0 = None
+        if theta0 is None or not np.isfinite(theta0.coeffs).all():
+            raise ConfigError(f"initial.amplitude = {config.amplitude} makes the "
+                              f"initial coefficients non-finite")
+        state = initial_state(theta0, solver)
 
     events = _schedule(config)
     series = NormSeries(betas=config.betas)
-    mod = offsets = None
+    mod = offsets = safe = None
     if config.modulus_enabled:
         try:
             mod = build_knv_modulus(config.delta3, config.r_max)
@@ -86,14 +98,20 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
         except ParameterError as exc:
             raise ConfigError(f"modulus.delta3 = {config.delta3}, modulus.r_max = "
                               f"{config.r_max}: {exc}") from None
+        safe = _lattice_bound(grid, mod, offsets)
     breaches: list[BreachReport] = []
 
     def observe(st: SolverState):
         record_norms(st, series)
         if mod is not None:
-            report = check_modulus(inverse_transform(st.theta), mod, offsets)
-            if report.breached:
-                breaches.append(report)
+            # theta's grid values, left by record_norms' batched inverse; the
+            # exhaustive check runs only where the lattice bound cannot rule
+            # a breach out
+            values, hi, lo = _workspace.sample
+            if not safe(values, hi, lo):
+                report = check_modulus(RealField(st.theta.grid, values), mod, offsets)
+                if report.breached:
+                    breaches.append(report)
 
     # states are frozen and a step never writes an array it has returned, so
     # the worker reads them without a lock.  Its first error is raised on the

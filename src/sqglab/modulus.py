@@ -233,6 +233,45 @@ def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> Breach
                         worst_offset=worst_offset)
 
 
+def _lattice_bound(grid: Grid, mod: ModulusOfContinuity, offsets):
+    """A cheap test that ``check_modulus(field, mod, offsets)`` reports no
+    breach: ``safe(values, hi, lo)`` for grid values with max hi and min lo.
+
+    Along a lattice path, the triangle inequality bounds |f(x+d) - f(x)| by
+    the sups s10, s01, s11, s1-1 of the four unit-shift differences:
+    |d1| s10 + |d2| s01 for every d, |d1| s11 if d1 = d2 and |d1| s1-1 if
+    d1 = -d2, and by the oscillation hi - lo.  The test passes when the least
+    of these, over omega(|d|), is below 1 for every offset.  Each computed
+    difference is within a factor 1 +- u of the exact one (u the unit
+    roundoff), so a ratio ``check_modulus`` computes is at most (1 + 8u)
+    times the bound's; the factor 1 + 1e-12 covers that, and a NaN anywhere
+    fails the test.  Path lengths and omega(|d|) are looked up here, once.
+    """
+    omega = mod.omega_at([grid.dx * math.hypot(d1, d2) for d1, d2 in offsets])
+    d = np.array(offsets, dtype=float)
+    along1, along2 = np.abs(d[:, 0]), np.abs(d[:, 1])
+    # the diagonal path's unit shift, indexing (s10, s01, s11, s1-1, inf), and
+    # its length: 1 off the diagonals, where it multiplies inf, not 0
+    diagonal = np.where(d[:, 0] == d[:, 1], 2, np.where(d[:, 0] == -d[:, 1], 3, 4))
+    diagonal_steps = np.where(diagonal < 4, along1, 1.0)
+
+    def safe(values: np.ndarray, hi: float, lo: float) -> bool:
+        n = values.shape[0]
+        ring = np.pad(values, ((0, 1), (1, 1)), mode="wrap")  # ring[i, j+1] = f(i, j)
+        diff = np.empty((4, n, n))
+        # f(x + e) - f(x) for e = (1, 0), (0, 1), (1, 1), (1, -1)
+        shifted = (ring[1:, 1:-1], ring[:-1, 2:], ring[1:, 2:], ring[1:, :-2])
+        for k, view in enumerate(shifted):
+            np.subtract(view, values, out=diff[k])
+        sups = np.append(np.abs(diff, out=diff).max(axis=(1, 2)), np.inf)
+        path = np.minimum(along1 * sups[0] + along2 * sups[1],
+                          diagonal_steps * sups[diagonal])
+        ratio = np.max(np.minimum(hi - lo, path) / omega)
+        return bool(ratio * (1.0 + 1e-12) < 1.0)
+
+    return safe
+
+
 @dataclass(frozen=True)
 class ScalingResult:
     """Outcome of the box-stretch search for an admissible rescaling."""

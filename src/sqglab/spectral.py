@@ -64,13 +64,16 @@ class Grid:
         self.length = float(length)
         self.dx = self.length / n
         self.spectral_shape = (n, n // 2 + 1)
+        # the first (n, n/2+1) array before any n-long one: a grid too large
+        # to hold fails here, having touched no memory
+        self.kmag = np.empty(self.spectral_shape)
 
         self.m1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # Nyquist at -n/2
         self.m2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # Nyquist at +n/2
         scale = 2.0 * np.pi / self.length
         self.k1 = scale * self.m1
         self.k2 = scale * self.m2
-        self.kmag = np.hypot(self.k1, self.k2)
+        np.hypot(self.k1, self.k2, out=self.kmag)
 
         self.weights = np.full((1, n // 2 + 1), 2.0)
         self.weights[0, [0, -1]] = 1.0
@@ -131,6 +134,8 @@ class _Workspace(threading.local):
 
     def __init__(self):
         self.buffers = {}
+        # (grid values, max, min) of the last ``sup_and_gradient_sup`` field
+        self.sample = None
 
     def get(self, grid):
         """(half-spectrum stack, grid stack, stage input) for this grid."""
@@ -236,7 +241,11 @@ def linf_norm(f: RealField) -> float:
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     """Grid maxima of |f| and of |grad f|, the gradient computed spectrally,
     from one batched inverse transform of (F, i k1 F, i k2 F) in this
-    thread's workspace, reduced in place."""
+    thread's workspace, reduced in place.
+
+    The grid values of F, bit for bit those of ``inverse_transform(F)``, are
+    left in the workspace with their max and min as ``_workspace.sample``:
+    a view valid until this thread's next transform."""
     grid = F.grid
     spec, stack, _ = _workspace.get(grid)
     spec, stack = spec[:3], stack[:3]
@@ -246,4 +255,6 @@ def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     d1 *= d1
     d2 *= d2
     d1 += d2
-    return float(np.abs(f, out=f).max()), float(np.sqrt(d1.max()))
+    hi, lo = float(f.max()), float(f.min())
+    _workspace.sample = (f, hi, lo)
+    return max(abs(hi), abs(lo)), float(np.sqrt(d1.max()))

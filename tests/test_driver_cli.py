@@ -3,7 +3,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import tempfile
 import threading
 from pathlib import Path
@@ -19,6 +22,7 @@ from sqglab import (
     NormSeries,
     RealField,
     SnapshotFormatError,
+    inverse_transform,
     parse_config,
     read_snapshot,
     write_snapshot,
@@ -222,6 +226,11 @@ class TestCli:
         (["grid.n = 10000000"], 4, "error: out of memory: "),
         # finite coefficients whose squared norms overflow
         (["initial.amplitude = 1e200"], 2, "error: non-finite norm 'l2' at t = 0 "),
+        # initial data whose transform overflows, and grid values that do
+        (["initial.amplitude = 1e308"], 12, "error: initial.amplitude = 1e+308 "),
+        (["initial.amplitude = -1.7e308"], 12, "error: initial.amplitude = -1.7e+308 "),
+        (["initial.preset = gaussian_bump", "initial.amplitude = 1e308"], 12,
+         "error: initial.amplitude = 1e+308 "),
     ])
     def test_input_the_run_cannot_take_exits_with_its_code(self, tmp_path, capsys,
                                                             lines, code, message):
@@ -237,6 +246,33 @@ class TestCli:
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith(message)
         assert "mode" not in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_grid_too_large_to_hold_touches_no_memory(self, tmp_path):
+        # A started process inherits the peak resident size of the one that
+        # started it (this test run's); a process it forks starts from its
+        # own size, so the run's growth is measured there.
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CONFIG.replace("grid.n = 32", "grid.n = 10000000")
+                        + f"output.directory = {tmp_path}/out\n")
+        code = textwrap.dedent("""
+            import os, resource, sys
+            from sqglab.cli import main
+            if os.fork() == 0:
+                peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                before = peak()
+                code = main(["run", "--config", sys.argv[1]])
+                print(code, (peak() - before) / 1024.0, flush=True)
+                os._exit(0)
+            os.wait()
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(driver.__file__)))
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        exit_code, grown_mib = out.split()
+        assert int(exit_code) == 4
+        assert float(grown_mib) < 64.0
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_12(self, tmp_path):
@@ -626,6 +662,56 @@ class TestDiagnosticsWorker:
         assert code == 2
         assert err == f"error: {raised[0]}\n"
         assert not (tmp_path / "out").exists()
+
+
+# rough data sampled often, near the breach threshold: of the 21 samples
+# the lattice bound rules out a breach at some, and 9 breach
+BOUNDED = (BASE_CONFIG.replace("initial.preset = cmt", "initial.preset = random_h1")
+           .replace("time.sample_dt = 0.25", "time.sample_dt = 0.05")
+           + EVENTS)
+
+
+class TestModulusBound:
+    """Samples that the lattice bound proves safe skip the exhaustive check,
+    and nothing else changes."""
+
+    def run(self, tmp_path, name):
+        return run_simulation(parse_config(
+            BOUNDED + f"output.directory = {tmp_path}/{name}\n"))
+
+    def test_skipping_changes_no_output(self, tmp_path, monkeypatch):
+        bounded = self.run(tmp_path, "bounded")
+        monkeypatch.setattr(driver, "_lattice_bound",
+                            lambda grid, mod, offsets: lambda values, hi, lo: False)
+        exhaustive = self.run(tmp_path, "exhaustive")
+        assert len(bounded.breaches) == 9
+        assert bounded.breaches == exhaustive.breaches
+        files = sorted(p.name for p in bounded.norms_path.parent.iterdir())
+        assert files == sorted(p.name for p in exhaustive.norms_path.parent.iterdir())
+        assert len(files) == 4  # norms, two snapshots and the checkpoint
+        for name in files:
+            assert ((tmp_path / "bounded" / name).read_bytes()
+                    == (tmp_path / "exhaustive" / name).read_bytes())
+
+    def test_the_exhaustive_check_runs_on_fewer_samples(self, tmp_path, monkeypatch):
+        # each check sees the grid values of the sample just recorded
+        sampled, checked = [], []
+        real_record, real_check = driver.record_norms, driver.check_modulus
+
+        def record_norms(state, series):
+            sampled.append(inverse_transform(state.theta).values)
+            return real_record(state, series)
+
+        def check_modulus(field, mod, offsets):
+            assert np.array_equal(field.values, sampled[-1])
+            checked.append(len(sampled))
+            return real_check(field, mod, offsets)
+
+        monkeypatch.setattr(driver, "record_norms", record_norms)
+        monkeypatch.setattr(driver, "check_modulus", check_modulus)
+        result = self.run(tmp_path, "spied")
+        assert len(sampled) == len(result.series) == 21
+        assert len(result.breaches) < len(checked) < len(sampled)
 
 
 # Command-line vectors for the property test below.  No command can run from

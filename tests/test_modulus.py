@@ -25,6 +25,8 @@ from sqglab import (
     make_initial,
     sup_and_gradient_sup,
 )
+from sqglab.initial import PRESETS
+from sqglab.modulus import _lattice_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -270,6 +272,85 @@ def test_check_modulus_validates_before_differencing():
         check_modulus(field, mod, [(1, 0), (2, 0), (40, 0)])
     with pytest.raises(ParameterError):
         check_modulus(field, mod, [(1, 0), (0, 0)])
+
+
+@st.composite
+def monitored_samples(draw):
+    """Grid values of a preset (or of noise), with the modulus and offsets of
+    a monitored run on that grid.  The amplitude is drawn relative to the one
+    at which the exhaustive check's worst ratio is 1, so that many samples
+    fall near the breach threshold, where a bound too loose would show."""
+    n = 2 * draw(st.integers(4, 32))
+    grid = Grid(n, TWO_PI)
+    preset = draw(st.sampled_from(PRESETS + ("noise",)))
+    seed = draw(st.integers(0, 2 ** 16))
+    if preset == "noise":
+        values = np.random.default_rng(seed).standard_normal((n, n))
+    else:
+        values = inverse_transform(make_initial(preset, grid, seed=seed)).values
+    delta3 = 10.0 ** draw(st.floats(-2.0, 0.0))
+    r_max = grid.dx * 10.0 ** draw(st.floats(0.0, 2.0))
+    mod = build_knv_modulus(delta3, r_max)
+    offsets = default_offsets(grid, r_max)
+    threshold = check_modulus(RealField(grid, values), mod, offsets).worst_ratio
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    values = values * (sign * 10.0 ** draw(st.floats(-3.0, 0.5)) / threshold)
+    return values, grid, mod, offsets
+
+
+def lattice_bound_skips(values, grid, mod, offsets):
+    return _lattice_bound(grid, mod, offsets)(values, values.max(), values.min())
+
+
+@settings(max_examples=150, deadline=None)
+@given(monitored_samples())
+def test_a_sample_the_lattice_bound_skips_has_no_breach(case):
+    values, grid, mod, offsets = case
+    if lattice_bound_skips(values, grid, mod, offsets):
+        report = check_modulus(RealField(grid, values), mod, offsets)
+        assert not report.breached
+        assert report.worst_ratio < 1.0
+
+
+class TestLatticeBound:
+    def setup_method(self):
+        self.grid = Grid(64, TWO_PI)
+        self.mod = build_knv_modulus(0.1, 10.0)
+        self.offsets = default_offsets(self.grid, 10.0)
+
+    def skips(self, values):
+        return lattice_bound_skips(values, self.grid, self.mod, self.offsets)
+
+    def test_small_smooth_data_is_skipped_and_large_is_not(self):
+        cmt = inverse_transform(make_initial("cmt", self.grid)).values
+        assert self.skips(1e-2 * cmt)
+        assert check_modulus(RealField(self.grid, cmt), self.mod, self.offsets).breached
+        assert not self.skips(cmt)
+
+    def test_a_constant_field_is_skipped(self):
+        # every difference is 0, and so is the exhaustive check's worst ratio
+        values = np.full((64, 64), 3.0)
+        assert self.skips(values)
+        report = check_modulus(RealField(self.grid, values), self.mod, self.offsets)
+        assert report.worst_ratio == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_field_is_never_skipped(self, bad):
+        for scale in (0.0, 1e-3):
+            values = scale * inverse_transform(make_initial("cmt", self.grid)).values
+            values[5, 7] = bad
+            with np.errstate(invalid="ignore"):
+                assert not self.skips(values)
+
+    def test_each_offset_takes_its_shortest_path(self):
+        # a wave constant along one lattice direction: the path along it
+        # bounds that offset by (about) 0, while the offsets across it breach
+        x1, x2 = self.grid.points()
+        offsets = [(3, 0), (0, 3), (3, 3), (3, -3)]
+        for wave, along in [(np.sin(x1), (0, 3)), (np.sin(x2), (3, 0)),
+                            (np.sin(x1 - x2), (3, 3)), (np.sin(x1 + x2), (3, -3))]:
+            assert lattice_bound_skips(10.0 * wave, self.grid, self.mod, [along])
+            assert not lattice_bound_skips(10.0 * wave, self.grid, self.mod, offsets)
 
 
 class TestFindScaling:

@@ -17,6 +17,8 @@ from sqglab import (
     sobolev_norm,
     sup_and_gradient_sup,
 )
+from sqglab.initial import PRESETS, make_initial
+from sqglab.spectral import _workspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,6 +301,29 @@ class TestNorms:
         F = forward_transform(f)
         bound = float(np.sum(g.weights * g.kmag * np.abs(F.coeffs)))
         assert sup_and_gradient_sup(F)[1] <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16, 48, 128])
+@pytest.mark.parametrize("source", PRESETS + ("dealiased noise", "noise", "zero"))
+def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
+    # the batched inverse of (F, i k1 F, i k2 F) gives F's values bit for bit,
+    # and its max and min give sup |f| as the in-place abs did
+    g = grid(n)
+    if source in PRESETS:
+        F = make_initial(source, g, seed=5)
+    else:
+        F = forward_transform(random_field(g, n) if source != "zero"
+                              else RealField(g, np.zeros((n, n))))
+        if source == "dealiased noise":
+            F = dealias(F)
+    linf, _ = sup_and_gradient_sup(F)
+    values, hi, lo = _workspace.sample
+    values = values.copy()
+    expected = inverse_transform(F).values
+    assert np.array_equal(values, expected)
+    assert (hi, lo) == (expected.max(), expected.min())
+    assert linf == np.abs(expected).max()
+    assert math.copysign(1.0, linf) == 1.0  # never -0.0, which prints as "-0"
 
 
 class TestDealias:

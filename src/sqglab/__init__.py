@@ -1,9 +1,7 @@
 """sqglab: pseudo-spectral quasi-geostrophic solver and regularity diagnostics."""
 
-from .config import RunConfig, load_config, parse_config
+from .config import load_config, parse_config
 from .diagnostics import (
-    BoundednessResult,
-    DecayFit,
     NormSeries,
     check_boundedness,
     fit_decay_exponent,
@@ -28,9 +26,6 @@ from .errors import (
 )
 from .initial import band_limited_random, make_initial
 from .modulus import (
-    BreachReport,
-    ModulusOfContinuity,
-    ScalingResult,
     build_knv_modulus,
     check_modulus,
     default_offsets,
@@ -44,7 +39,7 @@ from .oracles import (
     scaling_consistency,
     single_mode_exact,
 )
-from .snapshot import Snapshot, read_snapshot, write_snapshot
+from .snapshot import read_snapshot, write_snapshot
 from .spectral import (
     Grid,
     RealField,
@@ -54,7 +49,6 @@ from .spectral import (
     inverse_transform,
     linf_norm,
     sobolev_norm,
-    sobolev_norms,
     sup_and_gradient_sup,
 )
 

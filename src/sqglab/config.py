@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
 from .errors import ConfigError, ParameterError
 from .initial import PRESETS
+from .modulus import _RULES as _MODULUS_RULES, _unbacked
 from .spectral import _LENGTH, _SIZE, _SPAN
 
 
@@ -72,8 +73,9 @@ _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 _BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
 
 
-# key -> (attribute, parser, value rule or None, required); the grid and
-# dynamics keys reuse Grid's and SolverConfig's rules and attribute names
+# key -> (attribute, parser, value rule or None, required); the grid,
+# dynamics and modulus keys reuse the rules and attribute names of Grid,
+# SolverConfig and build_knv_modulus
 _KEYS = {
     "grid.n": ("n", int, _SIZE, True),
     "grid.length": ("length", _parse_float, _LENGTH, True),
@@ -91,8 +93,8 @@ _KEYS = {
     "initial.amplitude": ("amplitude", _parse_float, None, False),
     "initial.sigma": ("sigma", _parse_float, _NON_NEGATIVE, False),
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
-    "modulus.delta3": ("delta3", _parse_float, _POSITIVE, False),
-    "modulus.r_max": ("r_max", _parse_float, _POSITIVE, False),
+    "modulus.delta3": ("delta3", _parse_float, _MODULUS_RULES["delta3"], False),
+    "modulus.r_max": ("r_max", _parse_float, _MODULUS_RULES["r_max"], False),
     "output.directory": ("directory", str, None, False),
     "output.betas": ("betas", _parse_float_list, _BETAS, False),
     "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
@@ -150,6 +152,9 @@ def parse_config(text: str) -> RunConfig:
         # the value rules leave only the pair dt_min <= dt_max to fail here
         raise ConfigError(f"dynamics.{exc}", line=max(
             seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0))) from None
+    bad = _unbacked(solver.gamma, solver.kappa)
+    if bad and values.get("modulus_enabled"):
+        raise ConfigError(f"dynamics.{bad[1]}", line=seen[f"dynamics.{bad[0]}"])
     config = RunConfig(solver=solver, **values)
     _check_schedule(config, seen)
     return config

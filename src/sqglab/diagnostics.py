@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ParameterError
-from .spectral import sobolev_norms, sup_and_gradient_sup
+from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
 
@@ -91,12 +91,16 @@ class NormSeries:
         return series
 
 
-def record_norms(state, series: NormSeries) -> NormSeries:
+def record_norms(state, series: NormSeries):
     """Append one row of norms for the given solver state; a norm that is not
-    finite (squares can overflow) raises ``BlowUpError`` naming its column."""
+    finite (squares can overflow) raises ``BlowUpError`` naming its column.
+
+    Returns theta's grid values with their max and min, from the row's one
+    inverse transform: a view into this thread's workspace, valid until its
+    next transform."""
     theta = state.theta
     with np.errstate(over="ignore", invalid="ignore"):
-        linf, grad_sup = sup_and_gradient_sup(theta)
+        values, hi, lo, linf, grad_sup = _sample(theta)
         l2, h1, h3_2, h2, *extra = sobolev_norms(
             theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
     row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
@@ -105,7 +109,7 @@ def record_norms(state, series: NormSeries) -> NormSeries:
         raise BlowUpError(state.t, state.step_count,
                           norm=series.columns[int(np.argmin(finite))])
     series.append(row)
-    return series
+    return values, hi, lo
 
 
 @dataclass(frozen=True)

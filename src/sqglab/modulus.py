@@ -49,6 +49,24 @@ _X_LOW, _X_PAD = -90.0, 45.0
 # enough that _certify's second differences resolve omega'' to 1%.
 _TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
 
+# value rules, (test, what the value must do), which the modulus.* keys reuse
+_RULES = {"delta3": (lambda v: v > 0.0, "be > 0"),
+          "r_max": (lambda v: 0.0 < _TABLE_SPAN * v < v < math.inf,
+                    "be finite, with 1e-4 r_max > 0")}
+
+
+def _unbacked(gamma: float, kappa: float):
+    """(name, message) for the first of gamma and kappa for which the
+    monitor's modulus is no theorem, else None.  KNV's omega is preserved by
+    the critical equation gamma = 1 only.  If theta solves it with kappa,
+    theta(x, t / kappa) / kappa solves it with kappa = 1, so the monitor
+    compares with kappa omega, which needs kappa > 0."""
+    if gamma != 1.0:
+        return "gamma", f"gamma must be 1 for the modulus monitor, got {gamma!r}"
+    if not kappa > 0.0:
+        return "kappa", f"kappa must be > 0 for the modulus monitor, got {kappa!r}"
+    return None
+
 
 def _shape_tables(r: np.ndarray):
     """(omega'(r), omega(r), omega'(0)) for delta3 = 1 at increasing r > 0."""
@@ -109,17 +127,15 @@ class BreachReport:
 
 def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
     """Construct and certify the modulus table on log-spaced nodes."""
-    if not delta3 > 0.0:
-        raise ParameterError(f"delta3 must be > 0, got {delta3}")
-    r_min = _TABLE_SPAN * r_max
-    if not 0.0 < r_min < r_max < math.inf:
-        raise ParameterError(
-            f"r_max must be finite, with 1e-4 r_max > 0, got {r_max}")
+    for name, value in (("delta3", delta3), ("r_max", r_max)):
+        test, what = _RULES[name]
+        if not test(value):
+            raise ParameterError(f"{name} must {what}, got {value}")
 
     # a huge r_max overflows on the way: _certify rejects the non-finite or
     # non-monotone table that results, so numpy need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.geomspace(r_min, r_max, _TABLE_SIZE)
+        r = np.geomspace(_TABLE_SPAN * r_max, r_max, _TABLE_SIZE)
         op, omega, op0 = _shape_tables(r)
         mod = ModulusOfContinuity(
             delta3=float(delta3),
@@ -206,18 +222,19 @@ def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> Breach
     For each offset d the maximum of |f(x+d) - f(x)| over the periodic grid
     is divided by omega(|d|); the report carries the worst ratio and the
     first offset achieving it.  Every offset is validated, and every bound
-    looked up, before any difference is taken.  The shifted fields are views
+    looked up, before any difference is taken; non-finite values raise
+    ``ParameterError``, as no ratio can rank them.  The shifted fields are views
     into one copy of f tiled 2 x 2, so a call costs one O(n^2) copy plus
     O(n^2) arithmetic per offset.
     """
     offsets = [(int(d1), int(d2)) for d1, d2 in offsets]
-    if not offsets:
-        raise ParameterError("offsets must be nonempty")
-    if (0, 0) in offsets:
-        raise ParameterError("offsets must be nonzero lattice vectors")
+    if not offsets or (0, 0) in offsets:
+        raise ParameterError("offsets must be one or more nonzero lattice vectors")
     dx = field.grid.dx
     bounds = mod.omega_at([dx * math.hypot(d1, d2) for d1, d2 in offsets])
     v, n = field.values, field.grid.n
+    if not np.isfinite(v).all():
+        raise ParameterError("field values contain non-finite entries")
     tiled = np.tile(v, (2, 2))
     diff = np.empty_like(v)
     worst = -1.0

@@ -165,12 +165,8 @@ def scaling_consistency(
     ref = math.sqrt(float(np.sum(coarse_vals ** 2)))
     max_abs = float(np.max(np.abs(diff)))
     rel = math.sqrt(float(np.sum(diff ** 2))) / ref if ref > 0.0 else 0.0
-    return OracleReport(
-        name=f"scaling_c{c}" + ("" if nonlinear else "_linear"),
-        max_abs_error=max_abs,
-        max_rel_error=float(rel),
-        tolerance=tolerance,
-    )
+    return OracleReport(f"scaling_c{c}" + ("" if nonlinear else "_linear"),
+                        max_abs, float(rel), tolerance)
 
 
 def convergence_ratio(theta0: SpectralField, config: SolverConfig, t_end: float,
@@ -190,10 +186,8 @@ def convergence_ratio(theta0: SpectralField, config: SolverConfig, t_end: float,
         for _ in range(n_steps):
             state = step(state, h)
         results.append(state.theta)
-    e1 = sobolev_norm(
-        SpectralField(theta0.grid, results[0].coeffs - results[1].coeffs), 0.0)
-    e2 = sobolev_norm(
-        SpectralField(theta0.grid, results[1].coeffs - results[2].coeffs), 0.0)
+    e1, e2 = (sobolev_norm(SpectralField(theta0.grid, a.coeffs - b.coeffs), 0.0)
+              for a, b in zip(results, results[1:]))
     if e2 == 0.0:
         raise ParameterError("refinement differences vanished; dt too small")
     return float(e1 / e2)

@@ -134,8 +134,6 @@ class _Workspace(threading.local):
 
     def __init__(self):
         self.buffers = {}
-        # (grid values, max, min) of the last ``sup_and_gradient_sup`` field
-        self.sample = None
 
     def get(self, grid):
         """(half-spectrum stack, grid stack, stage input) for this grid."""
@@ -238,14 +236,13 @@ def linf_norm(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
-    """Grid maxima of |f| and of |grad f|, the gradient computed spectrally,
-    from one batched inverse transform of (F, i k1 F, i k2 F) in this
-    thread's workspace, reduced in place.
+def _sample(F: SpectralField):
+    """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
+    of F, from one batched inverse transform of (F, i k1 F, i k2 F) in this
+    thread's workspace, reduced in place: the gradient is spectral.
 
-    The grid values of F, bit for bit those of ``inverse_transform(F)``, are
-    left in the workspace with their max and min as ``_workspace.sample``:
-    a view valid until this thread's next transform."""
+    The values are bit for bit those of ``inverse_transform(F)``, in a view
+    into the workspace valid until this thread's next transform."""
     grid = F.grid
     spec, stack, _ = _workspace.get(grid)
     spec, stack = spec[:3], stack[:3]
@@ -256,5 +253,9 @@ def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     d2 *= d2
     d1 += d2
     hi, lo = float(f.max()), float(f.min())
-    _workspace.sample = (f, hi, lo)
-    return max(abs(hi), abs(lo)), float(np.sqrt(d1.max()))
+    return f, hi, lo, max(abs(hi), abs(lo)), float(np.sqrt(d1.max()))
+
+
+def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
+    """Grid maxima of |f| and of |grad f|; see ``_sample``."""
+    return _sample(F)[3:]

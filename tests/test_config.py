@@ -123,6 +123,7 @@ class TestParseConfig:
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("dynamics.dt_max", "1e-12", "exceeds dt_max"),
         ("grid.length", "1e-320", "grid.length must be > 0 with 2 pi / L finite"),
+        ("modulus.r_max", "1e-320", "modulus.r_max must be finite, with 1e-4 r_max > 0"),
         ("output.log_per_decade", "0", "output.log_per_decade must be >= 1"),
         ("output.log_per_decade", "-3", "output.log_per_decade must be >= 1"),
     ])
@@ -130,6 +131,20 @@ class TestParseConfig:
         text, line = with_value(key, value)
         with pytest.raises(ConfigError) as err:
             parse_config(text)
+        assert message in str(err.value)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dynamics.gamma", "0.5", "dynamics.gamma must be 1 for the modulus monitor"),
+        ("dynamics.kappa", "0", "dynamics.kappa must be > 0 for the modulus monitor"),
+    ])
+    def test_monitor_that_no_theorem_backs_cites_its_key_and_line(self, key, value,
+                                                                 message):
+        # KNV's modulus is preserved for gamma = 1 and kappa > 0 only
+        text, line = with_value(key, value)
+        parse_config(text)  # valid physics without the monitor
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "modulus.enabled = true\n")
         assert message in str(err.value)
         assert err.value.line == line
 

@@ -39,8 +39,10 @@ class TestNormSeries:
         g = Grid(16, TWO_PI)
         zero = SpectralField(g, np.zeros(g.spectral_shape, dtype=complex))
         state = initial_state(zero, SolverConfig(gamma=1.0))
-        series = record_norms(state, NormSeries())
+        series = NormSeries()
+        values, hi, lo = record_norms(state, series)
         assert len(series) == 1
+        assert not values.any() and hi == lo == 0.0
         assert all(series.column(c)[0] == 0.0 for c in series.columns[1:])
 
     def test_single_mode_exact_decay_rows(self):

@@ -22,6 +22,9 @@ from sqglab import (
     NormSeries,
     RealField,
     SnapshotFormatError,
+    build_knv_modulus,
+    check_modulus,
+    default_offsets,
     inverse_transform,
     parse_config,
     read_snapshot,
@@ -408,6 +411,7 @@ class TestCli:
         ("initial.seed", "-1"),
         ("modulus.delta3", "inf"),
         ("modulus.r_max", "inf"),
+        ("modulus.r_max", "1e-320"),  # 1e-4 r_max underflows
         ("time.sample_dt", "1e-300"),
         ("output.snapshot_dt", "1e-300"),
         ("output.log_per_decade", "0"),
@@ -424,6 +428,42 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"error: line {len(lines) - 1}: ")
         assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, line", [
+        ("dynamics.gamma", "0.5", 4),
+        ("dynamics.kappa", "0.0", 5),
+    ])
+    def test_monitor_that_no_theorem_backs_exit_12(self, tmp_path, capsys, key,
+                                                   value, line):
+        # KNV's modulus is preserved for gamma = 1 and kappa > 0 only
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace(f"{key} = 1.0", f"{key} = {value}") + (
+            "modulus.enabled = true\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1
+        assert err[0].startswith(f"error: line {line}: {key} must ")
+        assert not (tmp_path / "out").exists()
+
+    def test_delta3_times_kappa_that_underflows_exit_12(self, tmp_path, capsys):
+        # the table is built with delta3 kappa = 1e-330, which is 0: the error
+        # names kappa beside delta3
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace("dynamics.kappa = 1.0",
+                                              "dynamics.kappa = 1e-300") + (
+            "modulus.enabled = true\n"
+            "modulus.delta3 = 1e-30\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "modulus.delta3 = 1e-30, dynamics.kappa = 1e-300" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_oracle_suite_exit_zero_and_csv(self, tmp_path, capsys):
@@ -474,6 +514,58 @@ class TestCli:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and names in err[0]
+
+    @pytest.mark.parametrize("gamma, kappa, name", [
+        (0.5, 1.0, "gamma"),
+        (1.0, 0.0, "kappa"),
+    ])
+    def test_modulus_check_on_a_snapshot_no_theorem_backs_exit_12(
+            self, tmp_path, capsys, gamma, kappa, name):
+        g = Grid(32, 2.0 * math.pi)
+        x1, x2 = g.points()
+        snap = tmp_path / "snap.bin"
+        write_snapshot(snap, RealField(g, np.sin(x1) * np.cos(x2)), 1.0, gamma, kappa)
+        assert main(["modulus-check", "--field", str(snap), "--delta3", "0.1"]) == 12
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"snapshot {name} must" in err[0]
+
+    def test_modulus_check_compares_with_kappa_omega(self, tmp_path, capsys):
+        # theta / kappa solves the kappa = 1 equation, so theta's modulus is
+        # kappa omega: a field at 0.75 of omega breaches 0.5 omega
+        g = Grid(32, 2.0 * math.pi)
+        x1, x2 = g.points()
+        values = np.sin(x1) * np.sin(x2) + np.cos(x2)
+        ratio = check_modulus(RealField(g, values), build_knv_modulus(0.1, 10.0),
+                              default_offsets(g, 10.0)).worst_ratio
+        values *= 0.75 / ratio
+        rows = {}
+        for kappa in (1.0, 0.5):
+            snap = tmp_path / f"snap_{kappa}.bin"
+            write_snapshot(snap, RealField(g, values), 1.0, 1.0, kappa)
+            assert main(["modulus-check", "--field", str(snap), "--delta3", "0.1"]) == 0
+            rows[kappa] = capsys.readouterr().out.splitlines()[1].split(",")
+        assert rows[1.0][0] == "false"
+        assert float(rows[1.0][1]) == pytest.approx(0.75, rel=1e-12)
+        assert rows[0.5][0] == "true"
+        assert float(rows[0.5][1]) == pytest.approx(1.5, rel=1e-12)
+
+    def test_a_run_monitors_kappa_omega(self, tmp_path, monkeypatch):
+        built = []
+        real = driver.build_knv_modulus
+
+        def build_knv_modulus(delta3, r_max):
+            built.append(delta3)
+            return real(delta3, r_max)
+
+        monkeypatch.setattr(driver, "build_knv_modulus", build_knv_modulus)
+        run_simulation(parse_config(
+            BASE_CONFIG.replace("dynamics.kappa = 1.0", "dynamics.kappa = 0.5")
+            + "modulus.enabled = true\nmodulus.delta3 = 0.1\n"
+            + f"output.directory = {tmp_path}/out\n"))
+        assert built == [0.05]
 
     def test_analyze_power_law(self, tmp_path, capsys):
         path = tmp_path / "norms.csv"

@@ -353,6 +353,20 @@ class TestLatticeBound:
             assert not lattice_bound_skips(10.0 * wave, self.grid, self.mod, offsets)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_field_is_refused(bad):
+    # nan > worst is False: unrefused, a NaN would pass as "held" at ratio -1
+    g = Grid(16, TWO_PI)
+    mod = build_knv_modulus(0.1, 10.0)
+    values = inverse_transform(make_initial("cmt", g)).values
+    values[3, 5] = bad
+    field = RealField(g, values)
+    with pytest.raises(ParameterError, match="non-finite"):
+        check_modulus(field, mod, default_offsets(g, 10.0))
+    with pytest.raises(ParameterError, match="non-finite"):
+        find_scaling(field, mod)
+
+
 class TestFindScaling:
     def test_cmt_scaling_passes_with_margin(self):
         g = Grid(128, TWO_PI)

@@ -7,18 +7,21 @@ import pytest
 
 from sqglab import (
     Grid,
+    NormSeries,
     ParameterError,
     RealField,
+    SolverConfig,
+    SolverState,
     SpectralField,
     dealias,
     forward_transform,
     inverse_transform,
     linf_norm,
+    record_norms,
     sobolev_norm,
     sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS, make_initial
-from sqglab.spectral import _workspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,7 +310,8 @@ class TestNorms:
 @pytest.mark.parametrize("source", PRESETS + ("dealiased noise", "noise", "zero"))
 def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
     # the batched inverse of (F, i k1 F, i k2 F) gives F's values bit for bit,
-    # and its max and min give sup |f| as the in-place abs did
+    # which record_norms returns, and its max and min give sup |f| as the
+    # in-place abs did
     g = grid(n)
     if source in PRESETS:
         F = make_initial(source, g, seed=5)
@@ -317,8 +321,10 @@ def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
         if source == "dealiased noise":
             F = dealias(F)
     linf, _ = sup_and_gradient_sup(F)
-    values, hi, lo = _workspace.sample
+    series = NormSeries()
+    values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
     values = values.copy()
+    assert series.column("linf")[0] == linf
     expected = inverse_transform(F).values
     assert np.array_equal(values, expected)
     assert (hi, lo) == (expected.max(), expected.min())

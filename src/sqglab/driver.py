@@ -1,21 +1,21 @@
 """Run orchestration: set-up, restart, checkpointing, norm recording.
 
 After the initial sample, a run's sample diagnostics (``record_norms``, then
-the modulus check) run on one background thread, in sample order with at
-most one sample waiting, while the stepper goes on; a run uses up to two
-cores.  The outputs and the failure behaviour are those of running them in
-line: the queue is drained before every snapshot or checkpoint and before
-``norms.csv`` is written, and the first diagnostics error is raised in place
-of anything the stepper raises after it.  The overlap pays where a sample's
-work is large: on a 2-CPU machine it cut whole ``sqglab run`` wall time by
-about 12% at n = 256 and 32% at n = 512, and was a wash at n = 128.
+the modulus check) run on a one-thread executor, one sample at a time and in
+sample order, while the stepper goes on; a run uses up to two cores.  The
+outputs and the failure behaviour are those of running them in line: each
+event waits for the sample before it, so snapshots, checkpoints and
+``norms.csv`` see every earlier sample, and the first diagnostics error is
+raised in place of anything the stepper raises after it.  The overlap pays
+at every size measured on a 2-CPU machine: running the diagnostics in line
+lost every pair of whole ``sqglab run`` wall times at n = 256 and 512, and
+moving only the norm rows in line lost at n = 128.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -112,29 +112,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
             if report.breached:
                 breaches.append(report)
 
-    # states are frozen and a step never writes an array it has returned, so
-    # the worker reads them without a lock.  Its first error is raised on the
-    # run's thread by drain; it skips the samples after it, which the serial
-    # order would never have reached.
-    pending = queue.Queue(maxsize=1)
-    failure: list[BaseException] = []
-
-    def work():
-        while (st := pending.get()) is not None:
-            if not failure:
-                try:
-                    observe(st)
-                except BaseException as exc:
-                    failure.append(exc)
-            pending.task_done()
-
-    def drain():
-        pending.join()
-        if failure:
-            raise failure[0]
-
     def persist(st: SolverState, kinds) -> SolverState:
-        drain()
         phys = inverse_transform(st.theta)
         if "snapshot" in kinds:
             write_snapshot(out_dir / f"snap_{st.t:.6f}.bin", phys, st.t,
@@ -157,24 +135,28 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     norms_path = out_dir / "norms.csv"
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        for t_ev, kinds in events.items():
-            if at[t_ev] <= at[start]:
-                continue
-            state = run_until(state, t_ev)
-            if "snapshot" in kinds or "checkpoint" in kinds:
-                state = persist(state, kinds)
-            if "sample" in kinds:
-                pending.put(state)
-    finally:
+    # states are frozen and a step never writes an array it has returned, so
+    # the worker reads them without a lock.  A failed sample is raised at the
+    # next event, which ends the run before any later sample is taken.
+    job = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            drain()
+            for t_ev, kinds in events.items():
+                if at[t_ev] <= at[start]:
+                    continue
+                state = run_until(state, t_ev)
+                if job is not None:
+                    job.result()
+                if "snapshot" in kinds or "checkpoint" in kinds:
+                    state = persist(state, kinds)
+                if "sample" in kinds:
+                    job = worker.submit(observe, state)
         finally:
-            pending.put(None)
-            worker.join()
-            series.write_csv(norms_path)
+            try:
+                if job is not None:
+                    job.result()
+            finally:
+                series.write_csv(norms_path)
 
     return RunResult(state=state, series=series, breaches=breaches,
                      norms_path=norms_path)

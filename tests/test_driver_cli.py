@@ -635,7 +635,7 @@ class TestCli:
 
 
 # samples every 0.25 to t = 1, snapshots every 0.5, a checkpoint at 1: the
-# stepper passes a sample between snapshots without waiting for the worker
+# stepper steps on from each sample while the worker takes it
 EVENTS = (
     "output.snapshot_dt = 0.5\n"
     "time.checkpoint_dt = 1.0\n"
@@ -716,6 +716,47 @@ class TestDiagnosticsWorker:
         assert len(raised) == 1
         assert err == f"error: {raised[0]}\n"
         self.assert_stopped_at(tmp_path, 0.5)
+
+    def test_a_failed_sample_ends_the_run_at_the_next_event(
+            self, tmp_path, capsys, monkeypatch):
+        # samples only, so no snapshot or checkpoint waits for the failed one
+        raised = fail_record_norms_at(monkeypatch, 0.25)
+        starts = []
+        real_step = dynamics.step
+
+        def step(state, dt):
+            starts.append(state.t)
+            return real_step(state, dt)
+
+        monkeypatch.setattr(dynamics, "step", step)
+        config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        assert main(["run", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(raised) == 1
+        assert captured.err == f"error: {raised[0]}\n"
+        assert starts and max(starts) < 0.5  # the event at 0.5 ends the run
+        assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == [0.0]
+
+    def test_an_interrupt_leaves_no_worker_behind(self, tmp_path, monkeypatch):
+        class Interrupt(BaseException):
+            """Not an Exception, as KeyboardInterrupt is not."""
+
+        real_step = dynamics.step
+
+        def step(state, dt):
+            if state.t >= 0.5:
+                raise Interrupt
+            return real_step(state, dt)
+
+        monkeypatch.setattr(dynamics, "step", step)
+        config = parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/out\n")
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            run_simulation(config)
+        assert threading.active_count() == threads
+        rows = NormSeries.read_csv(tmp_path / "out" / "norms.csv").t
+        assert list(rows) == [0.0, 0.25, 0.5]
 
     def test_concurrent_runs_match_a_lone_run(self, tmp_path):
         # more runs than cores, each with its own worker, switching often

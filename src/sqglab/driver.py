@@ -1,21 +1,22 @@
 """Run orchestration: set-up, restart, checkpointing, norm recording.
 
 After the initial sample, a run's sample diagnostics (``record_norms``, then
-the modulus check) run on a one-thread executor, one sample at a time and in
-sample order, while the stepper goes on; a run uses up to two cores.  The
-outputs and the failure behaviour are those of running them in line: each
-event waits for the sample before it, so snapshots, checkpoints and
-``norms.csv`` see every earlier sample, and the first diagnostics error is
-raised in place of anything the stepper raises after it.  The overlap pays
-at every size measured on a 2-CPU machine: running the diagnostics in line
-lost every pair of whole ``sqglab run`` wall times at n = 256 and 512, and
-moving only the norm rows in line lost at n = 128.
+the modulus check) run on a one-thread executor, in sample order with at most
+one sample waiting, while the stepper goes on; a run uses up to two cores.
+The outputs and the failure behaviour are those of running them in line:
+snapshots, checkpoints and ``norms.csv`` wait for every earlier sample, and
+the first diagnostics error is raised in place of anything the stepper
+raises after it.  A failed sample ends the run at the next snapshot or
+checkpoint, or at the second sample after it.  The overlap pays at every
+size measured on a 2-CPU machine: running the diagnostics in line lost every
+pair of whole ``sqglab run`` wall times at n = 256 and 512, and moving only
+the norm rows in line lost at n = 128.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -136,25 +137,32 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     norms_path = out_dir / "norms.csv"
     # states are frozen and a step never writes an array it has returned, so
-    # the worker reads them without a lock.  A failed sample is raised at the
-    # next event, which ends the run before any later sample is taken.
-    job = None
+    # the worker reads them without a lock.  A sample event waits for the
+    # sample two back, so one sample waits behind the one in hand; snapshots,
+    # checkpoints and the end wait for all of them.  A job after a failed
+    # sample raises that error in place of observing, as the serial order
+    # never reaches it.
+    def observe_after(before: Future, st: SolverState):
+        before.result()
+        observe(st)
+
+    prev = job = Future()
+    job.set_result(None)
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             for t_ev, kinds in events.items():
                 if at[t_ev] <= at[start]:
                     continue
                 state = run_until(state, t_ev)
-                if job is not None:
-                    job.result()
                 if "snapshot" in kinds or "checkpoint" in kinds:
+                    job.result()
                     state = persist(state, kinds)
                 if "sample" in kinds:
-                    job = worker.submit(observe, state)
+                    prev.result()
+                    prev, job = job, worker.submit(observe_after, job, state)
         finally:
             try:
-                if job is not None:
-                    job.result()
+                job.result()
             finally:
                 series.write_csv(norms_path)
 

@@ -635,7 +635,7 @@ class TestCli:
 
 
 # samples every 0.25 to t = 1, snapshots every 0.5, a checkpoint at 1: the
-# stepper steps on from each sample while the worker takes it
+# stepper passes a sample between snapshots without waiting for the worker
 EVENTS = (
     "output.snapshot_dt = 0.5\n"
     "time.checkpoint_dt = 1.0\n"
@@ -717,9 +717,10 @@ class TestDiagnosticsWorker:
         assert err == f"error: {raised[0]}\n"
         self.assert_stopped_at(tmp_path, 0.5)
 
-    def test_a_failed_sample_ends_the_run_at_the_next_event(
+    def test_a_failed_sample_ends_the_run_two_samples_later(
             self, tmp_path, capsys, monkeypatch):
-        # samples only, so no snapshot or checkpoint waits for the failed one
+        # samples only, so no snapshot or checkpoint waits for the failed one:
+        # the sample at 0.75 waits for it, and the one at 0.5 is never taken
         raised = fail_record_norms_at(monkeypatch, 0.25)
         starts = []
         real_step = dynamics.step
@@ -735,7 +736,7 @@ class TestDiagnosticsWorker:
         assert captured.out == ""
         assert len(raised) == 1
         assert captured.err == f"error: {raised[0]}\n"
-        assert starts and max(starts) < 0.5  # the event at 0.5 ends the run
+        assert starts and max(starts) < 0.75  # the event at 0.75 ends the run
         assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == [0.0]
 
     def test_an_interrupt_leaves_no_worker_behind(self, tmp_path, monkeypatch):

@@ -205,7 +205,8 @@ def _schedule(config: RunConfig) -> dict[float, set]:
 def _check_schedule(config: RunConfig, seen: dict) -> None:
     """Reject a schedule with more events than a run may take steps, before
     ``_schedule`` builds it: each event takes at least one step.  The counts
-    are computed, never listed, so a huge one fails at once."""
+    are computed, never listed, so a huge one fails at once.  Then reject
+    snapshots closer than their file names (``snap_{t:.6f}.bin``) resolve."""
     over = [(what, keys) for what, keys, dt in (
         ("samples", ("time.t_end", "time.sample_dt"), config.sample_dt),
         ("snapshots", ("time.t_end", "output.snapshot_dt"), config.snapshot_dt),
@@ -224,6 +225,10 @@ def _check_schedule(config: RunConfig, seen: dict) -> None:
         raise ConfigError(
             f"{', '.join(given)}: more than {_MAX_STEPS} {what}, the step "
             f"budget of a run", line=max(seen[key] for key in given))
+    if 0.0 < config.snapshot_dt < 1e-6:
+        raise ConfigError(f"output.snapshot_dt must be 0 or >= 1e-6, the resolution "
+                          f"of the snapshot file names, got {config.snapshot_dt!r}",
+                          line=seen["output.snapshot_dt"])
 
 
 def load_config(path) -> RunConfig:

@@ -257,8 +257,8 @@ def run_until(
     adapt_dt, truncated to hit scheduled times exactly, so the trajectory is
     deterministic for a given schedule.  It takes at most ``_MAX_STEPS`` steps.
     """
-    if t_end < state.t:
-        raise ParameterError(f"t_end = {t_end} precedes current t = {state.t}")
+    if not state.t <= t_end < math.inf:
+        raise ParameterError(f"t_end = {t_end} must be finite and >= t = {state.t}")
     wanted = () if callback_times is None else [
         tc for tc in callback_times if state.t < tc <= t_end]
     events = set(_event_times(wanted, t_end).values())

@@ -216,6 +216,21 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
     return list(offsets.values())
 
 
+def _shift_sups(values: np.ndarray, offsets) -> np.ndarray:
+    """max |f(x+d) - f(x)| over the periodic grid for each lattice offset d,
+    from views into one copy of f tiled 2 x 2: a call costs one O(n^2) copy
+    plus O(n^2) arithmetic per offset."""
+    n = values.shape[0]
+    tiled = np.empty((2 * n, 2 * n), values.dtype)  # cheaper than np.tile
+    tiled[:n, :n] = tiled[:n, n:] = values
+    tiled[n:] = tiled[:n]
+    diff, sups = np.empty_like(values), np.empty(len(offsets))
+    for k, (s1, s2) in enumerate(np.mod(offsets, n).tolist()):
+        np.subtract(tiled[s1:s1 + n, s2:s2 + n], values, out=diff)
+        sups[k] = np.abs(diff, out=diff).max()
+    return sups
+
+
 def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> BreachReport:
     """Compare grid differences against omega over the given lattice offsets.
 
@@ -223,31 +238,18 @@ def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> Breach
     is divided by omega(|d|); the report carries the worst ratio and the
     first offset achieving it.  Every offset is validated, and every bound
     looked up, before any difference is taken; non-finite values raise
-    ``ParameterError``, as no ratio can rank them.  The shifted fields are views
-    into one copy of f tiled 2 x 2, so a call costs one O(n^2) copy plus
-    O(n^2) arithmetic per offset.
+    ``ParameterError``, as no ratio can rank them.
     """
     offsets = [(int(d1), int(d2)) for d1, d2 in offsets]
     if not offsets or (0, 0) in offsets:
         raise ParameterError("offsets must be one or more nonzero lattice vectors")
-    dx = field.grid.dx
-    bounds = mod.omega_at([dx * math.hypot(d1, d2) for d1, d2 in offsets])
-    v, n = field.values, field.grid.n
-    if not np.isfinite(v).all():
+    bounds = mod.omega_at([field.grid.dx * math.hypot(d1, d2) for d1, d2 in offsets])
+    if not np.isfinite(field.values).all():
         raise ParameterError("field values contain non-finite entries")
-    tiled = np.tile(v, (2, 2))
-    diff = np.empty_like(v)
-    worst = -1.0
-    worst_offset = offsets[0]
-    for (d1, d2), bound in zip(offsets, bounds.tolist()):
-        s1, s2 = d1 % n, d2 % n
-        np.subtract(tiled[s1:s1 + n, s2:s2 + n], v, out=diff)
-        ratio = float(np.abs(diff, out=diff).max()) / bound
-        if ratio > worst:
-            worst = ratio
-            worst_offset = (d1, d2)
-    return BreachReport(breached=bool(worst > 1.0), worst_ratio=float(worst),
-                        worst_offset=worst_offset)
+    ratios = _shift_sups(field.values, offsets) / bounds
+    worst = int(np.argmax(ratios))
+    return BreachReport(breached=bool(ratios[worst] > 1.0),
+                        worst_ratio=float(ratios[worst]), worst_offset=offsets[worst])
 
 
 def _lattice_bound(grid: Grid, mod: ModulusOfContinuity, offsets):
@@ -273,14 +275,7 @@ def _lattice_bound(grid: Grid, mod: ModulusOfContinuity, offsets):
     diagonal_steps = np.where(diagonal < 4, along1, 1.0)
 
     def safe(values: np.ndarray, hi: float, lo: float) -> bool:
-        n = values.shape[0]
-        ring = np.pad(values, ((0, 1), (1, 1)), mode="wrap")  # ring[i, j+1] = f(i, j)
-        diff = np.empty((4, n, n))
-        # f(x + e) - f(x) for e = (1, 0), (0, 1), (1, 1), (1, -1)
-        shifted = (ring[1:, 1:-1], ring[:-1, 2:], ring[1:, 2:], ring[1:, :-2])
-        for k, view in enumerate(shifted):
-            np.subtract(view, values, out=diff[k])
-        sups = np.append(np.abs(diff, out=diff).max(axis=(1, 2)), np.inf)
+        sups = np.append(_shift_sups(values, ((1, 0), (0, 1), (1, 1), (1, -1))), np.inf)
         path = np.minimum(along1 * sups[0] + along2 * sups[1],
                           diagonal_steps * sups[diagonal])
         ratio = np.max(np.minimum(hi - lo, path) / omega)

@@ -180,6 +180,18 @@ class TestParseConfig:
         assert "more than 1000000" in str(err.value)
         assert err.value.line == len(text.splitlines())
 
+    @pytest.mark.parametrize("value", ["1e-7", "9.99e-7"])
+    def test_snapshots_finer_than_their_file_names_cite_their_key(self, value):
+        # snap_{t:.6f}.bin would name two such snapshots alike; the schedule
+        # is well within the step budget
+        text = (MINIMAL.replace("time.t_end = 1.0", "time.t_end = 1e-6")
+                + f"output.snapshot_dt = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "output.snapshot_dt must be 0 or >= 1e-6" in str(err.value)
+        assert err.value.line == len(text.splitlines())
+        parse_config(text.replace(value, "1e-6"))
+
     def test_schedule_bound_cites_t_end_when_it_comes_last(self):
         text = MINIMAL.replace("time.t_end = 1.0",
                                "time.sample_dt = 1e-3\ntime.t_end = 1e300")

@@ -189,6 +189,11 @@ class TestCheckBoundedness:
         res = check_boundedness(series, 0.0, "linf")
         assert not res.stabilized
 
+    def test_series_with_no_positive_time_raises(self):
+        series = synthetic_series([-1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ParameterError, match="no positive times"):
+            check_boundedness(series, 1.0, "linf")
+
     def test_window_selection(self):
         ts = np.geomspace(0.01, 100.0, 80)
         series = synthetic_series(ts, 1.0 / ts)

@@ -336,6 +336,35 @@ class TestCli:
         assert "time.t_end = 0.5" in err[0] and "t = 1.0" in err[0]
         assert not (tmp_path / "early").exists()
 
+    def test_restart_grid_mismatch_exit_12(self, tmp_path, capsys):
+        config = write_config(tmp_path, (
+            "output.snapshot_dt = 0.5\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        coarse = write_config(tmp_path, f"output.directory = {tmp_path}/coarse\n",
+                              name="coarse.cfg")
+        coarse.write_text(coarse.read_text().replace("grid.n = 32", "grid.n = 16"))
+        snap = tmp_path / "out" / "snap_0.500000.bin"
+        assert main(["run", "--config", str(coarse), "--restart", str(snap)]) == 12
+        err = capsys.readouterr().err
+        assert "snapshot grid (32, 6.283185307179586)" in err
+        assert "config (16, 6.283185307179586)" in err
+        assert not (tmp_path / "coarse").exists()
+
+    def test_snapshots_finer_than_their_file_names_exit_12(self, tmp_path, capsys):
+        # at 1e-7 the ten snapshot times to t_end = 1e-6 share two file names
+        config = write_config(tmp_path, (
+            "output.snapshot_dt = 1e-7\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        config.write_text(config.read_text().replace("time.t_end = 1.0",
+                                                     "time.t_end = 1e-6"))
+        assert main(["run", "--config", str(config)]) == 12
+        assert "output.snapshot_dt must be 0 or >= 1e-6" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_blow_up_exit_2(self, tmp_path):
         config = tmp_path / "explode.cfg"
         config.write_text(BASE_CONFIG.replace("dynamics.kappa = 1.0",
@@ -628,6 +657,20 @@ class TestCli:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [[], ["--weight", "1"]])
+    def test_analyze_window_with_a_time_not_positive_exit_12(self, tmp_path, capsys,
+                                                            args):
+        # the initial sample's t = 0 and 30 positive times, all in the window
+        path = tmp_path / "norms.csv"
+        path.write_text("t,linf,l2,h1,h3_2,h2,grad_sup\n0,1,1,1,1,1,1\n" + "".join(
+            ",".join([f"{t:.17g}"] + [f"{5.0 * t ** -2:.17g}"] * 6) + "\n"
+            for t in np.geomspace(0.1, 10.0, 30)))
+        argv = ["analyze", "--norms", str(path), "--column", "linf", "--window"]
+        assert main(argv + ["0.1:10"] + args) == 0
+        capsys.readouterr()
+        assert main(argv + ["0:10"] + args) == 12
+        assert "positive times" in capsys.readouterr().err
 
     def test_analyze_missing_norms_exit_10(self, tmp_path):
         assert main(["analyze", "--norms", str(tmp_path / "nope.csv"),

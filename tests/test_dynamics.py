@@ -280,6 +280,14 @@ class TestRunUntil:
         with pytest.raises(ParameterError):
             run_until(state, 0.05)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_a_non_finite_end(self, t_end):
+        # no state may be stamped with a time that is not finite
+        g = Grid(16, TWO_PI)
+        state = initial_state(make_initial("cmt", g), critical_config())
+        with pytest.raises(ParameterError, match=f"t_end = {t_end} .* t = 0.0"):
+            run_until(state, t_end)
+
     def test_single_mode_exact_to_t1(self):
         g = Grid(64, TWO_PI)
         state = run_until(initial_state(make_initial("single_mode", g),

@@ -26,7 +26,7 @@ from sqglab import (
     sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS
-from sqglab.modulus import _lattice_bound
+from sqglab.modulus import _lattice_bound, _shift_sups
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +217,10 @@ class TestCheckModulus:
             check_modulus(field, mod, [(30, 0)])
 
 
+def roll_sup(v, d1, d2):
+    return float(np.max(np.abs(np.roll(v, (-d1, -d2), axis=(0, 1)) - v)))
+
+
 def roll_check(field, mod, offsets):
     """The np.roll loop with one scalar omega_at per offset: the reference
     check_modulus must reproduce bit for bit."""
@@ -224,7 +228,7 @@ def roll_check(field, mod, offsets):
     worst, worst_offset = -1.0, offsets[0]
     for d1, d2 in offsets:
         bound = float(mod.omega_at(dx * math.hypot(d1, d2)))
-        diff = float(np.max(np.abs(np.roll(v, (-d1, -d2), axis=(0, 1)) - v)))
+        diff = roll_sup(v, d1, d2)
         if diff / bound > worst:
             worst, worst_offset = diff / bound, (d1, d2)
     return worst, worst_offset
@@ -241,6 +245,9 @@ def fields_and_offsets(draw):
     # integer values give them the same largest differences
     if draw(st.booleans()):
         offsets += [(-d2, d1) for d1, d2 in offsets]
+    # the lattice bound's unit shifts
+    if draw(st.booleans()):
+        offsets += [(1, 0), (0, 1), (1, 1), (1, -1)]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         values = rng.integers(-2, 3, size=(n, n)).astype(float)
@@ -256,6 +263,8 @@ MOD_D3_01 = build_knv_modulus(0.1, 10.0)  # covers every separation up to 2 pi s
 @given(fields_and_offsets())
 def test_check_modulus_matches_roll_loop(case):
     field, offsets = case
+    sups = _shift_sups(field.values, offsets)
+    assert sups.tolist() == [roll_sup(field.values, d1, d2) for d1, d2 in offsets]
     report = check_modulus(field, MOD_D3_01, offsets)
     worst, worst_offset = roll_check(field, MOD_D3_01, offsets)
     assert report.worst_ratio == worst

@@ -140,6 +140,10 @@ class TestTransforms:
         with pytest.raises(ParameterError, match="non-finite"):
             forward_transform(RealField(g, values))
 
+    def test_rejects_misshapen_values(self):
+        with pytest.raises(ParameterError, match="expected shape"):
+            forward_transform(RealField(grid(8), np.zeros((8, 4))))
+
     def test_parseval(self):
         for n in (8, 16, 32):
             g = grid(n)

@@ -107,16 +107,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_modulus_check(args) -> int:
-    from .modulus import _unbacked, build_knv_modulus, check_modulus, default_offsets
+    from .modulus import _monitor, _unbacked, check_modulus
     from .snapshot import read_snapshot
 
     snap = read_snapshot(args.field)
     if unbacked := _unbacked(snap.gamma, snap.kappa):
         raise ConfigError(f"modulus-check: {args.field}: snapshot {unbacked[1]}")
     try:
-        # theta's modulus is kappa omega (see modulus._unbacked)
-        mod = build_knv_modulus(args.delta3 * snap.kappa, args.r_max)
-        offsets = default_offsets(snap.field.grid, args.r_max)
+        mod, offsets = _monitor(snap.field.grid, args.delta3, snap.kappa, args.r_max)
     except ParameterError as exc:
         raise ConfigError(f"modulus-check: --delta3 {args.delta3}, snapshot kappa "
                           f"{snap.kappa}, --r-max {args.r_max}: {exc}") from None

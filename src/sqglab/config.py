@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .diagnostics import _BETAS
 from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
 from .errors import ConfigError, ParameterError
 from .initial import PRESETS
@@ -69,13 +70,11 @@ _POSITIVE = (lambda v: v > 0.0, "be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
 _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
-# the extra norm orders 1 + beta must be >= 0
-_BETAS = (lambda v: all(b >= -1.0 for b in v), "all be >= -1")
 
 
 # key -> (attribute, parser, value rule or None, required); the grid,
-# dynamics and modulus keys reuse the rules and attribute names of Grid,
-# SolverConfig and build_knv_modulus
+# dynamics, modulus and output.betas keys reuse the rules and attribute names
+# of Grid, SolverConfig, build_knv_modulus and NormSeries
 _KEYS = {
     "grid.n": ("n", int, _SIZE, True),
     "grid.length": ("length", _parse_float, _LENGTH, True),

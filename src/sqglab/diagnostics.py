@@ -16,6 +16,11 @@ from .errors import BlowUpError, ParameterError
 from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
+# NormSeries' rule, (test, what the betas must do), which output.betas reuses:
+# each extra order 1 + beta is >= 0 and names its own column
+_BETAS = (lambda betas: all(b >= -1.0 for b in betas)
+          and len(set(map(beta_column_name, betas))) == len(betas),
+          "all be >= -1 and distinct to 6 significant digits")
 
 
 def beta_column_name(beta: float) -> str:
@@ -27,6 +32,8 @@ class NormSeries:
 
     def __init__(self, betas=()):
         self.betas = tuple(float(b) for b in betas)
+        if not _BETAS[0](self.betas):
+            raise ParameterError(f"betas must {_BETAS[1]}, got {self.betas}")
         self.columns = BASE_COLUMNS + tuple(beta_column_name(b) for b in self.betas)
         self._rows: list[list[float]] = []
 
@@ -37,15 +44,12 @@ class NormSeries:
     def t(self) -> np.ndarray:
         return self.column("t")
 
-    def _index(self, name: str) -> int:
+    def column(self, name: str) -> np.ndarray:
         try:
-            return self.columns.index(name)
+            j = self.columns.index(name)
         except ValueError:
             raise ParameterError(
                 f"unknown column {name!r}; have {', '.join(self.columns)}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        j = self._index(name)
         return np.array([row[j] for row in self._rows])
 
     def append(self, row):

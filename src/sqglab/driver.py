@@ -27,7 +27,7 @@ from .diagnostics import NormSeries, record_norms
 from .dynamics import SolverState, _event_times, initial_state, run_until
 from .errors import ConfigError, ParameterError
 from .initial import make_initial
-from .modulus import _lattice_bound, build_knv_modulus, check_modulus, default_offsets
+from .modulus import _lattice_bound, _monitor, check_modulus
 from .snapshot import read_snapshot, write_snapshot
 from .spectral import Grid, RealField, forward_transform, inverse_transform
 
@@ -94,9 +94,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     mod = offsets = safe = None
     if config.modulus_enabled:
         try:
-            # theta's modulus is kappa omega (see modulus._unbacked)
-            mod = build_knv_modulus(config.delta3 * solver.kappa, config.r_max)
-            offsets = default_offsets(grid, config.r_max)
+            mod, offsets = _monitor(grid, config.delta3, solver.kappa, config.r_max)
         except ParameterError as exc:
             raise ConfigError(
                 f"modulus.delta3 = {config.delta3}, dynamics.kappa = {solver.kappa}, "

@@ -3,13 +3,13 @@
 The state advances by classical RK4 applied to the integrating-factor
 variable phi(t) = exp(kappa |k|^gamma t) theta(t), so the dissipation
 semigroup is applied exactly and only the advection term is integrated
-numerically.  Advection is assembled pseudo-spectrally with 2/3-rule
-dealiasing.
+numerically.  One function, ``_rhs``, forms -u . grad(theta) with 2/3-rule
+dealiasing for the stepper and, sign flipped, for ``nonlinear_term``.
 
 Every state is exactly zero outside ``dealias_mask``: ``initial_state``
-truncates the data, and the advection term reads only the retained modes and
-writes zeros elsewhere, so its column passes run on the retained columns
-alone (see ``sqglab.spectral``).  The advection term of any theta is that of
+truncates the data, and ``_rhs`` reads only the retained modes and writes
+zeros elsewhere, so its column passes skip the dead columns (see
+``sqglab.spectral``).  The advection term of any theta is that of
 ``dealias(theta)``.
 
 A step allocates no large temporaries beyond the arrays it keeps: the
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError
-from .spectral import SpectralField, _forward, _inverse, _workspace, dealias
+from .spectral import SpectralField, _forward, _inverse, _sup_norm, _workspace, dealias
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
 # SolverConfig's rules, field -> (test, what it must do); config reuses them
@@ -109,29 +109,26 @@ class SolverState:
         """
         rhs = np.empty(self.theta.grid.spectral_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            velocity = _rhs(self.theta, self.config, rhs)
-            if velocity is None:
-                return rhs, 0.0
-            u1, u2 = velocity
-            u1 *= u1
-            u2 *= u2
-            u1 += u2
-            return rhs, float(np.sqrt(np.max(u1)))
+            velocity = _rhs(self.theta, rhs, self.config.nonlinear_enabled)
+            return rhs, 0.0 if velocity is None else _sup_norm(*velocity)
 
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=dealias(theta0), config=config)
 
 
-def _advection(theta: SpectralField, out: np.ndarray):
-    """Write the coefficients of u . grad(theta) into ``out``; return the grid
-    velocity (u1, u2).
+def _rhs(theta: SpectralField, out: np.ndarray, nonlinear: bool = True):
+    """Write the right-hand side -u . grad(theta) into ``out``, or zeros
+    without ``nonlinear``; return the grid velocity (u1, u2), or None.
 
     One batched inverse transform gives u1, u2 and both gradient components
     on the grid, reading only the modes the 2/3 rule keeps.  The product is
     formed there, transformed back and truncated by the 2/3 rule.  u1 and u2
     are views into this thread's workspace, valid until its next call.
     """
+    if not nonlinear:
+        out.fill(0.0)
+        return None
     grid = theta.grid
     spec, stack, _ = _workspace.get(grid)
     np.multiply(grid.multipliers, theta.coeffs, out=spec)
@@ -140,32 +137,22 @@ def _advection(theta: SpectralField, out: np.ndarray):
     t2 *= u2
     t1 += t2
     _forward(grid, t1, out, dealiased=True)
+    flat = out.view(np.float64)  # a sign flip: cheaper than complex negative
+    np.negative(flat, out=flat)
     return u1, u2
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
-    """Spectral coefficients of u . grad(theta) for ``dealias(theta)``, as the
-    stepper computes them: velocity and gradient are evaluated by
-    multipliers, the product is formed in physical space, transformed back
-    and truncated by the 2/3 rule.  For divergence-free u the mean of the
-    product vanishes, so the zero mode of the output is zero up to roundoff.
+    """Spectral coefficients of u . grad(theta) for ``dealias(theta)``: the
+    stepper's right-hand side, pseudo-spectral and truncated by the 2/3 rule,
+    sign flipped exactly.  For divergence-free u the mean of the product
+    vanishes, so the zero mode of the output is zero up to roundoff.
     """
     out = np.empty(theta.grid.spectral_shape, dtype=complex)
-    _advection(theta, out)
-    return SpectralField(theta.grid, out)
-
-
-def _rhs(theta: SpectralField, config: SolverConfig, out: np.ndarray):
-    """Write the right-hand side -u . grad(theta) into ``out``; return the
-    grid velocity (u1, u2) as ``_advection`` does, or None without advection.
-    """
-    if not config.nonlinear_enabled:
-        out.fill(0.0)
-        return None
-    velocity = _advection(theta, out)
-    flat = out.view(np.float64)  # a sign flip: cheaper than complex negative
+    _rhs(theta, out)
+    flat = out.view(np.float64)  # the same exact sign flip, undone
     np.negative(flat, out=flat)
-    return velocity
+    return SpectralField(theta.grid, out)
 
 
 def step(state: SolverState, dt: float) -> SolverState:
@@ -199,16 +186,16 @@ def step(state: SolverState, dt: float) -> SolverState:
         np.multiply(0.5 * dt, g1, out=x)
         x += th
         x *= e_half
-        _rhs(stage, config, g2)
+        _rhs(stage, g2, config.nonlinear_enabled)
         np.multiply(0.5 * dt, g2, out=g3)
         np.multiply(e_half, th, out=x)
         x += g3
-        _rhs(stage, config, g3)
+        _rhs(stage, g3, config.nonlinear_enabled)
         np.multiply(e_half, g3, out=g4)
         g4 *= dt
         np.multiply(e_full, th, out=x)
         x += g4
-        _rhs(stage, config, g4)
+        _rhs(stage, g4, config.nonlinear_enabled)
         g2 += g3
         e_half *= 2.0
         g2 *= e_half

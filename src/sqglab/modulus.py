@@ -216,6 +216,11 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
     return list(offsets.values())
 
 
+def _monitor(grid: Grid, delta3: float, kappa: float, r_max: float):
+    """The breach monitor's modulus kappa omega (see ``_unbacked``) and offsets."""
+    return build_knv_modulus(delta3 * kappa, r_max), default_offsets(grid, r_max)
+
+
 def _shift_sups(values: np.ndarray, offsets) -> np.ndarray:
     """max |f(x+d) - f(x)| over the periodic grid for each lattice offset d,
     from views into one copy of f tiled 2 x 2: a call costs one O(n^2) copy

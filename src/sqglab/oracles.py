@@ -85,13 +85,12 @@ def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
     n = grid.n
     if n > 24:
         raise BudgetError(f"convolution oracle limited to n <= 24, got {n}")
-    half = int(n / 3.0)
     scale = 2.0 * math.pi / grid.length
 
     coeff = dealias(theta).coeffs
 
     def that(m1: int, m2: int) -> complex:
-        if max(abs(m1), abs(m2)) > half:
+        if max(abs(m1), abs(m2)) > grid.cutoff:
             return 0.0 + 0.0j
         if m2 < 0:
             return complex(coeff[-m1 % n, -m2]).conjugate()
@@ -105,14 +104,14 @@ def convolution_nonlinearity(theta: SpectralField) -> SpectralField:
         return (-1j * scale * m2 / kk) * th, (1j * scale * m1 / kk) * th
 
     out = np.zeros(grid.spectral_shape, dtype=complex)
-    rng = range(-half, half + 1)
+    rng = range(-grid.cutoff, grid.cutoff + 1)
     for m1 in rng:
-        for m2 in range(half + 1):
+        for m2 in range(grid.cutoff + 1):
             acc = 0.0 + 0.0j
             for q1 in rng:
                 for q2 in rng:
                     p1, p2 = m1 - q1, m2 - q2
-                    if max(abs(p1), abs(p2)) > half:
+                    if max(abs(p1), abs(p2)) > grid.cutoff:
                         continue
                     u1, u2 = uhat(p1, p2)
                     acc += (u1 * (1j * scale * q1) + u2 * (1j * scale * q2)) * that(q1, q2)

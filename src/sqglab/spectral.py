@@ -12,9 +12,9 @@ Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
 Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
 results match them bit for bit; the column passes work in place on scratch
 in a per-thread workspace, so threads never share buffers and a step
-allocates nothing large.  Under the 2/3 rule the advection right-hand side
-reads and writes only the modes |m1|, |m2| <= n/3, so its column passes run
-on the first n//3 + 1 columns alone (Patterson and Orszag, 1971).
+allocates nothing large.  Under the 2/3 rule the right-hand side reads and
+writes only the modes |m1|, |m2| <= ``Grid.cutoff``, so its column passes
+run on the first cutoff + 1 columns alone (Patterson and Orszag, 1971).
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class Grid:
     Holds every Fourier multiplier, on the (n, n/2+1) half lattice: the
     integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
     (a column and a row that broadcast), the modulus ``kmag`` and its cached
-    powers, the Parseval ``weights``, the 2/3-rule ``dealias_mask``, and the
-    ``multipliers`` stack (4, n, n/2+1) whose rows give, from theta, the
-    Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the gradient i k1, i k2.
-    The velocity rows vanish at k = 0 and on both Nyquist lines; the gradient
-    rows vanish on their own axis' Nyquist line, so derivatives of real
-    fields stay real.
+    powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` n//3 and
+    ``dealias_mask``, and the ``multipliers`` stack (4, n, n/2+1) whose rows
+    give, from theta, the Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the
+    gradient i k1, i k2.  The velocity rows vanish at k = 0 and on both
+    Nyquist lines; the gradient rows vanish on their own axis' Nyquist line,
+    so derivatives of real fields stay real.
     """
 
     def __init__(self, n: int, length: float):
@@ -78,8 +78,8 @@ class Grid:
         self.weights = np.full((1, n // 2 + 1), 2.0)
         self.weights[0, [0, -1]] = 1.0
 
-        cutoff = n / 3.0
-        self.dealias_mask = (np.abs(self.m1) <= cutoff) & (np.abs(self.m2) <= cutoff)
+        self.cutoff = n // 3
+        self.dealias_mask = (abs(self.m1) <= self.cutoff) & (abs(self.m2) <= self.cutoff)
 
         off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
         inv_k = np.zeros_like(self.kmag)
@@ -151,9 +151,9 @@ _workspace = _Workspace()
 
 def _live(grid: Grid, dealiased: bool) -> tuple[int, slice]:
     """The count of leading columns the column passes transform and the dead
-    rows within them: n//3 + 1 columns (m2 <= n/3) and the rows with
-    |m1| > n/3 under the 2/3 rule, else all n/2 + 1 columns and no rows."""
-    live = grid.n // 3 + 1 if dealiased else grid.n // 2 + 1
+    rows within them: the columns m2 <= cutoff and the rows |m1| > cutoff
+    under the 2/3 rule, else all n/2 + 1 columns and no rows."""
+    live = grid.cutoff + 1 if dealiased else grid.n // 2 + 1
     return live, slice(live, grid.n - live + 1)
 
 
@@ -162,7 +162,8 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     """Grid values of one or a stack of half spectra, written into ``out``.
     ``spec`` is scratch: the column pass overwrites it.  With ``dealiased``
     only the modes in ``dealias_mask`` are read: the others are zeroed and
-    the column pass skips their columns."""
+    the column pass skips their columns.  The row pass reads zeroed columns,
+    not ``irfft``'s zero-padding, which costs more than filling them."""
     live, dead = _live(grid, dealiased)
     spec[..., dead, :live] = 0.0
     cols = spec[..., :live]
@@ -212,7 +213,7 @@ def dealias(F: SpectralField) -> SpectralField:
 
 def sobolev_norms(F: SpectralField, orders) -> list[float]:
     """Homogeneous Sobolev norms (L^2 sum_m |k|^{2s} |F(m)|^2)^{1/2}, one per
-    order s, all from one weighted |F|^2 array.
+    order s, from one weighted |F|^2 array and one sum per distinct order.
 
     For s = 0 the zero mode is included (|k|^0 = 1 there), so the value is
     the full L^2 norm; for s > 0 the zero mode contributes nothing.
@@ -222,8 +223,9 @@ def sobolev_norms(F: SpectralField, orders) -> list[float]:
         raise ParameterError(f"Sobolev orders must be >= 0, got {orders}")
     grid = F.grid
     energy = grid.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
-    return [grid.length * float(np.sqrt(np.sum(grid.kmag_pow(2.0 * s) * energy)))
-            for s in orders]
+    norms = {s: grid.length * float(np.sqrt(np.sum(grid.kmag_pow(2.0 * s) * energy)))
+             for s in set(orders)}
+    return [norms[s] for s in orders]
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
@@ -249,11 +251,16 @@ def _sample(F: SpectralField):
     np.copyto(spec[0], F.coeffs)
     np.multiply(grid.multipliers[2:], F.coeffs, out=spec[1:])
     f, d1, d2 = _inverse(grid, spec, stack)
-    d1 *= d1
-    d2 *= d2
-    d1 += d2
     hi, lo = float(f.max()), float(f.min())
-    return f, hi, lo, max(abs(hi), abs(lo)), float(np.sqrt(d1.max()))
+    return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2)
+
+
+def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Grid maximum of |(a, b)|; a and b are scratch, squared in place."""
+    a *= a
+    b *= b
+    a += b
+    return float(np.sqrt(a.max()))
 
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:

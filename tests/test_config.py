@@ -119,6 +119,7 @@ class TestParseConfig:
         ("modulus.r_max", "inf", "finite number"),
         ("output.betas", "0.5, nan", "finite numbers"),
         ("output.betas", "-3", "output.betas must all be >= -1"),
+        ("output.betas", "0.5, 1, 0.5", "distinct to 6 significant digits"),
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("dynamics.dt_max", "1e-12", "exceeds dt_max"),

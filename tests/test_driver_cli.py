@@ -30,7 +30,7 @@ from sqglab import (
     read_snapshot,
     write_snapshot,
 )
-from sqglab import driver, dynamics
+from sqglab import driver, dynamics, modulus
 from sqglab.cli import main
 from sqglab.config import _schedule
 from sqglab.driver import run_simulation
@@ -583,13 +583,13 @@ class TestCli:
 
     def test_a_run_monitors_kappa_omega(self, tmp_path, monkeypatch):
         built = []
-        real = driver.build_knv_modulus
+        real = modulus.build_knv_modulus
 
         def build_knv_modulus(delta3, r_max):
             built.append(delta3)
             return real(delta3, r_max)
 
-        monkeypatch.setattr(driver, "build_knv_modulus", build_knv_modulus)
+        monkeypatch.setattr(modulus, "build_knv_modulus", build_knv_modulus)
         run_simulation(parse_config(
             BASE_CONFIG.replace("dynamics.kappa = 1.0", "dynamics.kappa = 0.5")
             + "modulus.enabled = true\nmodulus.delta3 = 0.1\n"

@@ -118,7 +118,10 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     out = np.empty(lead + (n, n))
     for dealiased, kept in ((False, spec), (True, spec * mask)):
         expected = np.fft.irfftn(kept, s=(n, n), axes=(-2, -1), norm="forward")
-        assert np.array_equal(_inverse(grid, spec.copy(), out, dealiased), expected)
+        scratch = spec.copy()
+        if dealiased:  # nothing past column n//3 may reach the pruned inverse
+            scratch[..., n // 3 + 1:] = np.nan
+        assert np.array_equal(_inverse(grid, scratch, out, dealiased), expected)
 
 
 def _rhs_of(theta, dealiased_state):

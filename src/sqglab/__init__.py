@@ -1,6 +1,6 @@
 """sqglab: pseudo-spectral quasi-geostrophic solver and regularity diagnostics."""
 
-from .config import load_config, parse_config
+from .config import parse_config
 from .diagnostics import (
     NormSeries,
     check_boundedness,
@@ -32,7 +32,6 @@ from .modulus import (
     find_scaling,
 )
 from .oracles import (
-    OracleReport,
     convergence_ratio,
     convolution_nonlinearity,
     linear_heat_exact,
@@ -47,7 +46,6 @@ from .spectral import (
     dealias,
     forward_transform,
     inverse_transform,
-    linf_norm,
     sobolev_norm,
     sup_and_gradient_sup,
 )

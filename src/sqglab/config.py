@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .diagnostics import _BETAS
 from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
 from .errors import ConfigError, ParameterError
-from .initial import PRESETS
+from .initial import _SIGMA, PRESETS
 from .modulus import _RULES as _MODULUS_RULES, _unbacked
 from .spectral import _LENGTH, _SIZE, _SPAN
 
@@ -73,8 +73,9 @@ _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 
 
 # key -> (attribute, parser, value rule or None, required); the grid,
-# dynamics, modulus and output.betas keys reuse the rules and attribute names
-# of Grid, SolverConfig, build_knv_modulus and NormSeries
+# dynamics, initial.sigma, modulus and output.betas keys reuse the rules and
+# attribute names of Grid, SolverConfig, make_initial, build_knv_modulus and
+# NormSeries
 _KEYS = {
     "grid.n": ("n", int, _SIZE, True),
     "grid.length": ("length", _parse_float, _LENGTH, True),
@@ -90,7 +91,7 @@ _KEYS = {
     "initial.preset": ("preset", str, _PRESET, False),
     "initial.seed": ("seed", int, _NON_NEGATIVE, False),
     "initial.amplitude": ("amplitude", _parse_float, None, False),
-    "initial.sigma": ("sigma", _parse_float, _NON_NEGATIVE, False),
+    "initial.sigma": ("sigma", _parse_float, _SIGMA, False),
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
     "modulus.delta3": ("delta3", _parse_float, _MODULUS_RULES["delta3"], False),
     "modulus.r_max": ("r_max", _parse_float, _MODULUS_RULES["r_max"], False),

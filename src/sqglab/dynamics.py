@@ -3,12 +3,13 @@
 The state advances by classical RK4 applied to the integrating-factor
 variable phi(t) = exp(kappa |k|^gamma t) theta(t), so the dissipation
 semigroup is applied exactly and only the advection term is integrated
-numerically.  One function, ``_rhs``, forms -u . grad(theta) with 2/3-rule
-dealiasing for the stepper and, sign flipped, for ``nonlinear_term``.
+numerically.  One function, ``_advection``, forms u . grad(theta) with
+2/3-rule dealiasing for ``nonlinear_term`` and for ``step``, whose real
+scalar factors carry the minus sign of the right-hand side.
 
 Every state is exactly zero outside ``dealias_mask``: ``initial_state``
-truncates the data, and ``_rhs`` reads only the retained modes and writes
-zeros elsewhere, so its column passes skip the dead columns (see
+truncates the data, and ``_advection`` reads only the retained modes and
+writes zeros elsewhere, so its column passes skip the dead columns (see
 ``sqglab.spectral``).  The advection term of any theta is that of
 ``dealias(theta)``.
 
@@ -100,26 +101,28 @@ class SolverState:
 
     @cached_property
     def stage1(self) -> tuple[np.ndarray, float]:
-        """The right-hand side -u . grad(theta) at this state and sup|u|.
+        """The advection term u . grad(theta) at this state and sup|u|.
 
         Both come from one batched transform; ``adapt_dt`` reads the speed
-        and ``step`` uses the right-hand side as its first RK4 stage.  It is
+        and ``step`` uses the term, negated, as its first RK4 stage.  It is
         computed on first use and is not a field, so ``dataclasses.replace``
         never carries it over to a new state.
         """
-        rhs = np.empty(self.theta.grid.spectral_shape, dtype=complex)
+        term = np.empty(self.theta.grid.spectral_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            velocity = _rhs(self.theta, rhs, self.config.nonlinear_enabled)
-            return rhs, 0.0 if velocity is None else _sup_norm(*velocity)
+            velocity = _advection(self.theta.grid, self.theta.coeffs, term,
+                                  self.config.nonlinear_enabled)
+            return term, 0.0 if velocity is None else _sup_norm(*velocity)
 
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=dealias(theta0), config=config)
 
 
-def _rhs(theta: SpectralField, out: np.ndarray, nonlinear: bool = True):
-    """Write the right-hand side -u . grad(theta) into ``out``, or zeros
-    without ``nonlinear``; return the grid velocity (u1, u2), or None.
+def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True):
+    """Write the advection term u . grad(theta) of the half spectrum
+    ``coeffs`` into ``out``, or zeros without ``nonlinear``; return the grid
+    velocity (u1, u2), or None.
 
     One batched inverse transform gives u1, u2 and both gradient components
     on the grid, reading only the modes the 2/3 rule keeps.  The product is
@@ -129,42 +132,39 @@ def _rhs(theta: SpectralField, out: np.ndarray, nonlinear: bool = True):
     if not nonlinear:
         out.fill(0.0)
         return None
-    grid = theta.grid
     spec, stack, _ = _workspace.get(grid)
-    np.multiply(grid.multipliers, theta.coeffs, out=spec)
+    np.multiply(grid.multipliers, coeffs, out=spec)
     u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased=True)
     t1 *= u1
     t2 *= u2
     t1 += t2
     _forward(grid, t1, out, dealiased=True)
-    flat = out.view(np.float64)  # a sign flip: cheaper than complex negative
-    np.negative(flat, out=flat)
     return u1, u2
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Spectral coefficients of u . grad(theta) for ``dealias(theta)``: the
-    stepper's right-hand side, pseudo-spectral and truncated by the 2/3 rule,
-    sign flipped exactly.  For divergence-free u the mean of the product
-    vanishes, so the zero mode of the output is zero up to roundoff.
+    array the stepper integrates, pseudo-spectral and truncated by the 2/3
+    rule.  For divergence-free u the mean of the product vanishes, so the
+    zero mode of the output is zero up to roundoff.
     """
     out = np.empty(theta.grid.spectral_shape, dtype=complex)
-    _rhs(theta, out)
-    flat = out.view(np.float64)  # the same exact sign flip, undone
-    np.negative(flat, out=flat)
+    _advection(theta.grid, theta.coeffs, out)
     return SpectralField(theta.grid, out)
 
 
 def step(state: SolverState, dt: float) -> SolverState:
     """Advance one integrating-factor RK4 step of size dt.
 
-    With g1 = ``state.stage1`` (never written to) and stage inputs built in
-    the workspace, it computes, in this order of operations,
+    The right-hand side is -a, a = u . grad, and its minus sign rides on the
+    real factors, which is exact.  With a1 = ``state.stage1`` (never written
+    to) and stage inputs built in the workspace, it computes, in this order
+    of operations,
 
-        g2 = rhs(e_half * (th + (dt/2) g1))
-        g3 = rhs(e_half * th + (dt/2) g2)
-        g4 = rhs(e_full * th + dt (e_half g3))
-        new = e_full * th + (dt/6) ((e_full g1 + (2 e_half) (g2 + g3)) + g4)
+        a2 = a(e_half * (th + (-dt/2) a1))
+        a3 = a(e_half * th + (-dt/2) a2)
+        a4 = a(e_full * th + (-dt) (e_half a3))
+        new = e_full * th + (-dt/6) ((e_full a1 + (2 e_half) (a2 + a3)) + a4)
     """
     config = state.config
     if not np.isfinite(dt) or dt <= 0.0:
@@ -179,30 +179,29 @@ def step(state: SolverState, dt: float) -> SolverState:
 
     th = state.theta.coeffs
     x = _workspace.get(grid)[2]
-    stage = SpectralField(grid, x)
-    g2, g3, g4 = np.empty((3,) + th.shape, dtype=complex)
+    a2, a3, a4 = np.empty((3,) + th.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        g1 = state.stage1[0]
-        np.multiply(0.5 * dt, g1, out=x)
+        a1 = state.stage1[0]
+        np.multiply(-0.5 * dt, a1, out=x)
         x += th
         x *= e_half
-        _rhs(stage, g2, config.nonlinear_enabled)
-        np.multiply(0.5 * dt, g2, out=g3)
+        _advection(grid, x, a2, config.nonlinear_enabled)
+        np.multiply(-0.5 * dt, a2, out=a3)
         np.multiply(e_half, th, out=x)
-        x += g3
-        _rhs(stage, g3, config.nonlinear_enabled)
-        np.multiply(e_half, g3, out=g4)
-        g4 *= dt
+        x += a3
+        _advection(grid, x, a3, config.nonlinear_enabled)
+        np.multiply(e_half, a3, out=a4)
+        a4 *= -dt
         np.multiply(e_full, th, out=x)
-        x += g4
-        _rhs(stage, g4, config.nonlinear_enabled)
-        g2 += g3
+        x += a4
+        _advection(grid, x, a4, config.nonlinear_enabled)
+        a2 += a3
         e_half *= 2.0
-        g2 *= e_half
-        np.multiply(e_full, g1, out=x)
-        x += g2
-        x += g4
-        x *= dt / 6.0
+        a2 *= e_half
+        np.multiply(e_full, a1, out=x)
+        x += a2
+        x += a4
+        x *= -dt / 6.0
         new = e_full * th
         new += x
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .spectral import Grid, RealField, SpectralField, forward_transform, sobolev_norm
 
 PRESETS = ("single_mode", "cmt", "random_h1", "gaussian_bump")
+# the bump width's rule, which initial.sigma reuses; sigma < ~1.6e-162 squares to 0
+_SIGMA = (lambda s: s == 0.0 or min(s, s * s) > 0.0, "be 0 or > 0 with sigma**2 > 0")
 
 
 def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
@@ -22,7 +24,7 @@ def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
                    |amplitude|: H^1 data whose higher norms diverge as the
                    resolution grows.
     gaussian_bump  exp(-|x - center|^2 / sigma^2), mean removed, concentrated
-                   at the box center (sigma defaults to L/10).
+                   at the box center (sigma None or 0 is L/10).
     """
     if preset == "single_mode":
         x1, _ = grid.points()
@@ -35,8 +37,9 @@ def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
         return SpectralField(grid, amplitude * _random_h1(grid, seed).coeffs)
     if preset == "gaussian_bump":
         x1, x2 = grid.points()
-        if sigma is None or sigma <= 0.0:
-            sigma = grid.length / 10.0
+        if sigma is not None and not _SIGMA[0](sigma):
+            raise ParameterError(f"sigma must {_SIGMA[1]}, got {sigma!r}")
+        sigma = sigma or grid.length / 10.0
         center = grid.length / 2.0
         d1 = np.minimum(np.abs(x1 - center), grid.length - np.abs(x1 - center))
         d2 = np.minimum(np.abs(x2 - center), grid.length - np.abs(x2 - center))
@@ -51,12 +54,13 @@ def band_limited_random(grid: Grid, seed: int, max_mode: int,
     """Random-phase field truncated to max|m| <= max_mode, scaled to the
     requested grid sup norm.  Used by the scaling and convolution oracles,
     which need data exactly representable on coarser grids."""
-    from .spectral import inverse_transform, linf_norm
+    from .spectral import inverse_transform
 
     base = _random_h1(grid, seed)
     mask = (np.abs(grid.m1) <= max_mode) & (np.abs(grid.m2) <= max_mode)
     coeffs = base.coeffs * mask
-    sup = linf_norm(inverse_transform(SpectralField(grid, coeffs)))
+    values = inverse_transform(SpectralField(grid, coeffs)).values
+    sup = float(np.max(np.abs(values)))
     if sup > 0.0:
         coeffs = coeffs * (amplitude / sup)
     return SpectralField(grid, coeffs)

@@ -53,7 +53,7 @@ def write_snapshot(path, field: RealField, t: float, gamma: float, kappa: float)
 
 def read_snapshot(path) -> Snapshot:
     """Read a snapshot, raising ``SnapshotFormatError`` for anything that is
-    not a whole snapshot of finite values on a valid grid."""
+    not a whole snapshot of finite values on a valid grid at a time >= 0."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -66,6 +66,8 @@ def read_snapshot(path) -> Snapshot:
         for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
             if not math.isfinite(value):
                 raise SnapshotFormatError(f"{path}: {name} is {value!r}")
+        if t < 0.0:  # runs start at t = 0
+            raise SnapshotFormatError(f"{path}: time {t!r} is negative")
         expected = n * n * 8
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != expected:

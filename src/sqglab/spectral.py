@@ -233,11 +233,6 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     return sobolev_norms(F, (s,))[0]
 
 
-def linf_norm(f: RealField) -> float:
-    """Grid maximum of |f|."""
-    return float(np.max(np.abs(f.values)))
-
-
 def _sample(F: SpectralField):
     """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
     of F, from one batched inverse transform of (F, i k1 F, i k2 F) in this

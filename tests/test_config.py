@@ -122,6 +122,7 @@ class TestParseConfig:
         ("output.betas", "0.5, 1, 0.5", "distinct to 6 significant digits"),
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
+        ("initial.sigma", "1e-170", "initial.sigma must be 0 or > 0 with sigma**2 > 0"),
         ("dynamics.dt_max", "1e-12", "exceeds dt_max"),
         ("grid.length", "1e-320", "grid.length must be > 0 with 2 pi / L finite"),
         ("modulus.r_max", "1e-320", "modulus.r_max must be finite, with 1e-4 r_max > 0"),
@@ -335,6 +336,7 @@ class TestSnapshot:
         (12, "<d", math.nan),
         (12, "<d", 5e-324),               # 2 pi / L overflows
         (20, "<d", math.nan),             # t
+        (20, "<d", -1.0),                 # t before any run starts
         (28, "<d", math.inf),             # gamma
         (36, "<d", -math.inf),            # kappa
         (44, "<d", math.nan),             # first field value

@@ -459,6 +459,27 @@ class TestCli:
         assert key in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
+    @pytest.mark.parametrize("sigma, code", [
+        ("1e-170", 12),  # sigma**2 underflows to 0: the bump's centre is 0 / 0
+        ("1e-160", 0),   # a subnormal sigma**2 still gives a bump
+        ("0", 0),        # the default width
+    ])
+    def test_bump_width_exits_12_only_when_its_square_underflows(
+            self, tmp_path, capsys, sigma, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG.replace("= cmt", "= gaussian_bump")
+                       + f"initial.sigma = {sigma}\n"
+                       + f"output.directory = {tmp_path}/out\n")
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == [] and (tmp_path / "out" / "norms.csv").exists()
+            return
+        assert len(err) == 1
+        assert err[0].startswith("error: line 9: initial.sigma must ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value, line", [
         ("dynamics.gamma", "0.5", 4),
         ("dynamics.kappa", "0.0", 5),

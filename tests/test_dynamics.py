@@ -46,6 +46,8 @@ def reference_step(state, dt):
     grid, config, th = state.theta.grid, state.config, state.theta.coeffs
 
     def rhs(c):
+        if not config.nonlinear_enabled:
+            return np.zeros_like(c)
         return -nonlinear_term(SpectralField(grid, c)).coeffs
 
     lam = config.kappa * grid.kmag_pow(config.gamma)
@@ -182,7 +184,7 @@ class TestStep:
         state = initial_state(make_initial("random_h1", g, seed=1), critical_config())
         rhs, umax = state.stage1
         assert state.stage1[0] is rhs  # computed once per state
-        assert np.array_equal(rhs, -nonlinear_term(state.theta).coeffs)
+        assert np.array_equal(rhs, nonlinear_term(state.theta).coeffs)
         u1, u2 = (inverse_transform(SpectralField(g, u)).values
                   for u in g.multipliers[:2] * state.theta.coeffs)
         speed = np.hypot(u1, u2)
@@ -197,10 +199,16 @@ class TestStep:
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_matches_plain_expression_reference(self, n):
+    @pytest.mark.parametrize("n, flow", [
+        (32, {}),
+        (64, {}),
+        (32, {"nonlinear_enabled": False}),  # the reference's rhs is 0
+        (32, {"kappa": 0.0}),
+    ], ids=["32", "64", "32-linear", "32-inviscid"])
+    def test_matches_plain_expression_reference(self, n, flow):
         g = Grid(n, TWO_PI)
-        state = initial_state(make_initial("random_h1", g, seed=2), critical_config())
+        state = initial_state(make_initial("random_h1", g, seed=2),
+                              critical_config(**flow))
         for _ in range(3):
             dt = 0.7 * adapt_dt(state)
             expected = reference_step(state, dt)

@@ -8,9 +8,9 @@ import pytest
 from sqglab import (
     ConfigError,
     Grid,
+    ParameterError,
     band_limited_random,
     inverse_transform,
-    linf_norm,
     make_initial,
     sobolev_norm,
 )
@@ -83,6 +83,13 @@ def test_gaussian_bump_mean_free_and_centered():
     assert peak == (32, 32)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, -0.5, math.nan])
+def test_gaussian_bump_width_without_a_square_rejected(sigma):
+    # below ~1.6e-162 sigma**2 is 0, and the bump's centre would be 0 / 0
+    with pytest.raises(ParameterError, match="sigma"):
+        make_initial("gaussian_bump", Grid(16, TWO_PI), sigma=sigma)
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         make_initial("vortex", Grid(16, TWO_PI))
@@ -94,4 +101,4 @@ def test_band_limited_random():
     m = np.fft.fftfreq(64, d=1 / 64)
     outside = (np.abs(m[:, None]) > 10) | (np.abs(m[None, :33]) > 10)
     assert np.max(np.abs(F.coeffs[outside])) == 0.0
-    assert abs(linf_norm(inverse_transform(F)) - 0.5) < 1e-13
+    assert abs(np.max(np.abs(inverse_transform(F).values)) - 0.5) < 1e-13

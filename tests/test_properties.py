@@ -125,8 +125,8 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
 
 
 def _rhs_of(theta, dealiased_state):
-    """The stepper's first RK4 stage and sup|u|, from a state built as
-    ``initial_state`` builds it or from theta as given."""
+    """The advection term the stepper starts from and sup|u|, from a state
+    built as ``initial_state`` builds it or from theta as given."""
     config = SolverConfig(gamma=1.0)
     if dealiased_state:
         return initial_state(theta, config).stage1
@@ -142,7 +142,7 @@ def test_rhs_of_dealiased_theta_matches_full_width_reference(grid, seed, scale):
     u1, u2, d1, d2 = np.fft.irfftn(grid.multipliers * theta.coeffs, s=(n, n),
                                    axes=(-2, -1), norm="forward")
     product = np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward")
-    assert np.array_equal(rhs, -dealias(SpectralField(grid, product)).coeffs)
+    assert np.array_equal(rhs, dealias(SpectralField(grid, product)).coeffs)
 
 
 @SETTINGS

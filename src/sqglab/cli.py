@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import RunConfig, load_config
+from .diagnostics import NormSeries, check_boundedness, fit_decay_exponent
+from .driver import run_simulation
 from .errors import (
     BlowUpError,
     BudgetError,
@@ -18,6 +21,9 @@ from .errors import (
     ParameterError,
     SnapshotFormatError,
 )
+from .modulus import _monitor, _unbacked, check_modulus
+from .oracles import ORACLE_CSV_HEADER, SUITES, run_oracle_suite
+from .snapshot import read_snapshot
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -38,9 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .config import RunConfig
-    from .oracles import SUITES
-
     parser = _Parser(
         prog="sqglab",
         description="Pseudo-spectral quasi-geostrophic solver and diagnostics")
@@ -72,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .config import load_config
-    from .driver import run_simulation
-
     config = load_config(args.config)
     if args.output is not None:
         config.directory = args.output
@@ -92,8 +92,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracles import ORACLE_CSV_HEADER, run_oracle_suite
-
     reports = run_oracle_suite(args.suite)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(ORACLE_CSV_HEADER + "\n")
@@ -107,14 +105,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_modulus_check(args) -> int:
-    from .modulus import _monitor, _unbacked, check_modulus
-    from .snapshot import read_snapshot
-
     snap = read_snapshot(args.field)
     if unbacked := _unbacked(snap.gamma, snap.kappa):
         raise ConfigError(f"modulus-check: {args.field}: snapshot {unbacked[1]}")
     try:
-        mod, offsets = _monitor(snap.field.grid, args.delta3, snap.kappa, args.r_max)
+        mod, offsets, _ = _monitor(snap.field.grid, args.delta3, snap.kappa, args.r_max)
     except ParameterError as exc:
         raise ConfigError(f"modulus-check: --delta3 {args.delta3}, snapshot kappa "
                           f"{snap.kappa}, --r-max {args.r_max}: {exc}") from None
@@ -126,8 +121,6 @@ def _cmd_modulus_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .diagnostics import NormSeries, check_boundedness, fit_decay_exponent
-
     try:
         a, b = args.window.split(":")
         window = (float(a), float(b))

@@ -182,23 +182,25 @@ def _log_times(config: RunConfig) -> list:
     return [config.log_min * 10.0 ** (j / per) for j in range(count + 1)]
 
 
-def _schedule(config: RunConfig) -> dict[float, set]:
-    """Event times in increasing order, each mapped to its kinds: "sample"
-    on the sample_dt grid, at the optional log-spaced times and at t_end,
-    "snapshot" and "checkpoint" on their cadences.  Times are merged as
-    ``run_until`` merges its callback times, so no two events fall on the
-    same state and the run ends at t_end.
+def _schedule(config: RunConfig, start: float = 0.0) -> dict[float, set]:
+    """A run's events from ``start`` on, in increasing order, each mapped to
+    its kinds: "sample" at 0, on the sample_dt grid, at the optional log
+    times and at t_end, "snapshot" and "checkpoint" on their cadences.  The
+    times and ``start`` merge as ``run_until`` merges callback times, so no
+    two events fall on one state, the run ends at t_end, and the first event
+    is the start's own, with the kinds merged there (maybe none).
     """
     end = float(config.t_end)
     wanted = [(t, "sample") for t in
-              _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
+              [0.0] + _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
     wanted += [(t, "snapshot") for t in _cadence_times(config.snapshot_dt, end)]
     wanted += [(t, "checkpoint")
                for t in _cadence_times(config.checkpoint_dt, end)]
-    at = _event_times([t for t, _ in wanted], end)
-    events: dict[float, set] = {}
+    at = _event_times([start] + [t for t, _ in wanted], end)
+    events: dict[float, set] = {at[start]: set()}
     for t, kind in sorted(wanted):
-        events.setdefault(at[t], set()).add(kind)
+        if at[t] >= at[start]:
+            events.setdefault(at[t], set()).add(kind)
     return events
 
 

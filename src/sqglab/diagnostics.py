@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ParameterError
+from .errors import BlowUpError, ParameterError, _check
 from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
@@ -32,8 +32,7 @@ class NormSeries:
 
     def __init__(self, betas=()):
         self.betas = tuple(float(b) for b in betas)
-        if not _BETAS[0](self.betas):
-            raise ParameterError(f"betas must {_BETAS[1]}, got {self.betas}")
+        _check(_BETAS, "betas", self.betas)
         self.columns = BASE_COLUMNS + tuple(beta_column_name(b) for b in self.betas)
         self._rows: list[list[float]] = []
 

@@ -1,16 +1,16 @@
 """Run orchestration: set-up, restart, checkpointing, norm recording.
 
 After the initial sample, a run's sample diagnostics (``record_norms``, then
-the modulus check) run on a one-thread executor, in sample order with at most
-one sample waiting, while the stepper goes on; a run uses up to two cores.
-The outputs and the failure behaviour are those of running them in line:
-snapshots, checkpoints and ``norms.csv`` wait for every earlier sample, and
-the first diagnostics error is raised in place of anything the stepper
-raises after it.  A failed sample ends the run at the next snapshot or
-checkpoint, or at the second sample after it.  The overlap pays at every
-size measured on a 2-CPU machine: running the diagnostics in line lost every
-pair of whole ``sqglab run`` wall times at n = 256 and 512, and moving only
-the norm rows in line lost at n = 128.
+the check ``modulus._monitor`` returns) run on a one-thread executor, in
+sample order with at most one sample waiting, while the stepper goes on; a
+run uses up to two cores.  The outputs and the failure behaviour are those of
+running them in line: snapshots, checkpoints and ``norms.csv`` wait for
+every earlier sample, and the first diagnostics error is raised in place of
+anything the stepper raises after it.  A failed sample ends the run at the
+next snapshot or checkpoint, or at the second sample after it.  The overlap
+pays at every size measured on a 2-CPU machine: running the diagnostics in
+line lost every pair of whole ``sqglab run`` wall times at n = 256 and 512,
+and moving only the norm rows in line lost at n = 128.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import numpy as np
 
 from .config import RunConfig, _schedule
 from .diagnostics import NormSeries, record_norms
-from .dynamics import SolverState, _event_times, initial_state, run_until
+from .dynamics import SolverState, initial_state, run_until
 from .errors import ConfigError, ParameterError
 from .initial import make_initial
-from .modulus import _lattice_bound, _monitor, check_modulus
+from .modulus import _monitor
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import Grid, RealField, forward_transform, inverse_transform
+from .spectral import Grid, forward_transform, inverse_transform
 
 
 @dataclass
@@ -46,14 +46,14 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
 
     When ``restart`` names a snapshot, the run resumes from its field and
     time; a snapshot whose grid, gamma or kappa differs from the config, or
-    whose time is past t_end, is rejected with ``ConfigError``.  The event
-    schedule is regenerated from t = 0 and filtered, so a resumed run
-    reproduces the uninterrupted trajectory exactly: snapshot writes
-    round-trip the in-memory state through the serialized values, and both
-    the resumed and the continuing run project them as ``initial_state``
-    does, so every state stays exactly zero outside ``dealias_mask``.  The
-    output directory is created only after the set-up, the initial sample
-    included, has succeeded.
+    whose time is past t_end, is rejected with ``ConfigError``.  The
+    schedule places the start, so a resumed run samples there only when a
+    sample event merges there, and reproduces the uninterrupted trajectory
+    exactly: snapshot writes round-trip the in-memory state through the
+    serialized values, and both runs project them as ``initial_state`` does,
+    so every state stays exactly zero outside ``dealias_mask``.  A sample's
+    monitor check is ``_monitor``'s.  The output directory is created only
+    after the set-up, the initial sample included, has succeeded.
     """
     out_dir = Path(config.directory)
     grid = Grid(config.n, config.length)
@@ -89,27 +89,22 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
                               f"initial coefficients non-finite")
         state = initial_state(theta0, solver)
 
-    events = _schedule(config)
+    (_, start_kinds), *events = _schedule(config, state.t).items()
     series = NormSeries(betas=config.betas)
-    mod = offsets = safe = None
+    breach = None
     if config.modulus_enabled:
         try:
-            mod, offsets = _monitor(grid, config.delta3, solver.kappa, config.r_max)
+            _, _, breach = _monitor(grid, config.delta3, solver.kappa, config.r_max)
         except ParameterError as exc:
             raise ConfigError(
                 f"modulus.delta3 = {config.delta3}, dynamics.kappa = {solver.kappa}, "
                 f"modulus.r_max = {config.r_max}: {exc}") from None
-        safe = _lattice_bound(grid, mod, offsets)
     breaches = []
 
     def observe(st: SolverState):
         values, hi, lo = record_norms(st, series)
-        # the exhaustive check runs only where the lattice bound cannot rule
-        # a breach out
-        if mod is not None and not safe(values, hi, lo):
-            report = check_modulus(RealField(st.theta.grid, values), mod, offsets)
-            if report.breached:
-                breaches.append(report)
+        if breach is not None and (report := breach(values, hi, lo)) is not None:
+            breaches.append(report)
 
     def persist(st: SolverState, kinds) -> SolverState:
         phys = inverse_transform(st.theta)
@@ -124,12 +119,8 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
         return replace(st, theta=initial_state(forward_transform(phys), solver).theta)
 
     # the initial sample is the last of the set-up: a run that fails before
-    # its first step leaves no output directory.  The start falls on the
-    # events that the schedule's rule merges with it.
-    start = state.t
-    at = _event_times([start, *events], config.t_end)
-    if start == 0.0 or any("sample" in kinds for t, kinds in events.items()
-                           if at[t] == at[start]):
+    # its first step leaves no output directory
+    if "sample" in start_kinds:
         observe(state)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,9 +139,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     job.set_result(None)
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            for t_ev, kinds in events.items():
-                if at[t_ev] <= at[start]:
-                    continue
+            for t_ev, kinds in events:
                 state = run_until(state, t_ev)
                 if "snapshot" in kinds or "checkpoint" in kinds:
                     job.result()

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BlowUpError, BudgetError, ParameterError
+from .errors import BlowUpError, BudgetError, ParameterError, _check
 from .spectral import SpectralField, _forward, _inverse, _sup_norm, _workspace, dealias
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
@@ -81,10 +81,8 @@ class SolverConfig:
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
-        for name, (test, what) in _RULES.items():
-            value = getattr(self, name)
-            if not test(value):
-                raise ParameterError(f"{name} must {what}, got {value}")
+        for name, rule in _RULES.items():
+            _check(rule, name, getattr(self, name))
         if not self.dt_min <= self.dt_max:
             raise ParameterError(
                 f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")

@@ -7,6 +7,14 @@ class ParameterError(ValueError):
     object that cannot be built with the required properties."""
 
 
+def _check(rule, name: str, *values, got=None) -> None:
+    """Raise ParameterError "{name} must {what}, got {got}" unless the value
+    rule (test, what) holds for ``values``; ``got`` defaults to the value."""
+    test, what = rule
+    if not test(*values):
+        raise ParameterError(f"{name} must {what}, got {values[0] if got is None else got}")
+
+
 class BlowUpError(ArithmeticError):
     """The solution became non-finite: its coefficients, with ``mode`` the
     largest offending mode, or else (``mode`` None) the norm ``norm``."""

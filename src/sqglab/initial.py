@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
-from .spectral import Grid, RealField, SpectralField, forward_transform, sobolev_norm
+from .errors import ConfigError, _check
+from .spectral import (Grid, RealField, SpectralField, forward_transform,
+                       inverse_transform, sobolev_norm)
 
 PRESETS = ("single_mode", "cmt", "random_h1", "gaussian_bump")
 # the bump width's rule, which initial.sigma reuses; sigma < ~1.6e-162 squares to 0
@@ -37,13 +38,15 @@ def make_initial(preset: str, grid: Grid, seed: int = 0, amplitude: float = 1.0,
         return SpectralField(grid, amplitude * _random_h1(grid, seed).coeffs)
     if preset == "gaussian_bump":
         x1, x2 = grid.points()
-        if sigma is not None and not _SIGMA[0](sigma):
-            raise ParameterError(f"sigma must {_SIGMA[1]}, got {sigma!r}")
+        if sigma is not None:
+            _check(_SIGMA, "sigma", sigma, got=repr(sigma))
         sigma = sigma or grid.length / 10.0
         center = grid.length / 2.0
         d1 = np.minimum(np.abs(x1 - center), grid.length - np.abs(x1 - center))
         d2 = np.minimum(np.abs(x2 - center), grid.length - np.abs(x2 - center))
-        bump = amplitude * np.exp(-(d1 ** 2 + d2 ** 2) / sigma ** 2)
+        # a subnormal sigma**2 sends every point off the centre to exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            bump = amplitude * np.exp(-(d1 ** 2 + d2 ** 2) / sigma ** 2)
         bump -= np.mean(bump)
         return forward_transform(RealField(grid, bump))
     raise ConfigError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
@@ -54,8 +57,6 @@ def band_limited_random(grid: Grid, seed: int, max_mode: int,
     """Random-phase field truncated to max|m| <= max_mode, scaled to the
     requested grid sup norm.  Used by the scaling and convolution oracles,
     which need data exactly representable on coarser grids."""
-    from .spectral import inverse_transform
-
     base = _random_h1(grid, seed)
     mask = (np.abs(grid.m1) <= max_mode) & (np.abs(grid.m2) <= max_mode)
     coeffs = base.coeffs * mask

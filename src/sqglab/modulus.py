@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check
 from .spectral import RealField, Grid
 
 # Composite Gauss-Legendre rule in x = log s: panel width and nodes per panel
@@ -128,9 +128,7 @@ class BreachReport:
 def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
     """Construct and certify the modulus table on log-spaced nodes."""
     for name, value in (("delta3", delta3), ("r_max", r_max)):
-        test, what = _RULES[name]
-        if not test(value):
-            raise ParameterError(f"{name} must {what}, got {value}")
+        _check(_RULES[name], name, value)
 
     # a huge r_max overflows on the way: _certify rejects the non-finite or
     # non-monotone table that results, so numpy need not warn as well
@@ -217,8 +215,22 @@ def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
 
 
 def _monitor(grid: Grid, delta3: float, kappa: float, r_max: float):
-    """The breach monitor's modulus kappa omega (see ``_unbacked``) and offsets."""
-    return build_knv_modulus(delta3 * kappa, r_max), default_offsets(grid, r_max)
+    """The breach monitor on ``grid``: its modulus kappa omega (see
+    ``_unbacked``), offsets, and per-sample check ``breach(values, hi, lo)``,
+    which returns the exhaustive check's report on a breached sample, else
+    None.  The exhaustive check runs where ``_lattice_bound`` cannot rule a
+    breach out."""
+    mod = build_knv_modulus(delta3 * kappa, r_max)
+    offsets = default_offsets(grid, r_max)
+    safe = _lattice_bound(grid, mod, offsets)
+
+    def breach(values: np.ndarray, hi: float, lo: float):
+        if safe(values, hi, lo):
+            return None
+        report = check_modulus(RealField(grid, values), mod, offsets)
+        return report if report.breached else None
+
+    return mod, offsets, breach
 
 
 def _shift_sups(values: np.ndarray, offsets) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check
 
 
 # Grid's rules, (test, what the value must do), which the grid.* keys reuse;
@@ -53,13 +53,10 @@ class Grid:
 
     def __init__(self, n: int, length: float):
         n = int(n)
-        if not _SIZE[0](n):
-            raise ParameterError(f"grid size must {_SIZE[1]}, got {n}")
-        if not _LENGTH[0](length):
-            raise ParameterError(f"box length must {_LENGTH[1]}, got {length!r}")
-        if not _SPAN[0](n, length):
-            raise ParameterError(f"grid size and box length must {_SPAN[1]}, "
-                                 f"got n = {n}, L = {length!r}")
+        _check(_SIZE, "grid size", n)
+        _check(_LENGTH, "box length", length, got=repr(length))
+        _check(_SPAN, "grid size and box length", n, length,
+               got=f"n = {n}, L = {length!r}")
         self.n = n
         self.length = float(length)
         self.dx = self.length / n

@@ -214,6 +214,10 @@ class TestParseConfig:
         text, _ = with_value("output.betas", value)
         assert parse_config(text).betas == tuple(float(b) for b in value.split(","))
 
+    def test_empty_betas_value_is_no_betas(self):
+        text, _ = with_value("output.betas", "")
+        assert parse_config(text).betas == ()
+
 
 def with_value(key, value):
     """MINIMAL with ``key = value``, on the key's own line if MINIMAL has it,

@@ -216,6 +216,11 @@ def test_integral_tail_fraction():
     assert abs(frac2 - 0.1) < 1e-12
 
 
+def test_integral_tail_fraction_needs_three_samples():
+    with pytest.raises(ParameterError, match="at least 3 samples"):
+        integral_tail_fraction([0.0, 1.0], [1.0, 1.0])
+
+
 def test_warm_record_norms_allocates_no_large_temporaries():
     # the batched (theta, d1 theta, d2 theta) inverse and its reductions run in
     # the per-thread workspace; made afresh they peak at about 2.2x the

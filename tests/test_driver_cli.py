@@ -135,6 +135,38 @@ class TestDriver:
         assert all(b - a > 1e-14 for a, b in zip(times, times[1:]))
         assert events[0.3] == {"sample", "snapshot"}
 
+    def test_a_fresh_run_samples_at_the_scheduled_sample_times(self, tmp_path):
+        # t = 0 is a scheduled sample, merged by the same rule as the others
+        config = parse_config(BASE_CONFIG.replace("time.sample_dt = 0.25",
+                                                  "time.sample_dt = 0.1")
+                              + "output.snapshot_dt = 0.3\noutput.log_sampling = true\n"
+                              + f"output.directory = {tmp_path}/out\n")
+        events = _schedule(config)
+        assert list(events)[0] == 0.0 and "sample" in events[0.0]
+        times = [t for t, kinds in events.items() if "sample" in kinds]
+        result = run_simulation(config)
+        assert list(NormSeries.read_csv(result.norms_path).t) == times
+
+    @pytest.mark.parametrize("start, sampled", [
+        (0.5, True),  # a sample time
+        (math.nextafter(0.5, 1.0), True),  # within the snap tolerance of one
+        (0.3, False),  # a snapshot time, and no sample's
+    ])
+    def test_a_restart_samples_at_its_start_only_on_a_sample_event(
+            self, tmp_path, start, sampled):
+        config = parse_config(BASE_CONFIG + "output.snapshot_dt = 0.3\n"
+                              + f"output.directory = {tmp_path}/out\n")
+        (at, kinds), *_ = _schedule(config, start).items()
+        assert at == (0.5 if sampled else start)
+        assert ("sample" in kinds) is sampled
+        g = Grid(32, 2.0 * math.pi)
+        x1, x2 = g.points()
+        snap = tmp_path / "start.bin"
+        write_snapshot(snap, RealField(g, np.sin(x1) * np.cos(x2)), start, 1.0, 1.0)
+        t = NormSeries.read_csv(run_simulation(config, restart=snap).norms_path).t
+        later = [t_s for t_s in (0.5, 0.75, 1.0) if t_s > start]
+        assert list(t) == ([start] if sampled else []) + later
+
     def test_snapshot_header_matches_run(self, tmp_path):
         text = BASE_CONFIG + "output.snapshot_dt = 0.5\n"
         config = parse_config(text + f"output.directory = {tmp_path}/out\n")
@@ -879,7 +911,7 @@ class TestModulusBound:
 
     def test_skipping_changes_no_output(self, tmp_path, monkeypatch):
         bounded = self.run(tmp_path, "bounded")
-        monkeypatch.setattr(driver, "_lattice_bound",
+        monkeypatch.setattr(modulus, "_lattice_bound",
                             lambda grid, mod, offsets: lambda values, hi, lo: False)
         exhaustive = self.run(tmp_path, "exhaustive")
         assert len(bounded.breaches) == 9
@@ -894,7 +926,7 @@ class TestModulusBound:
     def test_the_exhaustive_check_runs_on_fewer_samples(self, tmp_path, monkeypatch):
         # each check sees the grid values of the sample just recorded
         sampled, checked = [], []
-        real_record, real_check = driver.record_norms, driver.check_modulus
+        real_record, real_check = driver.record_norms, modulus.check_modulus
 
         def record_norms(state, series):
             sampled.append(inverse_transform(state.theta).values)
@@ -906,7 +938,7 @@ class TestModulusBound:
             return real_check(field, mod, offsets)
 
         monkeypatch.setattr(driver, "record_norms", record_norms)
-        monkeypatch.setattr(driver, "check_modulus", check_modulus)
+        monkeypatch.setattr(modulus, "check_modulus", check_modulus)
         result = self.run(tmp_path, "spied")
         assert len(sampled) == len(result.series) == 21
         assert len(result.breaches) < len(checked) < len(sampled)

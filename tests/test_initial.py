@@ -1,6 +1,7 @@
 """Tests for initial-condition presets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_gaussian_bump_width_without_a_square_rejected(sigma):
     # below ~1.6e-162 sigma**2 is 0, and the bump's centre would be 0 / 0
     with pytest.raises(ParameterError, match="sigma"):
         make_initial("gaussian_bump", Grid(16, TWO_PI), sigma=sigma)
+
+
+def test_gaussian_bump_with_a_subnormal_square_is_one_point_without_warnings():
+    # sigma**2 ~ 1e-320 is subnormal: off the centre the exponent is -inf
+    g = Grid(16, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = inverse_transform(make_initial("gaussian_bump", g, sigma=1e-160)).values
+    expected = np.full((16, 16), -1.0 / 256.0)
+    expected[8, 8] += 1.0
+    assert np.max(np.abs(values - expected)) < 1e-15
 
 
 def test_unknown_preset():

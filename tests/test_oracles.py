@@ -184,6 +184,16 @@ class TestSuites:
         with pytest.raises(SystemExit):
             parser.parse_args(["oracle", "--suite", "nope"])
 
+    def test_every_suite_passes_at_its_tolerance(self):
+        # the tolerances never loosen: linear 1e-12, single-mode 1e-8, scaling
+        # 1e-5 (nonlinear) and 1e-12 (linear), convolution 1e-10
+        reports = run_oracle_suite("all")
+        assert [(r.name, r.tolerance) for r in reports] == (
+            [(f"linear_gamma{gamma}", 1e-12) for gamma in ("0.5", "1", "1.5", "2")]
+            + [("single_mode", 1e-8), ("scaling_c2", 1e-5), ("scaling_c2_linear", 1e-12)]
+            + [(f"convolution_seed{seed}", 1e-10) for seed in range(5)])
+        assert all(r.passed for r in reports), [r.csv_row() for r in reports]
+
     def test_unknown_suite_is_a_config_error(self):
         with pytest.raises(ConfigError, match="choose all, linear"):
             run_oracle_suite("nope")

@@ -65,6 +65,9 @@ class TestGrid:
         with pytest.raises(ParameterError, match="largest wavenumber"):
             Grid(16, 1e-307)  # 2 pi / L is finite, (2 pi / L) n / sqrt 2 is not
 
+    def test_repr(self):
+        assert repr(Grid(8, 4.0)) == "Grid(n=8, length=4.0)"
+
     def test_wavenumber_lattice(self):
         g = grid(8, 4.0)
         m = np.fft.fftfreq(8, d=1 / 8)

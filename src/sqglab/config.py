@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .diagnostics import _BETAS
 from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .initial import _SIGMA, PRESETS
 from .modulus import _RULES as _MODULUS_RULES, _unbacked
 from .spectral import _LENGTH, _SIZE, _SPAN
@@ -60,15 +60,11 @@ class RunConfig:
     directory: str = "out"
     betas: tuple = ()
     snapshot_dt: float = 0.0
-    log_sampling: bool = False
-    log_min: float = 1e-3
-    log_per_decade: int = 10
 
 
 # value rules: (test, what the key's value must do)
 _POSITIVE = (lambda v: v > 0.0, "be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "be >= 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
 _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 
 
@@ -82,8 +78,7 @@ _KEYS = {
     "dynamics.gamma": ("gamma", _parse_float, _RULES["gamma"], True),
     "dynamics.kappa": ("kappa", _parse_float, _RULES["kappa"], False),
     "dynamics.cfl": ("cfl", _parse_float, _RULES["cfl"], False),
-    "dynamics.dt_max": ("dt_max", _parse_float, _POSITIVE, False),
-    "dynamics.dt_min": ("dt_min", _parse_float, _RULES["dt_min"], False),
+    "dynamics.dt_max": ("dt_max", _parse_float, _RULES["dt_max"], False),
     "dynamics.nonlinear": ("nonlinear_enabled", _parse_bool, None, False),
     "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
     "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
@@ -98,9 +93,6 @@ _KEYS = {
     "output.directory": ("directory", str, None, False),
     "output.betas": ("betas", _parse_float_list, _BETAS, False),
     "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
-    "output.log_sampling": ("log_sampling", _parse_bool, None, False),
-    "output.log_min": ("log_min", _parse_float, _POSITIVE, False),
-    "output.log_per_decade": ("log_per_decade", int, _AT_LEAST_ONE, False),
 }
 
 
@@ -146,12 +138,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"grid.n and grid.length must {_SPAN[1]}, got n = {n}, L = {length!r}",
             line=max(seen["grid.n"], seen["grid.length"]))
-    try:
-        solver = SolverConfig(**dynamics)
-    except ParameterError as exc:
-        # the value rules leave only the pair dt_min <= dt_max to fail here
-        raise ConfigError(f"dynamics.{exc}", line=max(
-            seen.get("dynamics.dt_min", 0), seen.get("dynamics.dt_max", 0))) from None
+    solver = SolverConfig(**dynamics)
     bad = _unbacked(solver.gamma, solver.kappa)
     if bad and values.get("modulus_enabled"):
         raise ConfigError(f"dynamics.{bad[1]}", line=seen[f"dynamics.{bad[0]}"])
@@ -173,26 +160,17 @@ def _cadence_times(dt: float, t_end: float) -> list:
     return [i * dt for i in range(1, _cadence_count(dt, t_end) + 1)]
 
 
-def _log_times(config: RunConfig) -> list:
-    if not config.log_sampling:
-        return []
-    per = config.log_per_decade
-    decades = math.log10(config.t_end) - math.log10(config.log_min)
-    count = int(math.ceil(decades * per)) + 1
-    return [config.log_min * 10.0 ** (j / per) for j in range(count + 1)]
-
-
 def _schedule(config: RunConfig, start: float = 0.0) -> dict[float, set]:
     """A run's events from ``start`` on, in increasing order, each mapped to
-    its kinds: "sample" at 0, on the sample_dt grid, at the optional log
-    times and at t_end, "snapshot" and "checkpoint" on their cadences.  The
-    times and ``start`` merge as ``run_until`` merges callback times, so no
-    two events fall on one state, the run ends at t_end, and the first event
-    is the start's own, with the kinds merged there (maybe none).
+    its kinds: "sample" at 0, on the sample_dt grid and at t_end, "snapshot"
+    and "checkpoint" on their cadences.  The times and ``start`` merge as
+    ``run_until`` merges callback times, so no two events fall on one state,
+    the run ends at t_end, and the first event is the start's own, with the
+    kinds merged there (maybe none).
     """
     end = float(config.t_end)
     wanted = [(t, "sample") for t in
-              [0.0] + _cadence_times(config.sample_dt, end) + _log_times(config) + [end]]
+              [0.0] + _cadence_times(config.sample_dt, end) + [end]]
     wanted += [(t, "snapshot") for t in _cadence_times(config.snapshot_dt, end)]
     wanted += [(t, "checkpoint")
                for t in _cadence_times(config.checkpoint_dt, end)]
@@ -209,24 +187,16 @@ def _check_schedule(config: RunConfig, seen: dict) -> None:
     ``_schedule`` builds it: each event takes at least one step.  The counts
     are computed, never listed, so a huge one fails at once.  Then reject
     snapshots closer than their file names (``snap_{t:.6f}.bin``) resolve."""
-    over = [(what, keys) for what, keys, dt in (
-        ("samples", ("time.t_end", "time.sample_dt"), config.sample_dt),
-        ("snapshots", ("time.t_end", "output.snapshot_dt"), config.snapshot_dt),
-        ("checkpoints", ("time.t_end", "time.checkpoint_dt"), config.checkpoint_dt),
-    ) if _cadence_count(dt, config.t_end) > _MAX_STEPS]
-    if config.log_sampling:
-        decades = math.log10(config.t_end) - math.log10(config.log_min)
-        # decades * per >= budget, without converting a huge per to float
-        if decades >= _MAX_STEPS / config.log_per_decade:
-            over.append(("log-spaced samples",
-                         ("time.t_end", "output.log_sampling", "output.log_min",
-                          "output.log_per_decade")))
-    if over:
-        what, keys = over[0]
-        given = [key for key in keys if key in seen]
-        raise ConfigError(
-            f"{', '.join(given)}: more than {_MAX_STEPS} {what}, the step "
-            f"budget of a run", line=max(seen[key] for key in given))
+    for what, key, dt in (
+        ("samples", "time.sample_dt", config.sample_dt),
+        ("snapshots", "output.snapshot_dt", config.snapshot_dt),
+        ("checkpoints", "time.checkpoint_dt", config.checkpoint_dt),
+    ):
+        if _cadence_count(dt, config.t_end) > _MAX_STEPS:
+            given = [k for k in ("time.t_end", key) if k in seen]
+            raise ConfigError(
+                f"{', '.join(given)}: more than {_MAX_STEPS} {what}, the step "
+                f"budget of a run", line=max(seen[k] for k in given))
     if 0.0 < config.snapshot_dt < 1e-6:
         raise ConfigError(f"output.snapshot_dt must be 0 or >= 1e-6, the resolution "
                           f"of the snapshot file names, got {config.snapshot_dt!r}",

@@ -8,6 +8,7 @@ with full 17-significant-digit decimals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,10 @@ from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
 # NormSeries' rule, (test, what the betas must do), which output.betas reuses:
-# each extra order 1 + beta is >= 0 and names its own column
-_BETAS = (lambda betas: all(b >= -1.0 for b in betas)
+# each extra order 1 + beta is finite, >= 0 and names its own column
+_BETAS = (lambda betas: all(-1.0 <= b < math.inf for b in betas)
           and len(set(map(beta_column_name, betas))) == len(betas),
-          "all be >= -1 and distinct to 6 significant digits")
+          "all be >= -1, finite and distinct to 6 significant digits")
 
 
 def beta_column_name(beta: float) -> str:

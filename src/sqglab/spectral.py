@@ -20,6 +20,7 @@ run on the first cutoff + 1 columns alone (Patterson and Orszag, 1971).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -29,11 +30,16 @@ from .errors import ParameterError, _check
 
 
 # Grid's rules, (test, what the value must do), which the grid.* keys reuse;
-# the largest |k|, at m = (n/2, n/2), can overflow where 2 pi / L does not
-_SIZE = (lambda n: n % 2 == 0 and n >= 8, "be even and >= 8")
+# the largest |k|, at m = (n/2, n/2), can overflow where 2 pi / L does not.
+# L is a Python float in the arithmetic, so a numpy scalar overflows to inf
+# without a RuntimeWarning
+_SIZE = (lambda n: isinstance(n, numbers.Integral) and n % 2 == 0 and n >= 8,
+         "be even and >= 8")
 _LENGTH = (lambda length: 0.0 < length < math.inf
-           and math.isfinite(2.0 * math.pi / length), "be > 0 with 2 pi / L finite")
-_SPAN = (lambda n, length: math.isfinite(2.0 * math.pi / length * (n // 2) * 2 ** 0.5),
+           and math.isfinite(2.0 * math.pi / float(length)),
+           "be > 0 with 2 pi / L finite")
+_SPAN = (lambda n, length: math.isfinite(2.0 * math.pi / float(length) * (n // 2)
+                                         * 2 ** 0.5),
          "give a finite largest wavenumber (2 pi / L) n / sqrt 2")
 
 
@@ -52,8 +58,8 @@ class Grid:
     """
 
     def __init__(self, n: int, length: float):
+        _check(_SIZE, "grid size", n, got=repr(n))
         n = int(n)
-        _check(_SIZE, "grid size", n)
         _check(_LENGTH, "box length", length, got=repr(length))
         _check(_SPAN, "grid size and box length", n, length,
                got=f"n = {n}, L = {length!r}")
@@ -216,8 +222,8 @@ def sobolev_norms(F: SpectralField, orders) -> list[float]:
     the full L^2 norm; for s > 0 the zero mode contributes nothing.
     """
     orders = [float(s) for s in orders]
-    if any(s < 0 for s in orders):
-        raise ParameterError(f"Sobolev orders must be >= 0, got {orders}")
+    if not all(0.0 <= s < math.inf for s in orders):
+        raise ParameterError(f"Sobolev orders must be finite and >= 0, got {orders}")
     grid = F.grid
     energy = grid.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
     norms = {s: grid.length * float(np.sqrt(np.sum(grid.kmag_pow(2.0 * s) * energy)))

@@ -91,6 +91,11 @@ class TestNormSeries:
         with pytest.raises(ParameterError, match="distinct to 6 significant digits"):
             NormSeries(betas=betas)
 
+    @pytest.mark.parametrize("betas", [(math.inf,), (0.5, math.nan), (-math.inf,)])
+    def test_non_finite_betas_rejected(self, betas):
+        with pytest.raises(ParameterError, match="finite"):
+            NormSeries(betas=betas)
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         series = NormSeries()
         series.append([0.1, 1 / 3, 2 / 3, 1 / 7, 1 / 11, 1 / 13, 1 / 17])
@@ -120,6 +125,7 @@ class TestNormSeries:
         ("t,linf,l2,h1,h3_2,h2,grad_sup,extra\n", "not a norms header"),
         ("t,linf,l2,h1,h3_2,h2,grad_sup,h1+0.50\n", "not a norms header"),
         ("t,linf,l2,h1,h3_2,h2,grad_sup,h1+0.5,h1+0.5\n", "not a norms header"),
+        ("t,linf,l2,h1,h3_2,h2,grad_sup,h1+inf\n", "not a norms header"),
         ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.1,1,1,x,1,1,1\n", "line 2"),
         ("t,linf,l2,h1,h3_2,h2,grad_sup\n0.1,1,1,1,1,1\n", "line 2"),
         ("t,linf,l2,h1,h3_2,h2,grad_sup\n\n0.1,1,nan,1,1,1,1\n", "line 3.*'l2'"),

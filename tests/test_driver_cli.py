@@ -96,18 +96,6 @@ class TestDriver:
             assert (resumed.state.step_count > 0) is stepped
             assert np.all(resumed.state.theta.coeffs[outside] == 0)
 
-    def test_log_sampling_times(self):
-        config = parse_config(BASE_CONFIG + (
-            "output.log_sampling = true\n"
-            "output.log_min = 0.001\n"
-            "output.log_per_decade = 5\n"
-        ))
-        times = [t for t, kinds in _schedule(config).items() if "sample" in kinds]
-        assert 0.001 in times
-        assert any(t < 0.25 for t in times)
-        assert times[-1] == 1.0
-        assert all(b > a for a, b in zip(times, times[1:]))
-
     @pytest.mark.parametrize("t_end, sample_dt, rows", [
         ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
         ("2.1", "0.7", [0.0, 0.7, 1.4, 2.1]),
@@ -139,7 +127,7 @@ class TestDriver:
         # t = 0 is a scheduled sample, merged by the same rule as the others
         config = parse_config(BASE_CONFIG.replace("time.sample_dt = 0.25",
                                                   "time.sample_dt = 0.1")
-                              + "output.snapshot_dt = 0.3\noutput.log_sampling = true\n"
+                              + "output.snapshot_dt = 0.3\n"
                               + f"output.directory = {tmp_path}/out\n")
         events = _schedule(config)
         assert list(events)[0] == 0.0 and "sample" in events[0.0]
@@ -397,15 +385,16 @@ class TestCli:
         assert "output.snapshot_dt must be 0 or >= 1e-6" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_blow_up_exit_2(self, tmp_path):
+    def test_blow_up_exit_2(self, tmp_path, capsys):
+        # the speed overflows, so the first step is adapt_dt's floor, 1e-10
         config = tmp_path / "explode.cfg"
         config.write_text(BASE_CONFIG.replace("dynamics.kappa = 1.0",
                                               "dynamics.kappa = 0.0") + (
-            "dynamics.dt_min = 0.05\n"
-            "initial.amplitude = 1e8\n"
+            "initial.amplitude = 1e100\n"
             f"output.directory = {tmp_path}/out\n"
         ))
         assert main(["run", "--config", str(config)]) == 2
+        assert "non-finite coefficients at t = 1e-10 (step 1)" in capsys.readouterr().err
 
     def test_step_budget_exceeded_exit_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 2)
@@ -475,8 +464,8 @@ class TestCli:
         ("modulus.r_max", "1e-320"),  # 1e-4 r_max underflows
         ("time.sample_dt", "1e-300"),
         ("output.snapshot_dt", "1e-300"),
-        ("output.log_per_decade", "0"),
-        ("output.log_per_decade", "-3"),
+        ("dynamics.dt_max", "0"),
+        ("dynamics.dt_max", "-0.05"),
     ])
     def test_out_of_range_config_value_exit_12(self, tmp_path, capsys, key, value):
         lines = [line for line in BASE_CONFIG.splitlines()

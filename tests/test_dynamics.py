@@ -78,7 +78,7 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(gamma=1.0, cfl=0.0)
         with pytest.raises(ParameterError):
-            SolverConfig(gamma=1.0, dt_min=0.1, dt_max=0.05)
+            SolverConfig(gamma=1.0, dt_max=0.0)
 
 
 class TestNonlinearTerm:
@@ -160,7 +160,7 @@ class TestStep:
     def test_blow_up_reports_time_and_mode(self):
         g = Grid(16, TWO_PI)
         theta0 = SpectralField(g, 1e8 * make_initial("cmt", g).coeffs)
-        config = SolverConfig(gamma=1.0, kappa=0.0, dt_max=0.05, dt_min=0.05)
+        config = SolverConfig(gamma=1.0, kappa=0.0, dt_max=0.05)
         state = initial_state(theta0, config)
         with pytest.raises(BlowUpError) as err:
             for _ in range(50):
@@ -270,8 +270,21 @@ class TestAdaptDt:
     def test_clamps_to_bounds(self):
         g = Grid(16, TWO_PI)
         state = initial_state(make_initial("cmt", g),
-                              critical_config(dt_max=1e-4, dt_min=1e-5))
+                              critical_config(dt_max=1e-4))
         assert adapt_dt(state) == 1e-4
+        state = initial_state(make_initial("cmt", g), critical_config(dt_max=1e-12))
+        assert adapt_dt(state) == 1e-12  # a dt_max below the floor is the step
+
+    def test_overflowing_speed_gets_the_step_floor(self):
+        # sup|u|^2 overflows to inf, so the CFL step would be 0: the floor
+        # keeps it finite, and the step taken with it reports the blow-up
+        g = Grid(16, TWO_PI)
+        theta = SpectralField(g, 1e160 * make_initial("cmt", g).coeffs)
+        state = initial_state(theta, critical_config())
+        assert state.stage1[1] == math.inf
+        assert adapt_dt(state) == 1e-10
+        with pytest.raises(BlowUpError):
+            step(state, adapt_dt(state))
 
 
 class TestRunUntil:

@@ -1,6 +1,7 @@
 """Tests for the spectral core: transforms, multipliers, norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sqglab import (
     sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS, make_initial
+from sqglab.spectral import sobolev_norms
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +66,30 @@ class TestGrid:
             Grid(8, 5e-324)  # 2 pi / L overflows
         with pytest.raises(ParameterError, match="largest wavenumber"):
             Grid(16, 1e-307)  # 2 pi / L is finite, (2 pi / L) n / sqrt 2 is not
+
+    @pytest.mark.parametrize("n, length, match", [
+        (16, np.float64(5e-324), "box length"),
+        (16, np.float64(1e-307), "largest wavenumber"),
+        (np.int64(16), np.float64(1e-307), "largest wavenumber"),
+    ])
+    def test_numpy_scalar_length_refused_without_a_warning(self, n, length, match):
+        # the rules compute with float(L), which overflows to inf silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=match):
+                Grid(n, length)
+
+    @pytest.mark.parametrize("n", [8.7, 16.0, np.float64(16.0), "16"],
+                             ids=["8.7", "float", "numpy float", "str"])
+    def test_non_integer_size_refused(self, n):
+        with pytest.raises(ParameterError) as err:
+            Grid(n, 1.0)
+        assert str(err.value) == f"grid size must be even and >= 8, got {n!r}"
+
+    @pytest.mark.parametrize("n", [np.int64(16), np.uint16(16)])
+    def test_numpy_integer_sizes_accepted(self, n):
+        g = Grid(n, 1.0)
+        assert g.n == 16 and type(g.n) is int
 
     def test_repr(self):
         assert repr(Grid(8, 4.0)) == "Grid(n=8, length=4.0)"
@@ -293,6 +319,12 @@ class TestNorms:
         F = forward_transform(random_field(g))
         with pytest.raises(ParameterError):
             sobolev_norm(F, -0.5)
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_non_finite_order_rejected(self, order):
+        F = forward_transform(random_field(grid(8)))
+        with pytest.raises(ParameterError, match="finite"):
+            sobolev_norms(F, [1.0, order])
 
     def test_linf_and_gradient_sup(self):
         g = grid()

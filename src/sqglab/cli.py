@@ -170,7 +170,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return {SnapshotFormatError: EXIT_BAD_SNAPSHOT, ConfigError: EXIT_BAD_CONFIG,
                 BlowUpError: EXIT_BLOWUP, BudgetError: EXIT_BUDGET}[type(exc)]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagnostics import _BETAS
 from .dynamics import _MAX_STEPS, _RULES, SolverConfig, _event_times
 from .errors import ConfigError
 from .initial import _SIGMA, PRESETS
@@ -15,11 +14,9 @@ from .spectral import _LENGTH, _SIZE, _SPAN
 
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
-    if lowered in ("true", "on", "yes", "1"):
-        return True
-    if lowered in ("false", "off", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    if lowered not in ("true", "on", "yes", "1", "false", "off", "no", "0"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return lowered in ("true", "on", "yes", "1")
 
 
 def _parse_float(text: str) -> float:
@@ -27,13 +24,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not finite: {text!r}")
     return value
-
-
-def _parse_float_list(text: str):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_parse_float(part) for part in text.split(","))
 
 
 @dataclass
@@ -58,7 +48,6 @@ class RunConfig:
     r_max: float = 10.0
     # output
     directory: str = "out"
-    betas: tuple = ()
     snapshot_dt: float = 0.0
 
 
@@ -69,9 +58,8 @@ _PRESET = (lambda v: v in PRESETS, f"be one of {', '.join(PRESETS)}")
 
 
 # key -> (attribute, parser, value rule or None, required); the grid,
-# dynamics, initial.sigma, modulus and output.betas keys reuse the rules and
-# attribute names of Grid, SolverConfig, make_initial, build_knv_modulus and
-# NormSeries
+# dynamics, initial.sigma and modulus keys reuse the rules and attribute
+# names of Grid, SolverConfig, make_initial and build_knv_modulus
 _KEYS = {
     "grid.n": ("n", int, _SIZE, True),
     "grid.length": ("length", _parse_float, _LENGTH, True),
@@ -79,7 +67,6 @@ _KEYS = {
     "dynamics.kappa": ("kappa", _parse_float, _RULES["kappa"], False),
     "dynamics.cfl": ("cfl", _parse_float, _RULES["cfl"], False),
     "dynamics.dt_max": ("dt_max", _parse_float, _RULES["dt_max"], False),
-    "dynamics.nonlinear": ("nonlinear_enabled", _parse_bool, None, False),
     "time.t_end": ("t_end", _parse_float, _POSITIVE, True),
     "time.sample_dt": ("sample_dt", _parse_float, _POSITIVE, False),
     "time.checkpoint_dt": ("checkpoint_dt", _parse_float, _NON_NEGATIVE, False),
@@ -91,7 +78,6 @@ _KEYS = {
     "modulus.delta3": ("delta3", _parse_float, _MODULUS_RULES["delta3"], False),
     "modulus.r_max": ("r_max", _parse_float, _MODULUS_RULES["r_max"], False),
     "output.directory": ("directory", str, None, False),
-    "output.betas": ("betas", _parse_float_list, _BETAS, False),
     "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
 }
 
@@ -117,8 +103,7 @@ def parse_config(text: str) -> RunConfig:
         seen[key] = lineno
         attr, parser, rule, _ = _KEYS[key]
         type_name = {int: "integer", _parse_float: "finite number", str: "string",
-                     _parse_bool: "boolean",
-                     _parse_float_list: "list of finite numbers"}[parser]
+                     _parse_bool: "boolean"}[parser]
         try:
             parsed = parser(value)
         except ValueError:

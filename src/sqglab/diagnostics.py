@@ -17,8 +17,8 @@ from .errors import BlowUpError, ParameterError, _check
 from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
-# NormSeries' rule, (test, what the betas must do), which output.betas reuses:
-# each extra order 1 + beta is finite, >= 0 and names its own column
+# NormSeries' rule, (test, what the betas must do): each extra order 1 + beta
+# is finite, >= 0 and names its own column
 _BETAS = (lambda betas: all(-1.0 <= b < math.inf for b in betas)
           and len(set(map(beta_column_name, betas))) == len(betas),
           "all be >= -1, finite and distinct to 6 significant digits")

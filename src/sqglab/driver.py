@@ -47,17 +47,20 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     When ``restart`` names a snapshot, the run resumes from its field and
     time; a snapshot whose grid, gamma or kappa differs from the config, or
     whose time is past t_end, is rejected with ``ConfigError``.  The
-    schedule places the start, so a resumed run samples there only when a
-    sample event merges there, and reproduces the uninterrupted trajectory
-    exactly: snapshot writes round-trip the in-memory state through the
-    serialized values, and both runs project them as ``initial_state`` does,
-    so every state stays exactly zero outside ``dealias_mask``.  A sample's
+    state starts on the schedule's first event, as ``run_until`` lands on
+    its targets (t_end, for a start within the snap tolerance of it), so a
+    resumed run samples there only when a sample event merges there, and
+    reproduces the uninterrupted trajectory exactly: snapshot writes
+    round-trip the in-memory state through the serialized values, and both
+    runs project them as ``initial_state`` does, so every state stays
+    exactly zero outside ``dealias_mask``.  A sample's
     monitor check is ``_monitor``'s.  The output directory is created only
     after the set-up, the initial sample included, has succeeded.
     """
     out_dir = Path(config.directory)
     grid = Grid(config.n, config.length)
     solver = config.solver
+    start = 0.0
     if restart is not None:
         snap = read_snapshot(restart)
         if snap.field.grid.n != grid.n or not math.isclose(
@@ -73,8 +76,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
         if snap.t > config.t_end:
             raise ConfigError(
                 f"snapshot t = {snap.t} is past time.t_end = {config.t_end}")
-        state = replace(initial_state(forward_transform(snap.field), solver),
-                        t=snap.t)
+        start, theta0 = snap.t, forward_transform(snap.field)
     else:
         # an amplitude near the float range overflows the preset's grid values
         # (ParameterError) or their transform: a config error, not a blow-up
@@ -87,10 +89,9 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
         if theta0 is None or not np.isfinite(theta0.coeffs).all():
             raise ConfigError(f"initial.amplitude = {config.amplitude} makes the "
                               f"initial coefficients non-finite")
-        state = initial_state(theta0, solver)
-
-    (_, start_kinds), *events = _schedule(config, state.t).items()
-    series = NormSeries(betas=config.betas)
+    (start, start_kinds), *events = _schedule(config, start).items()
+    state = replace(initial_state(theta0, solver), t=start)
+    series = NormSeries()
     breach = None
     if config.modulus_enabled:
         try:

@@ -33,6 +33,7 @@ of e^x h, and omega'(0) their total.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ class ModulusOfContinuity:
         underestimates omega and the breach monitor stays conservative.
         """
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r > self.r_table[-1] * (1.0 + 1e-12)):
+        if not np.all((r > 0.0) & (r <= self.r_table[-1] * (1.0 + 1e-12))):
             raise ParameterError(
                 f"separation outside tabulated range (0, {self.r_max}]")
         xs = np.concatenate(([0.0], self.r_table))
@@ -253,10 +254,14 @@ def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> Breach
 
     For each offset d the maximum of |f(x+d) - f(x)| over the periodic grid
     is divided by omega(|d|); the report carries the worst ratio and the
-    first offset achieving it.  Every offset is validated, and every bound
-    looked up, before any difference is taken; non-finite values raise
-    ``ParameterError``, as no ratio can rank them.
+    first offset achieving it.  Every offset is validated as a pair of
+    integers, and every bound looked up, before any difference is taken;
+    non-finite values raise ``ParameterError``, as no ratio can rank them.
     """
+    offsets = [tuple(d) for d in offsets]
+    for d in offsets:
+        if not all(isinstance(c, numbers.Integral) for c in d):
+            raise ParameterError(f"offset {d} is not a pair of integers")
     offsets = [(int(d1), int(d2)) for d1, d2 in offsets]
     if not offsets or (0, 0) in offsets:
         raise ParameterError("offsets must be one or more nonzero lattice vectors")

@@ -33,12 +33,31 @@ class Snapshot:
     kappa: float
 
 
+def _refusal(n, t, gamma, kappa, size, values=None):
+    """Why ``read_snapshot`` refuses, and so ``write_snapshot`` too, an n x n
+    snapshot with this header, payload size and field values; else None."""
+    for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
+        if not math.isfinite(value):
+            return f"{name} is {value!r}"
+    if t < 0.0:  # runs start at t = 0
+        return f"time {t!r} is negative"
+    if size != n * n * 8:
+        return f"payload has {size} bytes, expected {n * n * 8}"
+    if values is not None and not np.all(np.isfinite(values)):
+        return "field values are not all finite"
+
+
 def write_snapshot(path, field: RealField, t: float, gamma: float, kappa: float):
     """Write a snapshot atomically: into a temporary file beside ``path``,
-    then renamed over it, so a failed write leaves any previous file whole."""
+    then renamed over it, so a failed write leaves any previous file whole.
+    What ``read_snapshot`` would refuse raises ``ParameterError`` before
+    anything is written."""
     values = np.ascontiguousarray(field.values, dtype="<f8")
+    t, gamma, kappa = float(t), float(gamma), float(kappa)
+    if reason := _refusal(field.grid.n, t, gamma, kappa, values.nbytes, values):
+        raise ParameterError(f"cannot write {path}: {reason}")
     header = _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.length,
-                          float(t), float(gamma), float(kappa))
+                          t, gamma, kappa)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -63,23 +82,16 @@ def read_snapshot(path) -> Snapshot:
             raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotFormatError(f"{path}: unsupported version {version}")
-        for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
-            if not math.isfinite(value):
-                raise SnapshotFormatError(f"{path}: {name} is {value!r}")
-        if t < 0.0:  # runs start at t = 0
-            raise SnapshotFormatError(f"{path}: time {t!r} is negative")
-        expected = n * n * 8
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size != expected:
-            raise SnapshotFormatError(
-                f"{path}: payload has {size} bytes, expected {expected}")
+        if reason := _refusal(n, t, gamma, kappa, size):
+            raise SnapshotFormatError(f"{path}: {reason}")
         # built only once the file size vouches for n
         try:
             grid = Grid(n, length)
         except ParameterError as exc:
             raise SnapshotFormatError(f"{path}: {exc}") from None
-        payload = fh.read(expected)
+        payload = fh.read(size)
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
-    if not np.all(np.isfinite(values)):
-        raise SnapshotFormatError(f"{path}: field values are not all finite")
+    if reason := _refusal(n, t, gamma, kappa, size, values):
+        raise SnapshotFormatError(f"{path}: {reason}")
     return Snapshot(field=RealField(grid, values), t=t, gamma=gamma, kappa=kappa)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sqglab import (
     ConfigError,
     Grid,
+    ParameterError,
     RealField,
     SnapshotFormatError,
     SolverConfig,
@@ -36,7 +37,6 @@ class TestParseConfig:
         assert config.solver == SolverConfig(gamma=1.0)  # its defaults
         assert config.sample_dt == 0.25
         assert config.preset == "single_mode"
-        assert config.betas == ()
 
     def test_gamma_out_of_range_cites_interval_and_line(self):
         text = MINIMAL.replace("dynamics.gamma = 1.0", "dynamics.gamma = 2.5")
@@ -64,8 +64,10 @@ class TestParseConfig:
         "output.log_sampling = true",
         "output.log_min = 1e-3",
         "output.log_per_decade = 10",
+        "dynamics.nonlinear = false",  # SolverConfig.nonlinear_enabled stays
+        "output.betas = 0.5",  # NormSeries(betas=...) stays
     ])
-    def test_removed_step_floor_and_log_schedule_keys_are_unknown(self, line):
+    def test_removed_settings_are_unknown_keys(self, line):
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + line + "\n")
@@ -99,19 +101,19 @@ class TestParseConfig:
         config = parse_config(text)
         assert config.seed == 3
 
-    def test_booleans_and_lists(self):
-        text = MINIMAL + (
-            "dynamics.nonlinear = off\n"
-            "output.betas = 0.5, 1.0\n"
-        )
-        config = parse_config(text)
-        assert config.solver.nonlinear_enabled is False
-        assert config.betas == (0.5, 1.0)
+    @pytest.mark.parametrize("value, parsed", [
+        ("true", True), ("On", True), ("yes", True), ("1", True),
+        ("false", False), ("OFF", False), ("no", False), ("0", False),
+    ])
+    def test_booleans(self, value, parsed):
+        config = parse_config(MINIMAL + f"modulus.enabled = {value}\n")
+        assert config.modulus_enabled is parsed
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "dynamics.nonlinear = maybe\n")
+            parse_config(MINIMAL + "modulus.enabled = maybe\n")
         assert "boolean" in str(err.value)
+        assert err.value.line == 6
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -132,9 +134,6 @@ class TestParseConfig:
         ("dynamics.kappa", "nan", "finite number"),
         ("modulus.delta3", "-inf", "finite number"),
         ("modulus.r_max", "inf", "finite number"),
-        ("output.betas", "0.5, nan", "finite numbers"),
-        ("output.betas", "-3", "output.betas must all be >= -1"),
-        ("output.betas", "0.5, 1, 0.5", "distinct to 6 significant digits"),
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("initial.sigma", "1e-170", "initial.sigma must be 0 or > 0 with sigma**2 > 0"),
@@ -216,15 +215,6 @@ class TestParseConfig:
     ])
     def test_schedule_within_the_step_budget_accepted(self, lines):
         parse_config(MINIMAL + "\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("value", ["-1", "1.0", "0, 0.5, 2"])
-    def test_betas_down_to_minus_one_accepted(self, value):
-        text, _ = with_value("output.betas", value)
-        assert parse_config(text).betas == tuple(float(b) for b in value.split(","))
-
-    def test_empty_betas_value_is_no_betas(self):
-        text, _ = with_value("output.betas", "")
-        assert parse_config(text).betas == ()
 
 
 def with_value(key, value):
@@ -312,6 +302,27 @@ class TestSnapshot:
         with pytest.raises(OSError):
             write_snapshot(path, RealField(g, np.zeros((8, 8))), 2.0, 1.0, 1.0)
         monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("shape, fill, t, gamma, message", [
+        ((8, 8), 1.0, 0.5, 1.0, "payload has 512 bytes, expected 2048"),
+        ((16, 16), math.nan, 0.5, 1.0, "field values are not all finite"),
+        ((16, 16), 1.0, -1.0, 1.0, "time -1.0 is negative"),
+        ((16, 16), 1.0, math.nan, 1.0, "time is nan"),
+        ((16, 16), 1.0, 0.5, math.nan, "gamma is nan"),
+    ], ids=["mismatched field", "nan values", "negative time", "nan time",
+            "nan gamma"])
+    def test_a_write_that_would_read_back_refused_keeps_the_previous_file(
+            self, tmp_path, shape, fill, t, gamma, message):
+        # the refusal is read_snapshot's, raised before the temporary file
+        # is opened
+        g = Grid(16, 2 * math.pi)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, RealField(g, np.ones((16, 16))), 0.25, 1.0, 1.0)
+        before = path.read_bytes()
+        with pytest.raises(ParameterError, match=message):
+            write_snapshot(path, RealField(g, np.full(shape, fill)), t, gamma, 1.0)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 

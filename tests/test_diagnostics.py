@@ -96,6 +96,15 @@ class TestNormSeries:
         with pytest.raises(ParameterError, match="finite"):
             NormSeries(betas=betas)
 
+    @pytest.mark.parametrize("betas", [(-1.0,), (0.0, 0.5, 2.0)])
+    def test_betas_down_to_minus_one_accepted(self, betas):
+        assert NormSeries(betas=betas).betas == betas
+
+    def test_beta_below_minus_one_rejected(self):
+        # 1 + beta is a Sobolev order, and orders below 0 are refused
+        with pytest.raises(ParameterError, match="betas must all be >= -1"):
+            NormSeries(betas=(-3.0,))
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         series = NormSeries()
         series.append([0.1, 1 / 3, 2 / 3, 1 / 7, 1 / 11, 1 / 13, 1 / 17])

@@ -153,7 +153,29 @@ class TestDriver:
         write_snapshot(snap, RealField(g, np.sin(x1) * np.cos(x2)), start, 1.0, 1.0)
         t = NormSeries.read_csv(run_simulation(config, restart=snap).norms_path).t
         later = [t_s for t_s in (0.5, 0.75, 1.0) if t_s > start]
-        assert list(t) == ([start] if sampled else []) + later
+        assert list(t) == ([at] if sampled else []) + later
+
+    @pytest.mark.parametrize("t_end, start", [
+        (1e-16, None),  # t = 0 and t_end are one event
+        (1.0, 1.0 - 1e-15),  # a restart within the snap tolerance of t_end
+    ])
+    def test_a_start_on_the_end_event_runs_from_and_ends_at_t_end(
+            self, tmp_path, capsys, t_end, start):
+        # as run_until(state, t_end) does, the run ends exactly at t_end
+        config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
+        config.write_text(config.read_text().replace(
+            "time.t_end = 1.0", f"time.t_end = {t_end!r}"))
+        argv = ["run", "--config", str(config)]
+        if start is not None:
+            g = Grid(32, 2.0 * math.pi)
+            x1, x2 = g.points()
+            write_snapshot(tmp_path / "start.bin",
+                           RealField(g, np.sin(x1) * np.cos(x2)), start, 1.0, 1.0)
+            argv += ["--restart", str(tmp_path / "start.bin")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(
+            f"completed t = {t_end:.6g} after 0 steps")
+        assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == [t_end]
 
     def test_snapshot_header_matches_run(self, tmp_path):
         text = BASE_CONFIG + "output.snapshot_dt = 0.5\n"
@@ -455,8 +477,6 @@ class TestCli:
         ("time.t_end", "inf"),
         ("initial.amplitude", "nan"),
         ("dynamics.kappa", "nan"),
-        ("output.betas", "nan"),
-        ("output.betas", "-3"),
         ("dynamics.cfl", "5"),
         ("initial.seed", "-1"),
         ("modulus.delta3", "inf"),

@@ -216,6 +216,28 @@ class TestCheckModulus:
         with pytest.raises(ParameterError, match="tabulated range"):
             check_modulus(field, mod, [(30, 0)])
 
+    @pytest.mark.parametrize("bad", [(1.5, 0), (0.9, 0.2), (2, 1.0),
+                                     (np.float64(1.0), 0)])
+    def test_a_non_integer_offset_is_refused_by_name(self, bad):
+        # int() would truncate (1.5, 0) to (1, 0), and (0.9, 0.2) to (0, 0);
+        # the refusal comes before any lookup, so a null field still gives it
+        field = types.SimpleNamespace(grid=self.grid, values=None)
+        with pytest.raises(ParameterError, match=r"offset \(.*\) is not a pair"):
+            check_modulus(field, self.mod, [(1, 0), bad])
+
+    def test_numpy_integer_offsets_are_accepted(self):
+        x1, _ = self.grid.points()
+        field = RealField(self.grid, 1e-3 * np.sin(x1))
+        ints = [(4, 0), (2, 2)]
+        report = check_modulus(field, self.mod, np.array(ints, dtype=np.int32))
+        assert report == check_modulus(field, self.mod, ints)
+        assert type(report.worst_offset[0]) is int
+
+    @pytest.mark.parametrize("r", [math.nan, [0.5, math.nan], 0.0, -1.0, 11.0])
+    def test_omega_at_refuses_what_it_cannot_rank(self, r):
+        with pytest.raises(ParameterError, match="tabulated range"):
+            self.mod.omega_at(r)
+
 
 def roll_sup(v, d1, d2):
     return float(np.max(np.abs(np.roll(v, (-d1, -d2), axis=(0, 1)) - v)))

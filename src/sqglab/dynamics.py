@@ -7,6 +7,12 @@ numerically.  One function, ``_advection``, forms u . grad(theta) with
 2/3-rule dealiasing for ``nonlinear_term`` and for ``step``, whose real
 scalar factors carry the minus sign of the right-hand side.
 
+Stepping uses two threads on a machine with two or more CPUs:
+``_advection`` evaluates the (u1, d1 theta) pair on the calling thread and
+the (u2, d2 theta) pair on the helper thread of ``sqglab.spectral._pair``,
+with the 1-D transforms and products one thread would compute, so
+trajectories are the same bit for bit whichever thread runs a pair.
+
 Every state is exactly zero outside ``dealias_mask``: ``initial_state``
 truncates the data, and ``_advection`` reads only the retained modes and
 writes zeros elsewhere, so its column passes skip the dead columns (see
@@ -29,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError, _check
-from .spectral import SpectralField, _forward, _inverse, _sup_norm, _workspace, dealias
+from .spectral import (SpectralField, _forward, _inverse, _pair, _sup_norm, _workspace,
+                       dealias)
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
 # adapt_dt's floor: a speed that overflows to inf or nan still gets a finite
@@ -121,22 +128,33 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
     ``coeffs`` into ``out``, or zeros without ``nonlinear``; return the grid
     velocity (u1, u2), or None.
 
-    One batched inverse transform gives u1, u2 and both gradient components
-    on the grid, reading only the modes the 2/3 rule keeps.  The product is
-    formed there, transformed back and truncated by the 2/3 rule.  u1 and u2
-    are views into this thread's workspace, valid until its next call.
+    An inverse transform gives u1, u2 and both gradient components on the
+    grid, reading only the modes the 2/3 rule keeps, and the products are
+    formed there.  ``_pair`` splits that work by field pair: (u1, d1 theta)
+    on this thread, (u2, d2 theta) on the helper.  The sum of the products
+    is transformed back here and truncated by the 2/3 rule.  u1 and u2 are
+    views into this thread's workspace, valid until its next call.
     """
     if not nonlinear:
         out.fill(0.0)
         return None
     spec, stack, _ = _workspace.get(grid)
-    np.multiply(grid.multipliers, coeffs, out=spec)
-    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased=True)
-    t1 *= u1
-    t2 *= u2
+    _pair(_products, (grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
+          (grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
+    u1, u2, t1, t2 = stack
     t1 += t2
     _forward(grid, t1, out, dealiased=True)
     return u1, u2
+
+
+def _products(grid, multipliers, coeffs, spec, stack):
+    """``_advection``'s products on the field pairs of ``multipliers``: the
+    velocity components, then the matching gradient components, on the grid
+    into ``stack``, whose second half then holds u_i d_i theta."""
+    np.multiply(multipliers, coeffs, out=spec)
+    _inverse(grid, spec, stack, dealiased=True)
+    half = len(stack) // 2
+    stack[half:] *= stack[:half]
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:

@@ -35,7 +35,9 @@ class Snapshot:
 
 def _refusal(n, t, gamma, kappa, size, values=None):
     """Why ``read_snapshot`` refuses, and so ``write_snapshot`` too, an n x n
-    snapshot with this header, payload size and field values; else None."""
+    snapshot with this header, payload size and field values; else None.
+    Values in a shape other than (n, n) are refused too: a read hands them
+    back reshaped."""
     for name, value in (("time", t), ("gamma", gamma), ("kappa", kappa)):
         if not math.isfinite(value):
             return f"{name} is {value!r}"
@@ -43,6 +45,8 @@ def _refusal(n, t, gamma, kappa, size, values=None):
         return f"time {t!r} is negative"
     if size != n * n * 8:
         return f"payload has {size} bytes, expected {n * n * 8}"
+    if values is not None and values.shape != (n, n):
+        return f"field values have shape {values.shape}, expected {(n, n)}"
     if values is not None and not np.all(np.isfinite(values)):
         return "field values are not all finite"
 

@@ -311,8 +311,11 @@ class TestSnapshot:
         ((16, 16), 1.0, -1.0, 1.0, "time -1.0 is negative"),
         ((16, 16), 1.0, math.nan, 1.0, "time is nan"),
         ((16, 16), 1.0, 0.5, math.nan, "gamma is nan"),
+        ((32, 8), 1.0, 0.5, 1.0,
+         r"field values have shape \(32, 8\), expected \(16, 16\)"),
+        ((256,), 1.0, 0.5, 1.0, r"field values have shape \(256,\), expected"),
     ], ids=["mismatched field", "nan values", "negative time", "nan time",
-            "nan gamma"])
+            "nan gamma", "reshaped field", "flat field"])
     def test_a_write_that_would_read_back_refused_keeps_the_previous_file(
             self, tmp_path, shape, fill, t, gamma, message):
         # the refusal is read_snapshot's, raised before the temporary file

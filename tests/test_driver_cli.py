@@ -34,6 +34,7 @@ from sqglab import driver, dynamics, modulus
 from sqglab.cli import main
 from sqglab.config import _schedule
 from sqglab.driver import run_simulation
+from sqglab.spectral import _Helper
 
 BASE_CONFIG = """
 grid.n = 32
@@ -407,6 +408,7 @@ class TestCli:
         assert "output.snapshot_dt must be 0 or >= 1e-6" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_blow_up_exit_2(self, tmp_path, capsys):
         # the speed overflows, so the first step is adapt_dt's floor, 1e-10
         config = tmp_path / "explode.cfg"
@@ -768,6 +770,12 @@ def fail_record_norms_at(monkeypatch, t_s, wait=None):
     return raised
 
 
+def other_threads():
+    """Live threads other than the advection helper, which starts on a run's
+    first step and outlives it."""
+    return sum(not isinstance(th, _Helper) for th in threading.enumerate())
+
+
 class TestDiagnosticsWorker:
     """The sample diagnostics run beside the stepper, with the outputs and
     failures of running them in line."""
@@ -775,9 +783,9 @@ class TestDiagnosticsWorker:
     def run_failing(self, tmp_path, capsys):
         config = write_config(tmp_path,
                               EVENTS + f"output.directory = {tmp_path}/out\n")
-        threads = threading.active_count()
+        threads = other_threads()
         code = main(["run", "--config", str(config)])
-        assert threading.active_count() == threads  # the worker has stopped
+        assert other_threads() == threads  # the worker has stopped
         captured = capsys.readouterr()
         assert captured.out == ""
         return code, captured.err
@@ -857,12 +865,43 @@ class TestDiagnosticsWorker:
 
         monkeypatch.setattr(dynamics, "step", step)
         config = parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/out\n")
-        threads = threading.active_count()
+        threads = other_threads()
         with pytest.raises(Interrupt):
             run_simulation(config)
-        assert threading.active_count() == threads
+        assert other_threads() == threads
         rows = NormSeries.read_csv(tmp_path / "out" / "norms.csv").t
         assert list(rows) == [0.0, 0.25, 0.5]
+
+    def test_a_sample_holds_the_advection_helper(self, tmp_path, monkeypatch):
+        # while the worker computes a sample the stepper keeps both halves of
+        # its right-hand side: the worker holds the helper's lock meanwhile
+        holding = threading.local()
+        held = driver._held
+
+        @contextlib.contextmanager
+        def watched():
+            with held():
+                holding.now = True
+                try:
+                    yield
+                finally:
+                    holding.now = False
+
+        seen = []
+        real = driver.record_norms
+
+        def record_norms(state, series):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         getattr(holding, "now", False)))
+            return real(state, series)
+
+        monkeypatch.setattr(driver, "_held", watched)
+        monkeypatch.setattr(driver, "record_norms", record_norms)
+        run_simulation(parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/out\n"))
+        # the initial sample is the set-up's, on this thread; the rest are
+        # the worker's, each inside the hold
+        assert seen[0] == (True, False)
+        assert len(seen) == len(SAMPLES) and set(seen[1:]) == {(False, True)}
 
     def test_concurrent_runs_match_a_lone_run(self, tmp_path):
         # more runs than cores, each with its own worker, switching often

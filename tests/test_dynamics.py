@@ -1,13 +1,19 @@
 """Tests for the time stepper and nonlinear term."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqglab import (
     BlowUpError,
@@ -29,7 +35,9 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab import dynamics
+from sqglab import dynamics, spectral
+from sqglab.dynamics import _advection
+from sqglab.spectral import _forward, _held, _Helper, _inverse, _pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,6 +165,7 @@ class TestStep:
         ratio = drift(0.1) / drift(0.05)
         assert ratio > 12.0
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_blow_up_reports_time_and_mode(self):
         g = Grid(16, TWO_PI)
         theta0 = SpectralField(g, 1e8 * make_initial("cmt", g).coeffs)
@@ -275,6 +284,7 @@ class TestAdaptDt:
         state = initial_state(make_initial("cmt", g), critical_config(dt_max=1e-12))
         assert adapt_dt(state) == 1e-12  # a dt_max below the floor is the step
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_overflowing_speed_gets_the_step_floor(self):
         # sup|u|^2 overflows to inf, so the CFL step would be 0: the floor
         # keeps it finite, and the step taken with it reports the blow-up
@@ -369,9 +379,10 @@ def test_inviscid_l2_conservation_over_unit_time():
 
 
 def test_threads_match_sequential():
-    # four threads, each stepping an n=32 and an n=64 trajectory while the
-    # others do, so a workspace shared across threads would mix their stages
-    work = [[(32, 2 * k + 1), (64, 2 * k + 2)] for k in range(4)]
+    # four threads, each stepping an n=32, an n=64 and an n=128 trajectory
+    # while the others do, so a workspace shared across threads would mix
+    # their stages; at n=128 they contend for the advection helper too
+    work = [[(32, 3 * k + 1), (64, 3 * k + 2), (128, 3 * k + 3)] for k in range(4)]
     expected = {job: trajectory(*job) for jobs in work for job in jobs}
     results = {job: [] for job in expected}
     barrier = threading.Barrier(len(work), timeout=60)
@@ -396,6 +407,136 @@ def test_threads_match_sequential():
     for job, runs in results.items():
         assert len(runs) == 3
         assert all(np.array_equal(got, expected[job]) for got in runs)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestFieldPairSplit:
+    """``_advection`` runs its (u1, d1 theta) and (u2, d2 theta) pairs on this
+    thread and on the helper thread of ``spectral._pair``.  The helper runs
+    here whatever the CPU count, so these tests hold on one CPU too."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SPLIT", True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16))
+    @example(n=128, seed=1)
+    @example(n=256, seed=2)
+    def test_matches_the_serial_evaluation_bit_for_bit(self, n, seed):
+        g = Grid(n, TWO_PI)
+        coeffs = make_initial("random_h1", g, seed=seed).coeffs
+        # the one-thread evaluation: one batched 4-field inverse transform
+        spec = g.multipliers * coeffs
+        u1, u2, t1, t2 = _inverse(g, spec, np.empty((4, n, n)), dealiased=True)
+        t1 *= u1
+        t2 *= u2
+        t1 += t2
+        expected = _forward(g, t1, np.empty(g.spectral_shape, dtype=complex),
+                            dealiased=True)
+        out = np.empty(g.spectral_shape, dtype=complex)
+        out.fill(np.nan)
+        velocity = _advection(g, coeffs, out)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(velocity[0], u1)
+        assert np.array_equal(velocity[1], u2)
+        # with the helper held, as the diagnostics worker holds it, both
+        # halves run here, in turn
+        with _held():
+            out.fill(np.nan)
+            _advection(g, coeffs, out)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("failing", [{"theirs"}, {"mine"}, {"theirs", "mine"}])
+    def test_an_error_in_either_half_reaches_the_caller(self, failing):
+        finished = []
+
+        def half(name):
+            time.sleep(0.02 if name == "theirs" else 0.0)
+            if name in failing:
+                raise Boom(name)
+            finished.append(name)
+
+        with pytest.raises(Boom) as err:
+            _pair(half, ("theirs",), ("mine",))
+        assert err.value.args[0] in failing
+        # the helper's half had ended before the error was raised here
+        assert sorted(finished) == sorted({"theirs", "mine"} - failing)
+        assert threads_running_pair() == {"theirs": spectral._helper,
+                                          "mine": threading.current_thread()}
+
+    def test_one_cpu_or_a_held_helper_runs_both_halves_here(self, monkeypatch):
+        here = {"theirs": threading.current_thread(), "mine": threading.current_thread()}
+        with _held():
+            assert threads_running_pair() == here
+        monkeypatch.setattr(spectral, "_SPLIT", False)
+        assert threads_running_pair() == here
+
+    def test_the_helper_half_runs_in_the_callers_errstate(self):
+        seen = {}
+        with np.errstate(over="ignore", invalid="raise"):
+            _pair(lambda name: seen.update({name: np.geterr()}), ("theirs",),
+                  ("mine",))
+        assert seen["theirs"] == seen["mine"]
+        assert seen["mine"]["over"] == "ignore" and seen["mine"]["invalid"] == "raise"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_steps_with_its_own_helper(self):
+        # the parent's helper is not in the child: waiting on it would hang,
+        # until the alarm ends the child
+        code = textwrap.dedent("""
+            import os, signal, threading
+            import numpy as np
+            import sqglab as sq
+            from sqglab import spectral
+            spectral._SPLIT = True  # on one CPU too
+            g = sq.Grid(128, 2 * np.pi)
+            config = sq.SolverConfig(gamma=1.0)
+            state = sq.initial_state(sq.make_initial("random_h1", g, seed=3), config)
+            state = sq.step(state, 0.01)
+            expected = sq.step(state, 0.01).theta.coeffs
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                ok = False
+                try:
+                    got = sq.step(state, 0.01).theta.coeffs
+                    ok = np.array_equal(got, expected) and 1 == sum(
+                        isinstance(th, spectral._Helper)
+                        for th in threading.enumerate())
+                finally:
+                    os._exit(0 if ok else 1)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(dynamics.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::DeprecationWarning", "-c", code],
+            env=env, timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the helper outlives the steps, so from Python 3.12 on the fork warns
+        # that the process is multi-threaded
+        warned = "multi-threaded" in proc.stderr and "fork()" in proc.stderr
+        assert warned == (sys.version_info >= (3, 12)), proc.stderr
+
+    def test_runs_share_one_helper(self):
+        g = Grid(128, TWO_PI)
+        for seed in range(3):
+            run_until(initial_state(make_initial("random_h1", g, seed=seed),
+                                    critical_config()), 2e-3)
+        assert sum(isinstance(th, _Helper) for th in threading.enumerate()) == 1
+
+
+def threads_running_pair():
+    """The threads on which ``_pair`` runs its two halves."""
+    ran = {}
+    _pair(lambda name: ran.update({name: threading.current_thread()}),
+          ("theirs",), ("mine",))
+    return ran
 
 
 def test_warm_step_allocates_no_large_temporaries():

@@ -2,10 +2,14 @@
 
 The certificate omega is built from omega''(r) = -delta3/(sqrt(r) +
 r^2 log r): strictly increasing, concave, unbounded, with finite slope at
-zero and curvature diverging at zero.  Any bounded smooth field becomes
-admissible after a box rescaling theta(Cx); the search doubles C until the
-monitor reports a comfortable margin, and the monitored run then checks
-whether the margin survives the evolution.  It also prints the gap
+zero and curvature diverging at zero.  A box rescaling theta(Cx) stretches
+the separations; the search doubles C until the monitor reports a
+comfortable margin on offsets that reach the box's largest periodic
+separation, and fails once that separation outgrows the table.  omega grows
+only double-logarithmically, so the data must be small against it: cmt at
+amplitude 0.04, as in acceptance criterion 9 (at amplitude 1 the half-box
+shift moves cmt by 2.83, and omega(10) is 0.144).  The monitored run then
+checks whether the margin survives the evolution.  It also prints the gap
 omega'(0) - sup|grad theta|, for reference only: omega is concave, so
 omega(r) < omega'(0) r, and a positive gap does not imply the bound at
 small separations.
@@ -15,17 +19,17 @@ import math
 
 import sqglab as sq
 
-print("== building the certificate (delta3 = 0.05, r_max = 10) ==")
+print("== building the certificate (delta3 = 0.05, table to r = 10) ==")
 mod = sq.build_knv_modulus(0.05, 10.0)
 print(f"  omega'(0) = {mod.omega_prime_at_zero:.6f}")
 for r in (0.01, 0.1, 1.0, 10.0):
     print(f"  omega({r:5.2f}) = {float(mod.omega_at(r)):.6f}")
-print("  note the slow growth at large r: admissibility of large data "
-      "relies on rescaling, not on omega catching up")
+print("  note the slow growth at large r: the box's largest separations meet "
+      "this flat tail, so rescaling helps only data small against it")
 
-print("== doubling search for an admissible rescaling of cmt data ==")
+print("== doubling search for an admissible rescaling of cmt data (amplitude 0.04) ==")
 grid = sq.Grid(128, 2 * math.pi)
-theta0 = sq.inverse_transform(sq.make_initial("cmt", grid))
+theta0 = sq.inverse_transform(sq.make_initial("cmt", grid, amplitude=0.04))
 result = sq.find_scaling(theta0, mod)
 print(f"  C = {result.c}: worst ratio {result.report.worst_ratio:.3f} "
       f"at lattice offset {result.report.worst_offset}")
@@ -35,7 +39,7 @@ print(f"  gradient gap: sup|grad| = {grad_sup:.4f} "
       f"< omega'(0) = {op0:.4f} (margin {op0 - grad_sup:.4f})")
 
 print("== monitored run of the rescaled data to t = 10 ==")
-offsets = sq.default_offsets(result.field.grid, mod.r_max)
+offsets = sq.default_offsets(result.field.grid)
 config = sq.SolverConfig(gamma=1.0, kappa=1.0, cfl=0.5, dt_max=1.0)
 state = sq.initial_state(sq.forward_transform(result.field), config)
 history = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .diagnostics import NormSeries, check_boundedness, fit_decay_exponent
 from .driver import run_simulation
 from .errors import (
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("modulus-check", help="one-shot breach report")
     check.add_argument("--field", required=True, help="snapshot file")
     check.add_argument("--delta3", type=float, required=True)
-    check.add_argument("--r-max", type=float, default=RunConfig.r_max)
 
     analyze = sub.add_parser("analyze", help="fit or bound a norms.csv column")
     analyze.add_argument("--norms", required=True)
@@ -109,10 +108,11 @@ def _cmd_modulus_check(args) -> int:
     if unbacked := _unbacked(snap.gamma, snap.kappa):
         raise ConfigError(f"modulus-check: {args.field}: snapshot {unbacked[1]}")
     try:
-        mod, offsets, _ = _monitor(snap.field.grid, args.delta3, snap.kappa, args.r_max)
+        mod, offsets, _ = _monitor(snap.field.grid, args.delta3, snap.kappa)
     except ParameterError as exc:
         raise ConfigError(f"modulus-check: --delta3 {args.delta3}, snapshot kappa "
-                          f"{snap.kappa}, --r-max {args.r_max}: {exc}") from None
+                          f"{snap.kappa}, grid.length {snap.field.grid.length}: {exc}"
+                          ) from None
     report = check_modulus(snap.field, mod, offsets)
     print("breached,worst_ratio,worst_offset_d1,worst_offset_d2,time")
     print(f"{'true' if report.breached else 'false'},{report.worst_ratio:.17g},"

@@ -45,7 +45,6 @@ class RunConfig:
     # modulus
     modulus_enabled: bool = False
     delta3: float = 0.1
-    r_max: float = 10.0
     # output
     directory: str = "out"
     snapshot_dt: float = 0.0
@@ -76,7 +75,6 @@ _KEYS = {
     "initial.sigma": ("sigma", _parse_float, _SIGMA, False),
     "modulus.enabled": ("modulus_enabled", _parse_bool, None, False),
     "modulus.delta3": ("delta3", _parse_float, _MODULUS_RULES["delta3"], False),
-    "modulus.r_max": ("r_max", _parse_float, _MODULUS_RULES["r_max"], False),
     "output.directory": ("directory", str, None, False),
     "output.snapshot_dt": ("snapshot_dt", _parse_float, _NON_NEGATIVE, False),
 }

@@ -99,11 +99,11 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     breach = None
     if config.modulus_enabled:
         try:
-            _, _, breach = _monitor(grid, config.delta3, solver.kappa, config.r_max)
+            _, _, breach = _monitor(grid, config.delta3, solver.kappa)
         except ParameterError as exc:
             raise ConfigError(
                 f"modulus.delta3 = {config.delta3}, dynamics.kappa = {solver.kappa}, "
-                f"modulus.r_max = {config.r_max}: {exc}") from None
+                f"grid.length = {config.length}: {exc}") from None
     breaches = []
 
     def observe(st: SolverState):

@@ -50,10 +50,15 @@ _X_LOW, _X_PAD = -90.0, 45.0
 # enough that _certify's second differences resolve omega'' to 1%.
 _TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
 
-# value rules, (test, what the value must do), which the modulus.* keys reuse
+# The monitor's table reaches at least this far: every box up to 10 sqrt 2
+# long (the 2 pi box among them) shares one table, and a tiny box gets one.
+_TABLE_FLOOR = 10.0
+
+# value rules, (test, what the value must do); modulus.delta3 reuses the
+# first, and r_max's keeps the quadrature range [-90, log r_max + 45] non-empty
 _RULES = {"delta3": (lambda v: v > 0.0, "be > 0"),
-          "r_max": (lambda v: 0.0 < _TABLE_SPAN * v < v < math.inf,
-                    "be finite, with 1e-4 r_max > 0")}
+          "r_max": (lambda v: 0.0 < v < math.inf and math.log(v) > _X_LOW - _X_PAD,
+                    f"be finite, with log r_max > {_X_LOW - _X_PAD:g}")}
 
 
 def _unbacked(gamma: float, kappa: float):
@@ -131,9 +136,9 @@ def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
     for name, value in (("delta3", delta3), ("r_max", r_max)):
         _check(_RULES[name], name, value)
 
-    # a huge r_max overflows on the way: _certify rejects the non-finite or
-    # non-monotone table that results, so numpy need not warn as well
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a huge r_max overflows on the way (and divides by the overflow): _certify
+    # rejects the table that results, so numpy need not warn as well
+    with np.errstate(all="ignore"):
         r = np.geomspace(_TABLE_SPAN * r_max, r_max, _TABLE_SIZE)
         op, omega, op0 = _shape_tables(r)
         mod = ModulusOfContinuity(
@@ -181,48 +186,39 @@ def _certify(mod: ModulusOfContinuity):
             "second differences do not diverge monotonically at 0+")
 
 
-def default_offsets(grid: Grid, r_max: float) -> list[tuple[int, int]]:
+def default_offsets(grid: Grid) -> list[tuple[int, int]]:
     """Offset recipe for the breach monitor.
 
-    Axis-aligned separations of 1..8 cells plus log-spaced separations up to
-    r_max along both axes and both diagonals, filtered to the tabulated range
-    and to at most half the box (beyond which the periodic wrap shortens the
-    true separation).  Each periodic shift is listed once: at n/2 cells the
-    two diagonals are the same shift, and only (n/2, n/2) is kept.  An
-    r_max below one grid cell leaves no separation to check and raises
-    ``ParameterError``.
+    Separations of 1..8 cells plus 12 log-spaced ones up to n/2 cells (past
+    which the periodic wrap shortens them) along both axes and both
+    diagonals, so they reach the box's largest separation at any length.
+    Each periodic shift is listed once: at n/2 cells the two diagonals are
+    the same shift, and only (n/2, n/2) is kept.
     """
-    if not r_max >= grid.dx:
-        raise ParameterError(
-            f"r_max = {r_max} is below one grid cell (dx = {grid.dx}); the "
-            f"monitor would check no separation")
     max_cells = grid.n // 2
     cells = set(range(1, min(8, max_cells) + 1))
-    top_axis = int(min(max_cells, r_max / grid.dx))
-    top_diag = int(min(max_cells, r_max / (grid.dx * math.sqrt(2.0))))
-    for top in (top_axis, top_diag):
-        if top >= 1:
-            cells.update(int(round(c)) for c in np.geomspace(1, top, 12))
+    cells.update(int(round(c)) for c in np.geomspace(1, max_cells, 12))
     offsets = {}  # shift mod n -> the first offset giving it
     for c in sorted(cells):
-        candidates = []
-        if c * grid.dx <= r_max and c <= top_axis:
-            candidates += [(c, 0), (0, c)]
-        if c * grid.dx * math.sqrt(2.0) <= r_max:
-            candidates += [(c, c), (c, -c)]
-        for d1, d2 in candidates:
+        for d1, d2 in ((c, 0), (0, c), (c, c), (c, -c)):
             offsets.setdefault((d1 % grid.n, d2 % grid.n), (d1, d2))
     return list(offsets.values())
 
 
-def _monitor(grid: Grid, delta3: float, kappa: float, r_max: float):
+def _largest_separation(grid: Grid) -> float:
+    """The longest periodic separation of two grid points, L / sqrt 2."""
+    return grid.dx * math.hypot(grid.n // 2, grid.n // 2)
+
+
+def _monitor(grid: Grid, delta3: float, kappa: float):
     """The breach monitor on ``grid``: its modulus kappa omega (see
-    ``_unbacked``), offsets, and per-sample check ``breach(values, hi, lo)``,
-    which returns the exhaustive check's report on a breached sample, else
-    None.  The exhaustive check runs where ``_lattice_bound`` cannot rule a
-    breach out."""
-    mod = build_knv_modulus(delta3 * kappa, r_max)
-    offsets = default_offsets(grid, r_max)
+    ``_unbacked``) up to the box's largest separation, offsets, and
+    per-sample check ``breach(values, hi, lo)``, which returns the exhaustive
+    check's report on a breached sample, else None.  The exhaustive check
+    runs where ``_lattice_bound`` cannot rule a breach out."""
+    mod = build_knv_modulus(delta3 * kappa,
+                            max(_largest_separation(grid), _TABLE_FLOOR))
+    offsets = default_offsets(grid)
     safe = _lattice_bound(grid, mod, offsets)
 
     def breach(values: np.ndarray, hi: float, lo: float):
@@ -322,19 +318,17 @@ def find_scaling(theta0: RealField, mod: ModulusOfContinuity) -> ScalingResult:
     grid values, so doubling the box length realizes the rescaling without
     interpolation.  Doubling stops once the monitor reports a worst ratio
     <= 0.9 over the default offsets, and fails with ``ParameterError``
-    once the stretched grid cell passes mod.r_max.
+    once the stretched box's largest separation passes mod.r_max.
     """
     c = 1
     while True:
         grid = Grid(theta0.grid.n, c * theta0.grid.length)
-        field = RealField(grid, theta0.values)
-        try:
-            offsets = default_offsets(grid, mod.r_max)
-        except ParameterError:
+        if (reach := _largest_separation(grid)) > mod.r_max:
             raise ParameterError(
-                f"no admissible rescaling: at C = {c} the grid cell "
-                f"{grid.dx} is past r_max = {mod.r_max}") from None
-        report = check_modulus(field, mod, offsets)
+                f"no admissible rescaling: at C = {c} the box's largest "
+                f"separation {reach} is past r_max = {mod.r_max}")
+        field = RealField(grid, theta0.values)
+        report = check_modulus(field, mod, default_offsets(grid))
         if report.worst_ratio <= 0.9:
             return ScalingResult(c=c, field=field, report=report)
         c *= 2

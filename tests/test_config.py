@@ -66,6 +66,7 @@ class TestParseConfig:
         "output.log_per_decade = 10",
         "dynamics.nonlinear = false",  # SolverConfig.nonlinear_enabled stays
         "output.betas = 0.5",  # NormSeries(betas=...) stays
+        "modulus.r_max = 10",  # the table spans the box; build_knv_modulus keeps r_max
     ])
     def test_removed_settings_are_unknown_keys(self, line):
         key = line.split(" = ")[0]
@@ -133,13 +134,11 @@ class TestParseConfig:
         ("initial.amplitude", "nan", "finite number"),
         ("dynamics.kappa", "nan", "finite number"),
         ("modulus.delta3", "-inf", "finite number"),
-        ("modulus.r_max", "inf", "finite number"),
         ("dynamics.cfl", "5", "dynamics.cfl must lie in (0, 1]"),
         ("initial.seed", "-1", "initial.seed must be >= 0"),
         ("initial.sigma", "1e-170", "initial.sigma must be 0 or > 0 with sigma**2 > 0"),
         ("dynamics.dt_max", "0", "dynamics.dt_max must be > 0"),
         ("grid.length", "1e-320", "grid.length must be > 0 with 2 pi / L finite"),
-        ("modulus.r_max", "1e-320", "modulus.r_max must be finite, with 1e-4 r_max > 0"),
     ])
     def test_number_out_of_solver_range_cites_its_line(self, key, value, message):
         text, line = with_value(key, value)

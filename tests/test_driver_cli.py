@@ -212,6 +212,8 @@ class TestCli:
         ["run", "--config", "run.cfg", "--bogus"],
         ["oracle", "--suite", "nope"],
         ["modulus-check", "--field", "snap.bin", "--delta3", "abc"],
+        # the table spans the snapshot's box: there is no range to give
+        ["modulus-check", "--field", "snap.bin", "--delta3", "0.1", "--r-max", "10"],
     ])
     def test_usage_error_exit_12(self, capsys, argv):
         # 2 is the blow-up code; argparse's usage line is kept
@@ -440,35 +442,24 @@ class TestCli:
         # without --strict the same run completes with exit 0
         assert main(["run", "--config", str(config)]) == 0
 
-    def test_r_max_below_one_cell_exit_12(self, tmp_path, capsys):
-        # dx = 2 pi / 32 = 0.196: no lattice offset is within r_max, so the
-        # run stops before its first step instead of monitoring nothing
-        config = write_config(tmp_path, (
-            "modulus.enabled = true\n"
-            "modulus.r_max = 0.05\n"
-            f"output.directory = {tmp_path}/out\n"
-        ))
-        assert main(["run", "--config", str(config), "--strict"]) == 12
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "modulus.r_max" in err[0] and "dx = 0.196" in err[0]
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
-    @pytest.mark.parametrize("extra", [
-        "modulus.delta3 = 1e-320\n",
-        "modulus.r_max = 1e300\n",
+    @pytest.mark.parametrize("key, value", [
+        ("modulus.delta3", "1e-320"),
+        # the table must reach the box's largest separation, 7.1e153
+        ("grid.length", "1e154"),
     ])
     def test_modulus_table_that_cannot_be_built_exit_12(self, tmp_path, capsys,
-                                                        extra):
-        config = write_config(tmp_path, (
-            "modulus.enabled = true\n" + extra +
-            f"output.directory = {tmp_path}/out\n"
-        ))
+                                                        key, value):
+        lines = [line for line in BASE_CONFIG.splitlines()
+                 if not line.startswith(key + " ")]
+        lines += [f"{key} = {value}", "modulus.enabled = true",
+                  f"output.directory = {tmp_path}/out"]
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
         assert main(["run", "--config", str(config)]) == 12
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "modulus.delta3" in err[0] and "modulus.r_max" in err[0]
+        assert "modulus.delta3" in err[0] and "grid.length" in err[0]
         assert not (tmp_path / "out").exists()
 
     # values that pass a plain float() or int() but not the solver
@@ -482,8 +473,6 @@ class TestCli:
         ("dynamics.cfl", "5"),
         ("initial.seed", "-1"),
         ("modulus.delta3", "inf"),
-        ("modulus.r_max", "inf"),
-        ("modulus.r_max", "1e-320"),  # 1e-4 r_max underflows
         ("time.sample_dt", "1e-300"),
         ("output.snapshot_dt", "1e-300"),
         ("dynamics.dt_max", "0"),
@@ -586,13 +575,9 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, names", [
         (["--delta3", "-1"], "delta3"),
-        (["--delta3", "0.1", "--r-max", "-1"], "--r-max"),
-        (["--delta3", "0.1", "--r-max", "0.05"], "--r-max"),
         (["--delta3", "1e-320"], "--delta3"),
         (["--delta3", "inf"], "--delta3"),
         (["--delta3", "nan"], "--delta3"),
-        (["--delta3", "0.1", "--r-max", "1e300"], "--r-max"),
-        (["--delta3", "0.1", "--r-max", "inf"], "--r-max"),
     ])
     def test_modulus_check_bad_arguments_exit_12(self, tmp_path, capsys, args, names):
         config = write_config(tmp_path, (
@@ -607,6 +592,21 @@ class TestCli:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and names in err[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_modulus_check_on_a_box_too_large_to_tabulate_exit_12(self, tmp_path,
+                                                                  capsys):
+        # the table must reach the box's largest separation, 7.1e153
+        g = Grid(16, 1e154)
+        x1, x2 = g.points()
+        snap = tmp_path / "snap.bin"
+        write_snapshot(snap, RealField(g, np.sin(x1 * 1e-154)), 1.0, 1.0, 1.0)
+        assert main(["modulus-check", "--field", str(snap), "--delta3", "0.1"]) == 12
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "grid.length 1e+154" in err[0]
 
     @pytest.mark.parametrize("gamma, kappa, name", [
         (0.5, 1.0, "gamma"),
@@ -632,7 +632,7 @@ class TestCli:
         x1, x2 = g.points()
         values = np.sin(x1) * np.sin(x2) + np.cos(x2)
         ratio = check_modulus(RealField(g, values), build_knv_modulus(0.1, 10.0),
-                              default_offsets(g, 10.0)).worst_ratio
+                              default_offsets(g)).worst_ratio
         values *= 0.75 / ratio
         rows = {}
         for kappa in (1.0, 0.5):
@@ -1016,7 +1016,6 @@ OPTION_VALUES = {
     "--suite": ["nope", "ALL", "single_mode", ""],
     "--field": ANY_FILE,
     "--delta3": NUMBERS,
-    "--r-max": NUMBERS,
     "--norms": ANY_FILE,
     "--column": ["linf", "h2", "h9", ""],
     "--window": ["0:1", "1:0", "0.1:10", "1to2", ""],

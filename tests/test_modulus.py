@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sqglab import (
     sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS
-from sqglab.modulus import _lattice_bound, _shift_sups
+from sqglab.modulus import _lattice_bound, _monitor, _shift_sups
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,12 +82,15 @@ def quad_omega_table(r):
 
 
 class TestConstruction:
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             build_knv_modulus(0.0, 10.0)
         with pytest.raises(ParameterError):
             build_knv_modulus(-0.1, 10.0)
-        for r_max in (0.0, 1e-320, math.inf, math.nan):
+        # 1e-300 would give numpy's linspace a negative count, and 1e154
+        # divides by an overflowed omega''
+        for r_max in (0.0, 1e-320, 1e-300, 1e-20, 1e154, 1e300, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 build_knv_modulus(0.1, r_max)
 
@@ -197,7 +201,7 @@ class TestCheckModulus:
 
     def test_amplitude_monotonicity(self):
         field = inverse_transform(make_initial("cmt", self.grid))
-        offsets = default_offsets(self.grid, self.mod.r_max)
+        offsets = default_offsets(self.grid)
         base = check_modulus(field, self.mod, offsets).worst_ratio
         scaled = check_modulus(RealField(self.grid, 3.0 * field.values),
                                self.mod, offsets).worst_ratio
@@ -310,19 +314,17 @@ def monitored_samples(draw):
     """Grid values of a preset (or of noise), with the modulus and offsets of
     a monitored run on that grid.  The amplitude is drawn relative to the one
     at which the exhaustive check's worst ratio is 1, so that many samples
-    fall near the breach threshold, where a bound too loose would show."""
+    fall near the breach threshold, where a bound too loose would show.  The
+    box length moves the separations along omega's table."""
     n = 2 * draw(st.integers(4, 32))
-    grid = Grid(n, TWO_PI)
+    grid = Grid(n, TWO_PI * 10.0 ** draw(st.floats(-2.0, 2.0)))
     preset = draw(st.sampled_from(PRESETS + ("noise",)))
     seed = draw(st.integers(0, 2 ** 16))
     if preset == "noise":
         values = np.random.default_rng(seed).standard_normal((n, n))
     else:
         values = inverse_transform(make_initial(preset, grid, seed=seed)).values
-    delta3 = 10.0 ** draw(st.floats(-2.0, 0.0))
-    r_max = grid.dx * 10.0 ** draw(st.floats(0.0, 2.0))
-    mod = build_knv_modulus(delta3, r_max)
-    offsets = default_offsets(grid, r_max)
+    mod, offsets, _ = _monitor(grid, 10.0 ** draw(st.floats(-2.0, 0.0)), 1.0)
     threshold = check_modulus(RealField(grid, values), mod, offsets).worst_ratio
     sign = draw(st.sampled_from([-1.0, 1.0]))
     values = values * (sign * 10.0 ** draw(st.floats(-3.0, 0.5)) / threshold)
@@ -343,11 +345,28 @@ def test_a_sample_the_lattice_bound_skips_has_no_breach(case):
         assert report.worst_ratio < 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 64).map(lambda h: 2 * h), log_length=st.floats(-300.0, 150.0))
+def test_the_monitor_covers_every_box(n, log_length):
+    # the table reaches the box's largest periodic separation, (n/2) sqrt 2
+    # cells, on boxes from near the smallest Grid allows to 1e150
+    grid = Grid(n, 10.0 ** log_length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mod, offsets, _ = _monitor(grid, 0.1, 1.0)
+    shifts = {(d1 % n, d2 % n) for d1, d2 in offsets}
+    assert len(shifts) == len(offsets) and (0, 0) not in shifts
+    assert all(max(abs(d1), abs(d2)) <= n // 2 for d1, d2 in offsets)
+    assert (n // 2, n // 2) in offsets
+    separations = [grid.dx * math.hypot(d1, d2) for d1, d2 in offsets]
+    assert np.all(mod.omega_at(separations) > 0.0)
+
+
 class TestLatticeBound:
     def setup_method(self):
         self.grid = Grid(64, TWO_PI)
         self.mod = build_knv_modulus(0.1, 10.0)
-        self.offsets = default_offsets(self.grid, 10.0)
+        self.offsets = default_offsets(self.grid)
 
     def skips(self, values):
         return lattice_bound_skips(values, self.grid, self.mod, self.offsets)
@@ -393,7 +412,7 @@ def test_a_non_finite_field_is_refused(bad):
     values[3, 5] = bad
     field = RealField(g, values)
     with pytest.raises(ParameterError, match="non-finite"):
-        check_modulus(field, mod, default_offsets(g, 10.0))
+        check_modulus(field, mod, default_offsets(g))
     with pytest.raises(ParameterError, match="non-finite"):
         find_scaling(field, mod)
 
@@ -401,7 +420,10 @@ def test_a_non_finite_field_is_refused(bad):
 class TestFindScaling:
     def test_cmt_scaling_passes_with_margin(self):
         g = Grid(128, TWO_PI)
-        theta0 = inverse_transform(make_initial("cmt", g))
+        # at amplitude 1 no rescaling can pass: the half-box shift (0, n/2)
+        # moves the data by its whole oscillation, 2.83, while omega stays
+        # below omega(10) = 0.144 on every separation the table reaches
+        theta0 = inverse_transform(make_initial("cmt", g, amplitude=0.04))
         mod = build_knv_modulus(0.05, 10.0)
         result = find_scaling(theta0, mod)
         assert result.report.worst_ratio <= 0.9
@@ -420,39 +442,40 @@ class TestFindScaling:
         result = find_scaling(tiny, mod)
         assert result.c == 1
 
-    def test_fails_once_the_stretched_cell_passes_r_max(self):
-        # dx = 0.785 at C = 1 and 1.57 > r_max at C = 2: data this large
-        # never reaches the margin before no separation is left to check
+    def test_fails_once_the_stretched_box_passes_r_max(self):
+        # the largest separation is 4.44 at C = 1, 8.89 at C = 2 and
+        # 17.8 > r_max at C = 4: data this large never reaches the margin
+        # before the box outgrows the table
         g = Grid(8, TWO_PI)
         theta0 = RealField(g, 1e3 * inverse_transform(make_initial("cmt", g)).values)
-        with pytest.raises(ParameterError, match="no admissible rescaling"):
-            find_scaling(theta0, build_knv_modulus(0.1, 1.0))
+        with pytest.raises(ParameterError, match="no admissible rescaling: at C = 4"):
+            find_scaling(theta0, build_knv_modulus(0.1, 10.0))
 
 
 def test_default_offsets_structure():
     g = Grid(64, TWO_PI)
-    offsets = default_offsets(g, 10.0)
+    offsets = default_offsets(g)
     for c in range(1, 9):
         assert (c, 0) in offsets and (0, c) in offsets
-    assert all(
-        0 < math.hypot(d1, d2) * g.dx <= 10.0 + 1e-12 for d1, d2 in offsets)
+    assert all(0 < max(abs(d1), abs(d2)) <= 32 for d1, d2 in offsets)
+    assert (32, 0) in offsets and (0, 32) in offsets and (32, 32) in offsets
     assert any(d1 == d2 for d1, d2 in offsets)      # diagonals present
     assert any(d1 == -d2 and d1 > 0 for d1, d2 in offsets)
 
 
-def test_default_offsets_below_one_cell_raise():
-    g = Grid(32, TWO_PI)
-    for r_max in (0.99 * g.dx, 0.0, -1.0, math.nan):
-        with pytest.raises(ParameterError, match="below one grid cell"):
-            default_offsets(g, r_max)
-    assert default_offsets(g, g.dx) == [(1, 0), (0, 1)]
+def test_default_offsets_do_not_depend_on_the_box_length():
+    # a stretched box is checked on the same cells as the 2 pi one: its
+    # largest separations are far past 10, and they are still checked
+    offsets = default_offsets(Grid(32, TWO_PI))
+    for length in (1e-3, 1e3, 1e100):
+        assert default_offsets(Grid(32, length)) == offsets
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 128])
 def test_default_offsets_are_distinct_shifts(n):
     # (n/2, n/2) and (n/2, -n/2) are one periodic shift: the first is kept
     g = Grid(n, TWO_PI)
-    offsets = default_offsets(g, 10.0)
+    offsets = default_offsets(g)
     shifts = [(d1 % n, d2 % n) for d1, d2 in offsets]
     assert len(set(shifts)) == len(shifts)
     assert (n // 2, n // 2) in offsets and (n // 2, -(n // 2)) not in offsets

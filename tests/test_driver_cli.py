@@ -442,6 +442,32 @@ class TestCli:
         # without --strict the same run completes with exit 0
         assert main(["run", "--config", str(config)]) == 0
 
+    def test_removed_r_max_setting_exit_12_citing_its_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, (
+            "modulus.enabled = true\n"
+            "modulus.r_max = 10\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "unknown key 'modulus.r_max'" in err[0] and "line 10" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_monitored_run_on_a_box_wider_than_ten_completes(self, tmp_path, capsys):
+        # dx = 19.6: every cell is past the old default r_max = 10, which
+        # stopped such a run before its first step; the table now reaches
+        # the box's largest separation, 444, and small data holds on it
+        text = BASE_CONFIG.replace("grid.length = 6.283185307179586",
+                                   "grid.length = 628.3185307179586")
+        config = tmp_path / "run.cfg"
+        config.write_text(text + "initial.amplitude = 0.04\n"
+                          "modulus.enabled = true\n"
+                          f"output.directory = {tmp_path}/out\n")
+        assert main(["run", "--config", str(config), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("completed t = 1 after ") and "breach" not in out
+
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("key, value", [
         ("modulus.delta3", "1e-320"),

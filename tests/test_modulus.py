@@ -362,6 +362,21 @@ def test_the_monitor_covers_every_box(n, log_length):
     assert np.all(mod.omega_at(separations) > 0.0)
 
 
+@pytest.mark.parametrize("n, length, r_max", [
+    (128, TWO_PI, 10.0),  # the floor: the 2 pi box keeps the table r_max = 10 gave
+    (16, 1e-3, 10.0),
+    (128, TWO_PI * 100.0, TWO_PI * 100.0 / math.sqrt(2.0)),
+    (8, 1e6, 1e6 / math.sqrt(2.0)),
+])
+def test_the_monitor_tabulates_to_the_largest_separation(n, length, r_max):
+    mod, _, _ = _monitor(Grid(n, length), 0.1, 1.0)
+    assert mod.r_max == pytest.approx(r_max, rel=1e-14)
+    if r_max == 10.0:
+        reference = build_knv_modulus(0.1, 10.0)
+        assert np.array_equal(mod.r_table, reference.r_table)
+        assert np.array_equal(mod.omega, reference.omega)
+
+
 class TestLatticeBound:
     def setup_method(self):
         self.grid = Grid(64, TWO_PI)
@@ -450,6 +465,14 @@ class TestFindScaling:
         theta0 = RealField(g, 1e3 * inverse_transform(make_initial("cmt", g)).values)
         with pytest.raises(ParameterError, match="no admissible rescaling: at C = 4"):
             find_scaling(theta0, build_knv_modulus(0.1, 10.0))
+
+    def test_fails_at_once_on_a_box_past_r_max(self):
+        # the largest separation of the unstretched box, 70.7, is already
+        # past the table, however small the data
+        g = Grid(8, 100.0)
+        tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
+        with pytest.raises(ParameterError, match="no admissible rescaling: at C = 1"):
+            find_scaling(tiny, build_knv_modulus(0.1, 10.0))
 
 
 def test_default_offsets_structure():

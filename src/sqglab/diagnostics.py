@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ParameterError, _check
-from .spectral import _sample, sobolev_norms
+from .spectral import _sample
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
 # NormSeries' rule, (test, what the betas must do): each extra order 1 + beta
@@ -99,14 +99,14 @@ def record_norms(state, series: NormSeries):
     """Append one row of norms for the given solver state; a norm that is not
     finite (squares can overflow) raises ``BlowUpError`` naming its column.
 
-    Returns theta's grid values with their max and min, from the row's one
-    inverse transform: a view into this thread's workspace, valid until its
-    next transform."""
-    theta = state.theta
+    Returns theta's grid values with their max and min, from the row's
+    inverse transform of theta: a view into this thread's workspace, valid
+    until its next transform.  The row is computed by ``spectral._sample``,
+    which splits it across this thread and the helper of ``spectral._pair``
+    with the same bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values, hi, lo, linf, grad_sup = _sample(theta)
-        l2, h1, h3_2, h2, *extra = sobolev_norms(
-            theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
+        values, hi, lo, linf, grad_sup, (l2, h1, h3_2, h2, *extra) = _sample(
+            state.theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
     row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
     finite = np.isfinite(row)
     if not finite.all():

@@ -5,9 +5,11 @@ the check ``modulus._monitor`` returns) run on a one-thread executor, in
 sample order with at most one sample waiting, while the stepper goes on; a
 run's three threads (the stepper, its advection helper and this worker)
 share up to two cores.  While the worker computes a sample it holds the
-helper, so the stepper runs its whole right-hand side on its own core; left
-to compete for the second core, the split lost 2% on the monitored n = 128
-benchmark run.  The outputs and the failure behaviour are those of running
+helper, so the stepper runs its whole right-hand side on its own core, and
+the sample runs its two halves (see ``spectral._sample``) in turn; left to
+compete for the second core, the split lost 2% on the monitored n = 128
+benchmark run.  The initial sample runs in line, split across the stepper
+and the helper.  The outputs and the failure behaviour are those of running
 them in line: snapshots, checkpoints and ``norms.csv`` wait for every
 earlier sample, and the first diagnostics error is raised in place of
 anything the stepper raises after it.  A failed sample ends the run at the

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -139,8 +139,8 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
         out.fill(0.0)
         return None
     spec, stack, _ = _workspace.get(grid)
-    _pair(_products, (grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
-          (grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
+    _pair(partial(_products, grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
+          partial(_products, grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
     u1, u2, t1, t2 = stack
     t1 += t2
     _forward(grid, t1, out, dealiased=True)

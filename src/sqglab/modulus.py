@@ -54,11 +54,16 @@ _TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
 # long (the 2 pi box among them) shares one table, and a tiny box gets one.
 _TABLE_FLOOR = 10.0
 
-# value rules, (test, what the value must do); modulus.delta3 reuses the
-# first, and r_max's keeps the quadrature range [-90, log r_max + 45] non-empty
+# The smallest r_max the rule accepts.  Below about 1.5e-16 the table's
+# second differences lose omega'' to roundoff and _certify fails; at 1e-12
+# they are off by about 2e-4, against its 1% tolerance.  It also keeps the
+# quadrature range [-90, log r_max + 45] non-empty.
+_R_MAX_FLOOR = 1e-12
+
+# value rules, (test, what the value must do); modulus.delta3 reuses the first
 _RULES = {"delta3": (lambda v: v > 0.0, "be > 0"),
-          "r_max": (lambda v: 0.0 < v < math.inf and math.log(v) > _X_LOW - _X_PAD,
-                    f"be finite, with log r_max > {_X_LOW - _X_PAD:g}")}
+          "r_max": (lambda v: _R_MAX_FLOOR <= v < math.inf,
+                    f"be finite and >= {_R_MAX_FLOOR:g}")}
 
 
 def _unbacked(gamma: float, kappa: float):

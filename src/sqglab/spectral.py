@@ -13,9 +13,12 @@ Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
 results match them bit for bit; the column passes work in place on scratch
 in a per-thread workspace, so threads never share buffers and a step
 allocates nothing large; ``_pair``'s helper thread writes only into the
-buffers its caller hands it.  Under the 2/3 rule the right-hand side reads
-and writes only the modes |m1|, |m2| <= ``Grid.cutoff``, so its column passes
-run on the first cutoff + 1 columns alone (Patterson and Orszag, 1971).
+buffers its caller hands it, slots 1 and 3 of the caller's workspace, both
+in a right-hand side and in a norm sample (``_sample``).  Each 1-D pass and
+each reduction is the one a single thread would run, so the split changes
+no bit.  Under the 2/3 rule the right-hand side reads and writes only the
+modes |m1|, |m2| <= ``Grid.cutoff``, so its column passes run on the first
+cutoff + 1 columns alone (Patterson and Orszag, 1971).
 """
 
 from __future__ import annotations
@@ -166,12 +169,12 @@ class _Helper(threading.Thread):
         self.free, self.go, self.done = (threading.Lock() for _ in range(3))
         self.go.acquire()
         self.done.acquire()
-        self.job = self.error = None
+        self.job = self.result = self.error = None
 
     def run(self):
         while self.go.acquire():
             try:
-                self.job()
+                self.result = self.job()
             except BaseException as exc:  # raised again in the caller
                 self.error = exc
             self.job = None
@@ -190,30 +193,31 @@ def _cpus():
 _SPLIT = _cpus() >= 2
 
 
-def _pair(f, theirs, mine):
-    """Run f(*theirs) on the helper thread and f(*mine) on this one, and
-    return once both are done.  The helper runs in a copy of this thread's
-    context, so ``np.errstate`` holds there too.  An exception in either half
-    is raised here, after the helper has finished.  On one CPU, or if another
-    thread holds the helper (see ``_held``), both halves run here, in turn."""
+def _pair(theirs, mine):
+    """Call theirs() on the helper thread and mine() on this one, and return
+    both results once both are done.  The helper runs in a copy of this
+    thread's context, so ``np.errstate`` holds there too.  An exception in
+    either half is raised here, after the helper has finished.  On one CPU,
+    or if another thread holds the helper (see ``_held``), both halves run
+    here, in turn."""
     helper = _helper
     if not _SPLIT or not helper.free.acquire(blocking=False):
-        f(*theirs)
-        f(*mine)
-        return
+        return theirs(), mine()
     if helper.ident is None:
         helper.start()
-    helper.job = functools.partial(contextvars.copy_context().run, f, *theirs)
+    helper.job = functools.partial(contextvars.copy_context().run, theirs)
     helper.go.release()
     try:
-        f(*mine)
+        result = mine()
     finally:
         # free is released only once the helper is idle again
         helper.done.acquire()
-        error, helper.error = helper.error, None
+        their_result, error = helper.result, helper.error
+        helper.result = helper.error = None
         helper.free.release()
     if error is not None:
         raise error
+    return their_result, result
 
 
 def _held():
@@ -316,21 +320,37 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     return sobolev_norms(F, (s,))[0]
 
 
-def _sample(F: SpectralField):
-    """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
-    of F, from one batched inverse transform of (F, i k1 F, i k2 F) in this
-    thread's workspace, reduced in place: the gradient is spectral.
+def _sample(F: SpectralField, orders=()):
+    """(f, max f, min f, max |f|, max |grad f|, Sobolev norms of ``orders``)
+    on the grid, for f the field of F, split by ``_pair``: the helper inverts
+    (i k1 F, i k2 F) in slots 1 and 3 of this thread's workspace, where it
+    works in every right-hand side, and reduces them to max |grad f| in
+    place; this thread inverts F in slot 0 and sums the norms.  The gradient
+    is spectral.
 
     The values are bit for bit those of ``inverse_transform(F)``, in a view
     into the workspace valid until this thread's next transform."""
     grid = F.grid
     spec, stack, _ = _workspace.get(grid)
-    spec, stack = spec[:3], stack[:3]
-    np.copyto(spec[0], F.coeffs)
-    np.multiply(grid.multipliers[2:], F.coeffs, out=spec[1:])
-    f, d1, d2 = _inverse(grid, spec, stack)
-    hi, lo = float(f.max()), float(f.min())
-    return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2)
+    grad_sup, (f, hi, lo, norms) = _pair(
+        functools.partial(_gradient_sup, grid, F.coeffs, spec[1::2], stack[1::2]),
+        functools.partial(_values, F, spec[0], stack[0], orders))
+    return f, hi, lo, max(abs(hi), abs(lo)), grad_sup, norms
+
+
+def _gradient_sup(grid, coeffs, spec, stack):
+    """Grid maximum of |grad f| for the half spectrum ``coeffs``, with the
+    scratch pairs ``spec`` and ``stack``."""
+    np.multiply(grid.multipliers[2:], coeffs, out=spec)
+    return _sup_norm(*_inverse(grid, spec, stack))
+
+
+def _values(F, spec, out, orders):
+    """(f, max f, min f, Sobolev norms of ``orders``) for f the field of F,
+    whose values are written into ``out`` with ``spec`` as scratch."""
+    np.copyto(spec, F.coeffs)
+    f = _inverse(F.grid, spec, out)
+    return f, float(f.max()), float(f.min()), sobolev_norms(F, orders) if orders else []
 
 
 def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -343,4 +363,4 @@ def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     """Grid maxima of |f| and of |grad f|; see ``_sample``."""
-    return _sample(F)[3:]
+    return _sample(F)[3:5]

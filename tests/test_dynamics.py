@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ class TestFieldPairSplit:
             finished.append(name)
 
         with pytest.raises(Boom) as err:
-            _pair(half, ("theirs",), ("mine",))
+            _pair(partial(half, "theirs"), partial(half, "mine"))
         assert err.value.args[0] in failing
         # the helper's half had ended before the error was raised here
         assert sorted(finished) == sorted({"theirs", "mine"} - failing)
@@ -476,12 +477,10 @@ class TestFieldPairSplit:
         assert threads_running_pair() == here
 
     def test_the_helper_half_runs_in_the_callers_errstate(self):
-        seen = {}
         with np.errstate(over="ignore", invalid="raise"):
-            _pair(lambda name: seen.update({name: np.geterr()}), ("theirs",),
-                  ("mine",))
-        assert seen["theirs"] == seen["mine"]
-        assert seen["mine"]["over"] == "ignore" and seen["mine"]["invalid"] == "raise"
+            theirs, mine = _pair(np.geterr, np.geterr)
+        assert theirs == mine
+        assert mine["over"] == "ignore" and mine["invalid"] == "raise"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_steps_with_its_own_helper(self):
@@ -532,11 +531,10 @@ class TestFieldPairSplit:
 
 
 def threads_running_pair():
-    """The threads on which ``_pair`` runs its two halves."""
-    ran = {}
-    _pair(lambda name: ran.update({name: threading.current_thread()}),
-          ("theirs",), ("mine",))
-    return ran
+    """The threads on which ``_pair`` runs its two halves, from the results
+    it returns."""
+    theirs, mine = _pair(threading.current_thread, threading.current_thread)
+    return {"theirs": theirs, "mine": mine}
 
 
 def test_warm_step_allocates_no_large_temporaries():

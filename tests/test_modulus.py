@@ -94,6 +94,15 @@ class TestConstruction:
             with pytest.raises(ParameterError):
                 build_knv_modulus(0.1, r_max)
 
+    @pytest.mark.filterwarnings("error")
+    def test_r_max_floor_is_where_the_table_certifies(self):
+        # the table's second differences certify down to about 1.5e-16; the
+        # rule stops short of that, naming its range, and accepts its floor
+        assert build_knv_modulus(0.1, 1e-12).r_max == 1e-12
+        for r_max in (9.9e-13, 1e-15, 1e-16):
+            with pytest.raises(ParameterError, match="r_max must be finite and >= 1e-12"):
+                build_knv_modulus(0.1, r_max)
+
     def test_omega_prime_at_zero_against_independent_oracle(self):
         coarse = simpson_omega_prime0(20000)
         fine = simpson_omega_prime0(40000)
@@ -327,7 +336,10 @@ def monitored_samples(draw):
     mod, offsets, _ = _monitor(grid, 10.0 ** draw(st.floats(-2.0, 0.0)), 1.0)
     threshold = check_modulus(RealField(grid, values), mod, offsets).worst_ratio
     sign = draw(st.sampled_from([-1.0, 1.0]))
-    values = values * (sign * 10.0 ** draw(st.floats(-3.0, 0.5)) / threshold)
+    scale = sign * 10.0 ** draw(st.floats(-3.0, 0.5))
+    # a grid can sample a preset where it is constant (cmt at n = 10 on a
+    # 20 pi box sits at 1 on every point): no amplitude breaches it
+    values = values * (scale / threshold if threshold > 0.0 else scale)
     return values, grid, mod, offsets
 
 

@@ -1,10 +1,16 @@
 """Tests for the spectral core: transforms, multipliers, norms."""
 
+import contextlib
 import math
+import threading
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqglab import (
     Grid,
@@ -21,8 +27,9 @@ from sqglab import (
     sobolev_norm,
     sup_and_gradient_sup,
 )
+from sqglab import spectral
 from sqglab.initial import PRESETS, make_initial
-from sqglab.spectral import sobolev_norms
+from sqglab.spectral import _held, _inverse, sobolev_norms
 
 TWO_PI = 2.0 * math.pi
 
@@ -344,20 +351,25 @@ class TestNorms:
         assert sup_and_gradient_sup(F)[1] <= bound * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 16, 48, 128])
-@pytest.mark.parametrize("source", PRESETS + ("dealiased noise", "noise", "zero"))
-def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
-    # the batched inverse of (F, i k1 F, i k2 F) gives F's values bit for bit,
-    # which record_norms returns, and its max and min give sup |f| as the
-    # in-place abs did
-    g = grid(n)
+SOURCES = PRESETS + ("dealiased noise", "noise", "zero")
+
+
+def sample_field(g, source, seed):
+    """A preset, grid noise (not dealiased) or its dealiased part, or zero."""
     if source in PRESETS:
-        F = make_initial(source, g, seed=5)
-    else:
-        F = forward_transform(random_field(g, n) if source != "zero"
-                              else RealField(g, np.zeros((n, n))))
-        if source == "dealiased noise":
-            F = dealias(F)
+        return make_initial(source, g, seed=seed)
+    F = forward_transform(random_field(g, seed) if source != "zero"
+                          else RealField(g, np.zeros((g.n, g.n))))
+    return dealias(F) if source == "dealiased noise" else F
+
+
+@pytest.mark.parametrize("n", [8, 16, 48, 128])
+@pytest.mark.parametrize("source", SOURCES)
+def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
+    # the sample's inverse of F gives F's values bit for bit, which
+    # record_norms returns, and its max and min give sup |f| as the in-place
+    # abs did
+    F = sample_field(grid(n), source, 5 if source in PRESETS else n)
     linf, _ = sup_and_gradient_sup(F)
     series = NormSeries()
     values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
@@ -368,6 +380,110 @@ def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
     assert (hi, lo) == (expected.max(), expected.min())
     assert linf == np.abs(expected).max()
     assert math.copysign(1.0, linf) == 1.0  # never -0.0, which prints as "-0"
+
+
+class Boom(Exception):
+    pass
+
+
+def sample_in(mode, F):
+    """record_norms' row, its (values, hi, lo) and sup_and_gradient_sup, with
+    the sample split across this thread and the helper, with the helper held
+    (as the diagnostics worker holds it), or on one CPU (no split)."""
+    series = NormSeries(betas=(0.5, 1.0))
+    with (_held() if mode == "held" else contextlib.nullcontext()), \
+            mock.patch.object(spectral, "_SPLIT", mode != "one cpu"):
+        values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)),
+                                      series)
+        values = values.copy()
+        sups = sup_and_gradient_sup(F)
+    return [series.column(name)[0] for name in series.columns], values, hi, lo, sups
+
+
+def threads_running_sample(mode, F):
+    """The threads that ran the sample's gradient and values halves."""
+    ran = {}
+
+    def watch(name, half):
+        def watched(*args):
+            ran[name] = threading.current_thread()
+            return half(*args)
+        return watched
+
+    with mock.patch.object(spectral, "_gradient_sup",
+                           watch("gradient", spectral._gradient_sup)), \
+            mock.patch.object(spectral, "_values", watch("values", spectral._values)):
+        sample_in(mode, F)
+    return ran
+
+
+class TestSampleSplit:
+    """``spectral._sample`` inverts (i k1 F, i k2 F) and reduces them to
+    sup |grad f| on the helper thread of ``spectral._pair``, while this
+    thread inverts F and sums the Sobolev norms.  Each mode turns the helper
+    on or off itself, so these tests hold on one CPU too."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
+           source=st.sampled_from(SOURCES))
+    @example(n=8, seed=0, source="zero")
+    @example(n=128, seed=1, source="random_h1")
+    @example(n=256, seed=2, source="noise")
+    def test_every_mode_gives_the_same_bits(self, n, seed, source):
+        g = grid(n)
+        F = sample_field(g, source, seed)
+        # the one-thread sample: one batched inverse of (F, i k1 F, i k2 F)
+        spec = np.stack([F.coeffs, *(g.multipliers[2:] * F.coeffs)])
+        f, d1, d2 = _inverse(g, spec, np.empty((3, n, n)))
+        linf, grad_sup = np.abs(f).max(), float(np.sqrt((d1 * d1 + d2 * d2).max()))
+        norms = sobolev_norms(F, (0.0, 1.0, 1.5, 2.0, 1.5, 2.0))
+        # not the dealiased inverse: F may have modes past the 2/3 rule
+        assert np.array_equal(f, inverse_transform(F).values)
+        for mode in ("split", "held", "one cpu"):
+            row, values, hi, lo, sups = sample_in(mode, F)
+            assert row == [0.0, linf, *norms[:4], grad_sup, *norms[4:]]
+            assert math.copysign(1.0, row[1]) == 1.0  # +0.0 for the zero field
+            assert np.array_equal(values, f)
+            assert (hi, lo) == (f.max(), f.min())
+            assert sups == (linf, grad_sup)
+
+    def test_the_gradient_half_runs_on_the_helper_unless_held_or_one_cpu(self):
+        F = make_initial("random_h1", grid(32), seed=3)
+        here = threading.current_thread()
+        assert threads_running_sample("split", F) == {"gradient": spectral._helper,
+                                                      "values": here}
+        for mode in ("held", "one cpu"):
+            assert threads_running_sample(mode, F) == {"gradient": here, "values": here}
+
+    @pytest.mark.parametrize("failing", [{"gradient"}, {"values"},
+                                         {"gradient", "values"}])
+    def test_an_error_in_either_half_reaches_the_caller(self, failing):
+        F = make_initial("random_h1", grid(32), seed=4)
+        expected = sample_in("split", F)
+        finished = []
+
+        def failing_half(name, half):
+            def run(*args):
+                time.sleep(0.02 if name == "gradient" else 0.0)
+                if name in failing:
+                    raise Boom(name)
+                finished.append(name)
+                return half(*args)
+            return run
+
+        with mock.patch.object(spectral, "_gradient_sup",
+                               failing_half("gradient", spectral._gradient_sup)), \
+                mock.patch.object(spectral, "_values",
+                                  failing_half("values", spectral._values)), \
+                pytest.raises(Boom) as err:
+            sample_in("split", F)
+        assert err.value.args[0] in failing
+        # the helper's half had ended before the error was raised here
+        assert sorted(finished) == sorted({"gradient", "values"} - failing)
+        # and the next sample splits again, with the same bits
+        assert threads_running_sample("split", F)["gradient"] is spectral._helper
+        got = sample_in("split", F)
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
 
 
 class TestDealias:

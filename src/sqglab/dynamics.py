@@ -7,17 +7,22 @@ numerically.  One function, ``_advection``, forms u . grad(theta) with
 2/3-rule dealiasing for ``nonlinear_term`` and for ``step``, whose real
 scalar factors carry the minus sign of the right-hand side.
 
+Every state is exactly zero outside ``dealias_mask``: ``initial_state``
+truncates the data, and a step writes +0.0 there.  So the stepper works on
+the packed live block alone (``sqglab.spectral._pack``), the (2 cutoff + 1,
+cutoff + 1) modes the 2/3 rule keeps, 4/9 of the half spectrum: the stage
+terms and inputs, the integrating factors and the finiteness check.
+``step`` packs theta once per state and unpacks the new state once;
+``SolverState.theta`` and ``nonlinear_term`` stay full width.  The
+advection term of any theta is that of ``dealias(theta)``.
+
 Stepping uses two threads on a machine with two or more CPUs:
 ``_advection`` evaluates the (u1, d1 theta) pair on the calling thread and
-the (u2, d2 theta) pair on the helper thread of ``sqglab.spectral._pair``,
-with the 1-D transforms and products one thread would compute, so
-trajectories are the same bit for bit whichever thread runs a pair.
-
-Every state is exactly zero outside ``dealias_mask``: ``initial_state``
-truncates the data, and ``_advection`` reads only the retained modes and
-writes zeros elsewhere, so its column passes skip the dead columns (see
-``sqglab.spectral``).  The advection term of any theta is that of
-``dealias(theta)``.
+the (u2, d2 theta) pair on the helper thread of ``sqglab.spectral._pair``;
+from n = ``_FORWARD_SPLIT`` on, the forward transform of their products is
+split too, by halves of the rows and then of the live columns.  Each
+thread runs the 1-D transforms and products one thread would compute, so
+trajectories are the same bit for bit whichever thread runs a part.
 
 A step allocates no large temporaries beyond the arrays it keeps: the
 right-hand side and the RK4 stage inputs are formed in place, in the
@@ -35,10 +40,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError, _check
-from .spectral import (SpectralField, _forward, _inverse, _pair, _sup_norm, _workspace,
-                       dealias)
+from .spectral import (SpectralField, _forward_columns, _forward_rows, _inverse,
+                       _live_rows, _pack, _packed_shape, _pair, _sup_norm, _unpack,
+                       _workspace, dealias)
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
+# the grid size from which _advection splits its forward transform too: on
+# 2 CPUs the two extra handoffs cost more than they save below it
+_FORWARD_SPLIT = 192
 # adapt_dt's floor: a speed that overflows to inf or nan still gets a finite
 # step, so the run ends in BlowUpError and not in a step-size error
 _DT_MIN = 1e-10
@@ -104,18 +113,24 @@ class SolverState:
     step_count: int = 0
 
     @cached_property
+    def _packed(self) -> np.ndarray:
+        """theta's modes that the 2/3 rule keeps, packed (see
+        ``sqglab.spectral._pack``): what ``stage1`` and ``step`` read."""
+        return _pack(self.theta.grid, self.theta.coeffs)
+
+    @cached_property
     def stage1(self) -> tuple[np.ndarray, float]:
-        """The advection term u . grad(theta) at this state and sup|u|.
+        """The packed advection term u . grad(theta) at this state and sup|u|.
 
         Both come from one batched transform; ``adapt_dt`` reads the speed
-        and ``step`` uses the term, negated, as its first RK4 stage.  It is
-        computed on first use and is not a field, so ``dataclasses.replace``
-        never carries it over to a new state.
+        and ``step`` uses the term, negated, as its first RK4 stage.  Like
+        ``_packed`` it is computed on first use and is not a field, so
+        ``dataclasses.replace`` never carries it over to a new state.
         """
-        term = np.empty(self.theta.grid.spectral_shape, dtype=complex)
+        grid = self.theta.grid
+        term = np.empty(_packed_shape(grid), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            velocity = _advection(self.theta.grid, self.theta.coeffs, term,
-                                  self.config.nonlinear_enabled)
+            velocity = _advection(grid, self._packed, term, self.config.nonlinear_enabled)
             return term, 0.0 if velocity is None else _sup_norm(*velocity)
 
 
@@ -124,16 +139,18 @@ def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
 
 
 def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True):
-    """Write the advection term u . grad(theta) of the half spectrum
-    ``coeffs`` into ``out``, or zeros without ``nonlinear``; return the grid
-    velocity (u1, u2), or None.
+    """Write the advection term u . grad(theta) of the packed spectrum
+    ``coeffs`` into the packed ``out``, or zeros without ``nonlinear``;
+    return the grid velocity (u1, u2), or None.
 
     An inverse transform gives u1, u2 and both gradient components on the
-    grid, reading only the modes the 2/3 rule keeps, and the products are
-    formed there.  ``_pair`` splits that work by field pair: (u1, d1 theta)
-    on this thread, (u2, d2 theta) on the helper.  The sum of the products
-    is transformed back here and truncated by the 2/3 rule.  u1 and u2 are
-    views into this thread's workspace, valid until its next call.
+    grid, and the products are formed there.  ``_pair`` splits that work by
+    field pair: (u1, d1 theta) on this thread, (u2, d2 theta) on the helper.
+    The sum of the products is transformed back and its live block packed
+    into ``out``; from n = ``_FORWARD_SPLIT`` on ``_pair`` splits that too,
+    the row pass by halves of the rows and the column pass by halves of the
+    live columns.  u1 and u2 are views into this thread's workspace, valid
+    until its next call.
     """
     if not nonlinear:
         out.fill(0.0)
@@ -142,16 +159,28 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
     _pair(partial(_products, grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
           partial(_products, grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
     u1, u2, t1, t2 = stack
-    t1 += t2
-    _forward(grid, t1, out, dealiased=True)
+    spec = spec[0]
+    if grid.n < _FORWARD_SPLIT:
+        _forward_rows(t1, t2, spec)
+        _forward_columns(grid, spec, out)
+    else:
+        rows, cols = grid.n // 2, out.shape[-1] // 2
+        _pair(partial(_forward_rows, t1[rows:], t2[rows:], spec[rows:]),
+              partial(_forward_rows, t1[:rows], t2[:rows], spec[:rows]))
+        _pair(partial(_forward_columns, grid, spec[:, cols:], out[:, cols:]),
+              partial(_forward_columns, grid, spec, out[:, :cols]))
     return u1, u2
 
 
 def _products(grid, multipliers, coeffs, spec, stack):
     """``_advection``'s products on the field pairs of ``multipliers``: the
     velocity components, then the matching gradient components, on the grid
-    into ``stack``, whose second half then holds u_i d_i theta."""
-    np.multiply(multipliers, coeffs, out=spec)
+    into ``stack``, whose second half then holds u_i d_i theta.  The
+    multipliers go into the live block of ``spec`` only, as the dealiased
+    inverse zeroes the rest."""
+    live = coeffs.shape[-1]
+    for rows, packed in _live_rows(grid):
+        np.multiply(multipliers[:, rows, :live], coeffs[packed], out=spec[:, rows, :live])
     _inverse(grid, spec, stack, dealiased=True)
     half = len(stack) // 2
     stack[half:] *= stack[:half]
@@ -159,13 +188,14 @@ def _products(grid, multipliers, coeffs, spec, stack):
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Spectral coefficients of u . grad(theta) for ``dealias(theta)``: the
-    array the stepper integrates, pseudo-spectral and truncated by the 2/3
-    rule.  For divergence-free u the mean of the product vanishes, so the
-    zero mode of the output is zero up to roundoff.
+    packed array the stepper integrates, unpacked, pseudo-spectral and
+    truncated by the 2/3 rule.  For divergence-free u the mean of the
+    product vanishes, so the zero mode of the output is zero up to roundoff.
     """
-    out = np.empty(theta.grid.spectral_shape, dtype=complex)
-    _advection(theta.grid, theta.coeffs, out)
-    return SpectralField(theta.grid, out)
+    grid = theta.grid
+    out = np.empty(_packed_shape(grid), dtype=complex)
+    _advection(grid, _pack(grid, theta.coeffs), out)
+    return SpectralField(grid, _unpack(grid, out))
 
 
 def step(state: SolverState, dt: float) -> SolverState:
@@ -188,11 +218,11 @@ def step(state: SolverState, dt: float) -> SolverState:
         raise ParameterError(f"step size {dt} exceeds dt_max = {config.dt_max}")
 
     grid = state.theta.grid
-    lam = config.kappa * grid.kmag_pow(config.gamma)
+    lam = config.kappa * _pack(grid, grid.kmag_pow(config.gamma))
     e_full = np.exp(-lam * dt)
     e_half = np.exp(-lam * (0.5 * dt))
 
-    th = state.theta.coeffs
+    th = state._packed
     x = _workspace.get(grid)[2]
     a2, a3, a4 = np.empty((3,) + th.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,13 +251,14 @@ def step(state: SolverState, dt: float) -> SolverState:
         new += x
 
     if not np.all(np.isfinite(new)):
-        kmag_bad = np.where(np.isfinite(new), -1.0, grid.kmag)
-        i, j = np.unravel_index(int(np.argmax(kmag_bad)), new.shape)
+        bad = _unpack(grid, new)
+        kmag_bad = np.where(np.isfinite(bad), -1.0, grid.kmag)
+        i, j = np.unravel_index(int(np.argmax(kmag_bad)), bad.shape)
         raise BlowUpError(state.t + dt, state.step_count + 1,
                           (grid.m1[i, 0], grid.m2[0, j]))
 
-    return SolverState(t=state.t + dt, theta=SpectralField(grid, new), config=config,
-                       step_count=state.step_count + 1)
+    return SolverState(t=state.t + dt, theta=SpectralField(grid, _unpack(grid, new)),
+                       config=config, step_count=state.step_count + 1)
 
 
 def adapt_dt(state: SolverState) -> float:

@@ -137,7 +137,12 @@ class BreachReport:
 
 
 def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
-    """Construct and certify the modulus table on log-spaced nodes."""
+    """Construct and certify the modulus table on log-spaced nodes.
+
+    The table for delta3 = 1 is certified first, so a failure there is
+    r_max's; then delta3 must keep every value the certificate forms a
+    normal float (see ``_normal_range``), else ``ParameterError`` names the
+    range of delta3 that builds."""
     for name, value in (("delta3", delta3), ("r_max", r_max)):
         _check(_RULES[name], name, value)
 
@@ -146,6 +151,12 @@ def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
     with np.errstate(all="ignore"):
         r = np.geomspace(_TABLE_SPAN * r_max, r_max, _TABLE_SIZE)
         op, omega, op0 = _shape_tables(r)
+        shape = ModulusOfContinuity(1.0, r, omega, op, op0)
+        _certify(shape)
+        low, high = _normal_range(shape)
+        if not low <= delta3 <= high:
+            raise ParameterError(f"delta3 must lie in [{low:.3g}, {high:.3g}] for "
+                                 f"r_max = {r_max:g}, got {delta3!r}")
         mod = ModulusOfContinuity(
             delta3=float(delta3),
             r_table=r,
@@ -155,6 +166,31 @@ def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
         )
         _certify(mod)
     return mod
+
+
+def _second_differences(mod: ModulusOfContinuity):
+    """The three quotients whose sum with signs +, -, +, doubled, is the
+    second difference of omega at the interior nodes, and omega'' there."""
+    r, om = mod.r_table, mod.omega
+    h1 = r[1:-1] - r[:-2]
+    h2 = r[2:] - r[1:-1]
+    mid = r[1:-1]
+    return ((om[:-2] / (h1 * (h1 + h2)), om[1:-1] / (h1 * h2), om[2:] / (h2 * (h1 + h2))),
+            -mod.delta3 / (np.sqrt(mid) + mid ** 2 * np.log(mid)))
+
+
+def _normal_range(shape: ModulusOfContinuity) -> tuple[float, float]:
+    """The delta3 for which delta3 times each value that ``_certify`` forms
+    from the delta3 = 1 table ``shape`` is a normal float, within a factor 2
+    for the roundings of the scaled quotients: past it the second
+    differences overflow to nan, and below it subnormal omega values lose
+    the digits the second differences need."""
+    (a, b, c), exact = _second_differences(shape)
+    values = np.abs(np.concatenate((shape.omega, shape.omega_prime,
+                                    [shape.omega_prime_at_zero], a, b, c,
+                                    2.0 * (a - b + c), exact)))
+    floats = np.finfo(float)
+    return 2.0 * floats.tiny / values.min(), floats.max / (2.0 * values.max())
 
 
 def _certify(mod: ModulusOfContinuity):
@@ -172,13 +208,9 @@ def _certify(mod: ModulusOfContinuity):
         raise ParameterError("omega'(0) does not dominate the table")
 
     # Second differences must reproduce omega'' to 1% at interior nodes ...
-    h1 = r[1:-1] - r[:-2]
-    h2 = r[2:] - r[1:-1]
-    second = 2.0 * (om[:-2] / (h1 * (h1 + h2))
-                    - om[1:-1] / (h1 * h2)
-                    + om[2:] / (h2 * (h1 + h2)))
+    (a, b, c), exact = _second_differences(mod)
+    second = 2.0 * (a - b + c)
     mid = r[1:-1]
-    exact = -mod.delta3 / (np.sqrt(mid) + mid ** 2 * np.log(mid))
     rel = np.abs(second - exact) / np.abs(exact)
     if not np.max(rel) <= 0.01:  # NaN fails too
         raise ParameterError(

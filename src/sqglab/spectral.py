@@ -13,12 +13,20 @@ Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
 results match them bit for bit; the column passes work in place on scratch
 in a per-thread workspace, so threads never share buffers and a step
 allocates nothing large; ``_pair``'s helper thread writes only into the
-buffers its caller hands it, slots 1 and 3 of the caller's workspace, both
-in a right-hand side and in a norm sample (``_sample``).  Each 1-D pass and
+buffers its caller hands it: slots 1 and 3 of the caller's workspace in a
+right-hand side and in a norm sample (``_sample``), and halves of slot 0
+and of the caller's output in a split forward transform.  Each 1-D pass and
 each reduction is the one a single thread would run, so the split changes
-no bit.  Under the 2/3 rule the right-hand side reads and writes only the
-modes |m1|, |m2| <= ``Grid.cutoff``, so its column passes run on the first
-cutoff + 1 columns alone (Patterson and Orszag, 1971).
+no bit.
+
+Under the 2/3 rule the right-hand side reads and writes only the modes
+|m1|, |m2| <= ``Grid.cutoff``, so its column passes run on the first
+cutoff + 1 columns alone (Patterson and Orszag, 1971).  The stepper keeps
+those modes packed (``_pack``, ``_unpack``): a contiguous (2 cutoff + 1,
+cutoff + 1) array of the rows m1 = 0 .. cutoff, then -cutoff .. -1, and the
+columns m2 = 0 .. cutoff.  The dealiased forward transform copies that
+block out of its column pass, and the right-hand side multiplies it into
+the live block of a half spectrum that the dealiased inverse reads.
 """
 
 from __future__ import annotations
@@ -78,8 +86,10 @@ class Grid:
         # to hold fails here, having touched no memory
         self.kmag = np.empty(self.spectral_shape)
 
-        self.m1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # Nyquist at -n/2
-        self.m2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # Nyquist at +n/2
+        # the integers, Nyquist at -n/2 and at +n/2; fftfreq(n, d=1/n) scales
+        # them by 1 / (n (1/n)), which is not 1 at n = 98, 196, 206, ...
+        self.m1 = np.fft.ifftshift(np.arange(-(n // 2), n // 2, dtype=float))[:, None]
+        self.m2 = np.arange(n // 2 + 1, dtype=float)[None, :]
         scale = 2.0 * np.pi / self.length
         self.k1 = scale * self.m1
         self.k2 = scale * self.m2
@@ -146,13 +156,14 @@ class _Workspace(threading.local):
         self.buffers = {}
 
     def get(self, grid):
-        """(half-spectrum stack, grid stack, stage input) for this grid."""
+        """(half-spectrum stack, grid stack, packed stage input) for this
+        grid."""
         buffers = self.buffers.get(grid.spectral_shape)
         if buffers is None:
             buffers = self.buffers[grid.spectral_shape] = (
                 np.empty((4,) + grid.spectral_shape, dtype=complex),
                 np.empty((4, grid.n, grid.n)),
-                np.empty(grid.spectral_shape, dtype=complex))
+                np.empty(_packed_shape(grid), dtype=complex))
         return buffers
 
 
@@ -244,6 +255,43 @@ def _live(grid: Grid, dealiased: bool) -> tuple[int, slice]:
     return live, slice(live, grid.n - live + 1)
 
 
+def _packed_shape(grid: Grid) -> tuple[int, int]:
+    """The shape (2 cutoff + 1, cutoff + 1) of a packed spectrum: the modes
+    |m1|, m2 <= cutoff that the 2/3 rule keeps, rows m1 = 0 .. cutoff, then
+    -cutoff .. -1, as in the half spectrum."""
+    return 2 * grid.cutoff + 1, grid.cutoff + 1
+
+
+def _live_rows(grid: Grid) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """The rows of the live block as (half-spectrum rows, packed rows) twice:
+    m1 = 0 .. cutoff, then m1 = -cutoff .. -1."""
+    live, dead = _live(grid, True)
+    return ((slice(None, live), slice(None, live)),
+            (slice(dead.stop, None), slice(live, None)))
+
+
+def _pack(grid: Grid, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The live block of one or a stack of half spectra, packed into ``out``
+    (a new array if None).  ``full`` may hold only the packed columns of
+    ``out``: a column range of both is packed alike."""
+    if out is None:
+        out = np.empty(full.shape[:-2] + _packed_shape(grid), dtype=full.dtype)
+    cols = out.shape[-1]
+    for rows, packed in _live_rows(grid):
+        out[..., packed, :] = full[..., rows, :cols]
+    return out
+
+
+def _unpack(grid: Grid, packed: np.ndarray) -> np.ndarray:
+    """The half spectra of one or a stack of packed spectra: a new array,
+    +0.0 outside ``dealias_mask``."""
+    out = np.zeros(packed.shape[:-2] + grid.spectral_shape, dtype=packed.dtype)
+    cols = packed.shape[-1]
+    for rows, block in _live_rows(grid):
+        out[..., rows, :cols] = packed[..., block, :]
+    return out
+
+
 def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
              dealiased: bool = False) -> np.ndarray:
     """Grid values of one or a stack of half spectra, written into ``out``.
@@ -259,18 +307,27 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
 
 
-def _forward(grid: Grid, values: np.ndarray, out: np.ndarray,
-             dealiased: bool = False) -> np.ndarray:
-    """Half spectrum of one or a stack of grid values, written into ``out``.
-    With ``dealiased`` it is truncated by the 2/3 rule: the column pass
-    skips the dead columns, and the modes outside ``dealias_mask`` are 0."""
-    live, dead = _live(grid, dealiased)
+def _forward(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half spectrum of one or a stack of grid values, written into ``out``."""
     np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    cols = out[..., :live]
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
+
+
+def _forward_rows(values: np.ndarray, more: np.ndarray, spec: np.ndarray):
+    """The row pass of the dealiased forward transform of the sum of two
+    sets of grid rows: ``more`` is added into ``values``, whose ``rfft``
+    along the rows goes into ``spec``."""
+    values += more
+    np.fft.rfft(values, axis=-1, norm="forward", out=spec)
+
+
+def _forward_columns(grid: Grid, spec: np.ndarray, out: np.ndarray):
+    """The column pass of the dealiased forward transform on the columns of
+    the packed ``out``, which ``spec``, after the row pass, starts with.
+    ``spec`` is scratch; the live rows are packed into ``out``."""
+    cols = spec[..., :out.shape[-1]]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-    out[..., dead, :live] = 0.0
-    out[..., live:] = 0.0
-    return out
+    _pack(grid, cols, out)
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -282,7 +339,7 @@ def forward_transform(f: RealField) -> SpectralField:
     if not np.all(np.isfinite(values)):
         raise ParameterError("field values contain non-finite entries")
     out = np.empty(f.grid.spectral_shape, dtype=complex)
-    return SpectralField(f.grid, _forward(f.grid, values, out))
+    return SpectralField(f.grid, _forward(values, out))
 
 
 def inverse_transform(F: SpectralField) -> RealField:

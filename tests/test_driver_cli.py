@@ -558,6 +558,22 @@ class TestCli:
         assert err[0].startswith(f"error: line {line}: {key} must ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
+    def test_delta3_past_the_float_range_exit_12(self, tmp_path, capsys):
+        # the table's second differences would overflow: the error names the
+        # range of delta3 that builds, and nothing is written
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG + (
+            "modulus.enabled = true\n"
+            "modulus.delta3 = 1e306\n"
+            f"output.directory = {tmp_path}/out\n"
+        ))
+        assert main(["run", "--config", str(config)]) == 12
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: modulus.delta3 = 1e+306, ")
+        assert "delta3 must lie in [" in err[0] and "for r_max = 10, got 1e+306" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_delta3_times_kappa_that_underflows_exit_12(self, tmp_path, capsys):
         # the table is built with delta3 kappa = 1e-330, which is 0: the error
         # names kappa beside delta3

@@ -1,5 +1,6 @@
 """Tests for the time stepper and nonlinear term."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from sqglab import (
 )
 from sqglab import dynamics, spectral
 from sqglab.dynamics import _advection
-from sqglab.spectral import _forward, _held, _Helper, _inverse, _pair
+from sqglab.spectral import _held, _Helper, _inverse, _pack, _packed_shape, _pair, _unpack
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,15 +50,26 @@ def critical_config(**kw):
     return SolverConfig(**defaults)
 
 
+def reference_rhs(grid, c):
+    """-u . grad(theta) for the half spectrum c, dealiased, from numpy's 2-D
+    transforms on full-width arrays: none of the package's transforms, pair
+    split or packing."""
+    mask = grid.dealias_mask
+    u1, u2, d1, d2 = np.fft.irfftn(grid.multipliers * (c * mask), s=(grid.n, grid.n),
+                                   axes=(-2, -1), norm="forward")
+    return -(np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward") * mask)
+
+
 def reference_step(state, dt):
-    """The integrating-factor RK4 step as plain expressions: fresh arrays for
-    every stage and operation, nothing written in place."""
+    """The integrating-factor RK4 step as plain expressions on full-width
+    arrays: fresh arrays for every stage and operation, nothing written in
+    place."""
     grid, config, th = state.theta.grid, state.config, state.theta.coeffs
 
     def rhs(c):
         if not config.nonlinear_enabled:
             return np.zeros_like(c)
-        return -nonlinear_term(SpectralField(grid, c)).coeffs
+        return reference_rhs(grid, c)
 
     lam = config.kappa * grid.kmag_pow(config.gamma)
     e_full = np.exp(-lam * dt)
@@ -167,19 +179,57 @@ class TestStep:
         assert ratio > 12.0
 
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
-    def test_blow_up_reports_time_and_mode(self):
-        g = Grid(16, TWO_PI)
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_blow_up_reports_time_and_mode(self, n):
+        g = Grid(n, TWO_PI)
         theta0 = SpectralField(g, 1e8 * make_initial("cmt", g).coeffs)
         config = SolverConfig(gamma=1.0, kappa=0.0, dt_max=0.05)
         state = initial_state(theta0, config)
         with pytest.raises(BlowUpError) as err:
             for _ in range(50):
+                last = state
                 state = step(state, 0.05)
-        assert err.value.t > 0.0
-        assert err.value.step_count >= 1
+        assert err.value.t == last.t + 0.05
+        assert err.value.step_count == last.step_count + 1 >= 1
+        # the mode is the non-finite one of largest |k|, first in row-major
+        # order, in the full layout of the same step's plain-expression
+        # result within the 2/3 block (outside it the reference multiplies
+        # non-finite products by 0, where the stepper holds zeros)
+        with np.errstate(all="ignore"):
+            new = reference_step(last, 0.05)
+        bad = np.where(np.isfinite(new) | ~g.dealias_mask, -1.0, g.kmag)
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        assert not np.isfinite(new[i, j])
+        assert err.value.mode == (g.m1[i, 0], g.m2[0, j])
         # a dealiased run keeps every mode outside the 2/3 block at 0, so the
         # reported mode lies inside it
-        assert max(map(abs, err.value.mode)) <= g.n / 3
+        assert max(map(abs, err.value.mode)) <= g.cutoff
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("modes, reported", [
+        ([(1, 1), (-1, 0)], (1, 1)),
+        ([(1, 1), ("-c", "c"), ("c", 0)], ("-c", "c")),  # the last packed row
+        ([("-c", "c"), ("c", "c")], ("c", "c")),  # a tie: the first row wins
+        ([(-1, 0), ("-c", 1)], ("-c", 1)),
+    ])
+    def test_blow_up_maps_the_packed_mode_to_the_full_layout(self, n, modes, reported):
+        # without advection a non-finite mode stays where it is, so each
+        # mode of the packed block's two row runs can be placed and found
+        g = Grid(n, TWO_PI)
+
+        def full(m):
+            return tuple(g.cutoff if v == "c" else -g.cutoff if v == "-c" else v
+                         for v in m)
+
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
+        for m1, m2 in map(full, modes):
+            coeffs[m1 % n, m2] = np.nan
+        state = initial_state(SpectralField(g, coeffs),
+                              critical_config(nonlinear_enabled=False))
+        with pytest.raises(BlowUpError) as err:
+            step(state, 0.01)
+        assert err.value.mode == full(reported)
 
     def test_step_size_validation(self):
         g = Grid(16, TWO_PI)
@@ -194,7 +244,8 @@ class TestStep:
         state = initial_state(make_initial("random_h1", g, seed=1), critical_config())
         rhs, umax = state.stage1
         assert state.stage1[0] is rhs  # computed once per state
-        assert np.array_equal(rhs, nonlinear_term(state.theta).coeffs)
+        assert rhs.shape == _packed_shape(g)  # the live block only
+        assert np.array_equal(rhs, _pack(g, nonlinear_term(state.theta).coeffs))
         u1, u2 = (inverse_transform(SpectralField(g, u)).values
                   for u in g.multipliers[:2] * state.theta.coeffs)
         speed = np.hypot(u1, u2)
@@ -209,12 +260,16 @@ class TestStep:
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
+    # n = 192 and 256 split the forward transform of each right-hand side
     @pytest.mark.parametrize("n, flow", [
         (32, {}),
         (64, {}),
         (32, {"nonlinear_enabled": False}),  # the reference's rhs is 0
         (32, {"kappa": 0.0}),
-    ], ids=["32", "64", "32-linear", "32-inviscid"])
+        (192, {}),
+        (256, {}),
+        (256, {"kappa": 0.0}),
+    ], ids=["32", "64", "32-linear", "32-inviscid", "192", "256", "256-inviscid"])
     def test_matches_plain_expression_reference(self, n, flow):
         g = Grid(n, TWO_PI)
         state = initial_state(make_initial("random_h1", g, seed=2),
@@ -426,30 +481,61 @@ class TestFieldPairSplit:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16))
     @example(n=128, seed=1)
+    @example(n=192, seed=3)  # from dynamics._FORWARD_SPLIT on, the forward splits
     @example(n=256, seed=2)
     def test_matches_the_serial_evaluation_bit_for_bit(self, n, seed):
         g = Grid(n, TWO_PI)
-        coeffs = make_initial("random_h1", g, seed=seed).coeffs
-        # the one-thread evaluation: one batched 4-field inverse transform
-        spec = g.multipliers * coeffs
+        coeffs = _pack(g, make_initial("random_h1", g, seed=seed).coeffs)
+        # the one-thread evaluation: one batched 4-field inverse transform and
+        # the forward transform of the summed products, packed
+        spec = g.multipliers * _unpack(g, coeffs)
         u1, u2, t1, t2 = _inverse(g, spec, np.empty((4, n, n)), dealiased=True)
         t1 *= u1
         t2 *= u2
         t1 += t2
-        expected = _forward(g, t1, np.empty(g.spectral_shape, dtype=complex),
-                            dealiased=True)
-        out = np.empty(g.spectral_shape, dtype=complex)
-        out.fill(np.nan)
-        velocity = _advection(g, coeffs, out)
-        assert np.array_equal(out, expected)
-        assert np.array_equal(velocity[0], u1)
-        assert np.array_equal(velocity[1], u2)
-        # with the helper held, as the diagnostics worker holds it, both
-        # halves run here, in turn
-        with _held():
+        expected = _pack(g, np.fft.rfft2(t1, norm="forward"))
+        out = np.empty(_packed_shape(g), dtype=complex)
+        for mode in ("split", "held", "one CPU"):
+            # with the helper held, as the diagnostics worker holds it, or on
+            # one CPU, both halves run here, in turn
             out.fill(np.nan)
-            _advection(g, coeffs, out)
-        assert np.array_equal(out, expected)
+            with _held() if mode == "held" else contextlib.nullcontext():
+                spectral._SPLIT = mode != "one CPU"
+                velocity = _advection(g, coeffs, out)
+            assert np.array_equal(out, expected), mode
+            assert np.array_equal(velocity[0], u1), mode
+            assert np.array_equal(velocity[1], u2), mode
+
+    # the floor, 192, lies between the benchmark's n = 128 and n = 256
+    @pytest.mark.parametrize("n, split", [(128, False), (190, False), (192, True),
+                                          (256, True)])
+    def test_the_forward_splits_from_the_size_floor(self, n, split, monkeypatch):
+        # each forward row pass, by the thread that ran it and its rows
+        calls = []
+
+        def rows(values, more, spec):
+            calls.append((threading.current_thread(), len(values)))
+            return spectral._forward_rows(values, more, spec)
+
+        monkeypatch.setattr(dynamics, "_forward_rows", rows)
+        g = Grid(n, TWO_PI)
+        coeffs = _pack(g, make_initial("random_h1", g, seed=4).coeffs)
+        out = np.empty(_packed_shape(g), dtype=complex)
+        expected = _pack(g, nonlinear_term(SpectralField(g, _unpack(g, coeffs))).coeffs)
+        here = threading.current_thread()
+        for mode in ("split", "held", "one CPU"):
+            calls.clear()
+            with _held() if mode == "held" else contextlib.nullcontext():
+                spectral._SPLIT = mode != "one CPU"
+                _advection(g, coeffs, out)
+            assert np.array_equal(out, expected), mode
+            if not split:
+                assert calls == [(here, n)], mode
+            elif mode == "split":
+                assert sorted(calls, key=lambda c: c[0] is here) == [
+                    (spectral._helper, n // 2), (here, n // 2)]
+            else:
+                assert calls == [(here, n // 2), (here, n // 2)], mode
 
     @pytest.mark.parametrize("failing", [{"theirs"}, {"mine"}, {"theirs", "mine"}])
     def test_an_error_in_either_half_reaches_the_caller(self, failing):

@@ -103,6 +103,33 @@ class TestConstruction:
             with pytest.raises(ParameterError, match="r_max must be finite and >= 1e-12"):
                 build_knv_modulus(0.1, r_max)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta3, r_max", [
+        (1e306, 10.0),  # the second differences overflow to nan
+        (1e300, 1e-12),
+        (1e-300, 1e-12),  # subnormal omega values: off by 4e3
+        (1e-320, 10.0),
+    ])
+    def test_delta3_that_leaves_the_float_range_is_refused(self, delta3, r_max):
+        with pytest.raises(ParameterError) as err:
+            build_knv_modulus(delta3, r_max)
+        message = str(err.value)
+        assert message.startswith("delta3 must lie in [")
+        assert message.endswith(f"for r_max = {r_max:g}, got {delta3!r}")
+        low, high = (float(v) for v in message[len("delta3 must lie in ["):
+                                               message.index("]")].split(", "))
+        assert low < 1e-200 and high > 1e200
+        # the range it names builds, at both ends
+        for inside in (low * 1.01, high / 1.01):
+            assert build_knv_modulus(inside, r_max).delta3 == inside
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta3", [1e300, 1e-300])
+    def test_extreme_delta3_on_the_monitor_floor_still_builds(self, delta3):
+        mod = build_knv_modulus(delta3, 10.0)
+        assert mod.omega_prime_at_zero / delta3 == pytest.approx(
+            OMEGA_PRIME0_D3_01 / 0.1, rel=1e-12)
+
     def test_omega_prime_at_zero_against_independent_oracle(self):
         coarse = simpson_omega_prime0(20000)
         fine = simpson_omega_prime0(40000)

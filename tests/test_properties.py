@@ -12,14 +12,18 @@ from sqglab import (
     SolverConfig,
     SolverState,
     SpectralField,
+    adapt_dt,
     dealias,
     forward_transform,
     initial_state,
     inverse_transform,
+    make_initial,
     nonlinear_term,
     sobolev_norm,
+    step,
 )
-from sqglab.spectral import _forward, _inverse
+from sqglab.spectral import (_forward, _forward_columns, _forward_rows, _inverse, _pack,
+                             _packed_shape, _unpack)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -100,7 +104,8 @@ def test_nonlinear_term_has_zero_mean(grid, seed, scale):
 def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     # batch 0 is a single unbatched field; the passes must repeat irfftn's and
     # rfft2's bit for bit, so that trajectories do not change, and the pruned
-    # passes must repeat them on the 2/3-rule truncation
+    # passes must repeat them on the 2/3-rule truncation, packed, for the sum
+    # of two fields and for any split of the columns
     n = 2 * half_n
     grid = Grid(n, 1.0)
     mask = grid.dealias_mask
@@ -109,10 +114,16 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     values = rng.standard_normal(lead + (n, n))
     spec = np.empty(lead + grid.spectral_shape, dtype=complex)
     full = np.fft.rfft2(values, norm="forward")
-    assert np.array_equal(_forward(grid, values, spec), full)
-    pruned = _forward(grid, values, spec, dealiased=True)
-    assert np.array_equal(pruned, full * mask)
-    assert np.all(pruned[..., ~mask] == 0)
+    assert np.array_equal(_forward(values, spec), full)
+    more = rng.standard_normal(values.shape)
+    summed = np.fft.rfft2(values + more, norm="forward")
+    _forward_rows(values, more, spec)
+    packed = np.empty(lead + _packed_shape(grid), dtype=complex)
+    cut = rng.integers(0, packed.shape[-1] + 1)
+    _forward_columns(grid, spec[..., cut:], packed[..., cut:])
+    _forward_columns(grid, spec, packed[..., :cut])
+    assert np.array_equal(packed, _pack(grid, summed))
+    assert np.array_equal(_unpack(grid, packed), summed * mask)
 
     spec = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     out = np.empty(lead + (n, n))
@@ -142,7 +153,7 @@ def test_rhs_of_dealiased_theta_matches_full_width_reference(grid, seed, scale):
     u1, u2, d1, d2 = np.fft.irfftn(grid.multipliers * theta.coeffs, s=(n, n),
                                    axes=(-2, -1), norm="forward")
     product = np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward")
-    assert np.array_equal(rhs, dealias(SpectralField(grid, product)).coeffs)
+    assert np.array_equal(_unpack(grid, rhs), dealias(SpectralField(grid, product)).coeffs)
 
 
 @SETTINGS
@@ -153,4 +164,30 @@ def test_rhs_reads_only_the_retained_modes(grid, seed, scale):
     rhs_kept, umax_kept = _rhs_of(theta, True)
     assert np.array_equal(rhs, rhs_kept)
     assert umax == umax_kept
-    assert np.all(rhs[~grid.dealias_mask] == 0)
+    term = nonlinear_term(theta).coeffs
+    assert np.array_equal(_pack(grid, term), rhs)
+    assert np.all(term[~grid.dealias_mask] == 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=4, max_value=128).map(lambda h: 2 * h), seeds)
+def test_packing_keeps_the_live_block_and_steps_leave_positive_zeros(n, seed):
+    # n even in 8-256; the noise has nonzero modes everywhere, so dealias
+    # leaves signed zeros outside the mask
+    grid = Grid(n, 2.0 * math.pi)
+    theta = dealias(forward_transform(random_field(grid, seed, 1.0)))
+    packed = _pack(grid, theta.coeffs)
+    assert packed.shape == _packed_shape(grid) == (2 * grid.cutoff + 1, grid.cutoff + 1)
+    back = _unpack(grid, packed)
+    mask = grid.dealias_mask
+    bits, back_bits = theta.coeffs.view(np.uint64), back.view(np.uint64)
+    live = np.repeat(mask, 2, axis=-1)  # real and imaginary parts
+    assert np.array_equal(bits[live], back_bits[live])
+    assert np.all(back_bits[~live] == 0)  # +0.0
+    assert np.array_equal(_pack(grid, back), packed)
+    # a stepped state holds +0.0 outside the mask, from smooth data or noise
+    config = SolverConfig(gamma=1.0)
+    for theta0 in (make_initial("random_h1", grid, seed=seed), theta):
+        state = initial_state(theta0, config)
+        state = step(state, adapt_dt(state))
+        assert np.all(state.theta.coeffs.view(np.uint64)[~live] == 0)

@@ -118,6 +118,20 @@ class TestGrid:
         assert g.multipliers.shape == (4, 8, 5)
         assert np.array_equal(g.weights[0], [1, 2, 2, 2, 1])
 
+    @pytest.mark.parametrize("n", [8, 98, 128, 196, 206, 214, 256, 322, 1018])
+    def test_frequencies_are_the_integers_and_the_mask_is_the_cutoff_block(self, n):
+        # numpy's fftfreq(n, d=1/n) gives 32.00000000000001 for 32 at n = 98,
+        # where the mask then left out the outermost row and column of the
+        # block that cutoff, and the advection term, keep
+        g = grid(n, 1.0)
+        half = n // 2
+        assert np.array_equal(g.m1[:, 0], np.r_[0:half, -half:0])
+        assert np.array_equal(g.m2[0], np.arange(half + 1))
+        rows = np.r_[0:g.cutoff + 1, n - g.cutoff:n]
+        block = np.zeros(g.spectral_shape, dtype=bool)
+        block[np.ix_(rows, np.arange(g.cutoff + 1))] = True
+        assert np.array_equal(g.dealias_mask, block)
+
 
 class TestTransforms:
     def test_zero_field(self):

@@ -7,7 +7,8 @@ Three numbers, one per line:
   ``src`` directory beside this script's directory);
 - ``code_lines``: the lines that are not blank, not comment-only, and not
   part of a module, class or function docstring (located with ``ast``);
-- ``public_names``: the names that ``sqglab/__init__.py`` imports.
+- ``public_names``: the names that ``sqglab/__init__.py`` imports or lists
+  in ``__all__``, so the names it loads on first use count too.
 """
 
 import ast
@@ -40,9 +41,22 @@ def sizes(src: Path) -> tuple[int, int, int]:
                     if number not in skip and line.strip()
                     and not line.strip().startswith("#"))
     init = ast.parse((src / "sqglab" / "__init__.py").read_text(encoding="utf-8"))
-    names = sum(len(node.names) for node in init.body
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__")
-    return total, code, names
+    return total, code, len(public_names(init))
+
+
+def public_names(init: ast.Module) -> set[str]:
+    """The names a parsed ``__init__.py`` binds by ``from`` imports, and the
+    strings of its literal ``__all__``."""
+    names = {alias.asname or alias.name for node in init.body
+             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names}
+    for node in init.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(e.value for e in node.value.elts
+                         if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    return names
 
 
 def main(argv):

@@ -52,8 +52,7 @@ __version__ = "0.1.0"
 # the modules a stepping run never calls, each loaded on first use of a name
 _LAZY = {
     "config": ("parse_config",),
-    "modulus": ("build_knv_modulus", "check_modulus", "default_offsets",
-                "find_scaling"),
+    "modulus": ("build_knv_modulus", "check_modulus", "default_offsets"),
     "oracles": ("convergence_ratio", "convolution_nonlinearity",
                 "linear_heat_exact", "scaling_consistency", "single_mode_exact"),
     "snapshot": ("read_snapshot", "write_snapshot"),
@@ -70,7 +69,7 @@ __all__ = [
     "integral_tail_fraction", "record_norms",
     "band_limited_random", "make_initial",
     "parse_config",
-    "build_knv_modulus", "check_modulus", "default_offsets", "find_scaling",
+    "build_knv_modulus", "check_modulus", "default_offsets",
     "convergence_ratio", "convolution_nonlinearity", "linear_heat_exact",
     "scaling_consistency", "single_mode_exact",
     "read_snapshot", "write_snapshot",

@@ -1,4 +1,4 @@
-"""Modulus-of-continuity certificate: construction, monitoring, scaling search.
+"""Modulus-of-continuity certificate: construction and monitoring.
 
 The certificate function omega is defined through its second derivative
 
@@ -242,19 +242,15 @@ def default_offsets(grid: Grid) -> list[tuple[int, int]]:
     return list(offsets.values())
 
 
-def _largest_separation(grid: Grid) -> float:
-    """The longest periodic separation of two grid points, L / sqrt 2."""
-    return grid.dx * math.hypot(grid.n // 2, grid.n // 2)
-
-
 def _monitor(grid: Grid, delta3: float, kappa: float):
     """The breach monitor on ``grid``: its modulus kappa omega (see
-    ``_unbacked``) up to the box's largest separation, offsets, and
-    per-sample check ``breach(values, hi, lo)``, which returns the exhaustive
-    check's report on a breached sample, else None.  The exhaustive check
-    runs where ``_lattice_bound`` cannot rule a breach out."""
+    ``_unbacked``) up to the box's largest separation, L / sqrt 2, offsets,
+    and per-sample check ``breach(values, hi, lo)``, which returns the
+    exhaustive check's report on a breached sample, else None.  The
+    exhaustive check runs where ``_lattice_bound`` cannot rule a breach out."""
     mod = build_knv_modulus(delta3 * kappa,
-                            max(_largest_separation(grid), _TABLE_FLOOR))
+                            max(grid.dx * math.hypot(grid.n // 2, grid.n // 2),
+                                _TABLE_FLOOR))
     offsets = default_offsets(grid)
     safe = _lattice_bound(grid, mod, offsets)
 
@@ -337,35 +333,3 @@ def _lattice_bound(grid: Grid, mod: ModulusOfContinuity, offsets):
         return bool(ratio * (1.0 + 1e-12) < 1.0)
 
     return safe
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    """Outcome of the box-stretch search for an admissible rescaling."""
-
-    c: int
-    field: RealField
-    report: BreachReport
-
-
-def find_scaling(theta0: RealField, mod: ModulusOfContinuity) -> ScalingResult:
-    """Find C (a power of two) so that theta0(C x) satisfies the modulus.
-
-    theta0(C x) sampled on a box of length C L carries exactly the original
-    grid values, so doubling the box length realizes the rescaling without
-    interpolation.  Doubling stops once the monitor reports a worst ratio
-    <= 0.9 over the default offsets, and fails with ``ParameterError``
-    once the stretched box's largest separation passes mod.r_max.
-    """
-    c = 1
-    while True:
-        grid = Grid(theta0.grid.n, c * theta0.grid.length)
-        if (reach := _largest_separation(grid)) > mod.r_max:
-            raise ParameterError(
-                f"no admissible rescaling: at C = {c} the box's largest "
-                f"separation {reach} is past r_max = {mod.r_max}")
-        field = RealField(grid, theta0.values)
-        report = check_modulus(field, mod, default_offsets(grid))
-        if report.worst_ratio <= 0.9:
-            return ScalingResult(c=c, field=field, report=report)
-        c *= 2

@@ -20,11 +20,8 @@ from sqglab import (
     build_knv_modulus,
     check_modulus,
     default_offsets,
-    find_scaling,
-    forward_transform,
     inverse_transform,
     make_initial,
-    sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS
 from sqglab.modulus import _lattice_bound, _monitor, _shift_sups
@@ -467,51 +464,34 @@ def test_a_non_finite_field_is_refused(bad):
     field = RealField(g, values)
     with pytest.raises(ParameterError, match="non-finite"):
         check_modulus(field, mod, default_offsets(g))
-    with pytest.raises(ParameterError, match="non-finite"):
-        find_scaling(field, mod)
 
 
-class TestFindScaling:
-    def test_cmt_scaling_passes_with_margin(self):
-        g = Grid(128, TWO_PI)
-        # at amplitude 1 no rescaling can pass: the half-box shift (0, n/2)
-        # moves the data by its whole oscillation, 2.83, while omega stays
-        # below omega(10) = 0.144 on every separation the table reaches
-        theta0 = inverse_transform(make_initial("cmt", g, amplitude=0.04))
-        mod = build_knv_modulus(0.05, 10.0)
-        result = find_scaling(theta0, mod)
-        assert result.report.worst_ratio <= 0.9
-        assert result.c >= 2 and (result.c & (result.c - 1)) == 0  # power of two
-        # the rescaled field carries the original values on a stretched box
-        assert np.array_equal(result.field.values, theta0.values)
-        assert result.field.grid.length == result.c * g.length
-        # consistency with the gradient bound (Lemma-style implication)
-        grad_sup = sup_and_gradient_sup(forward_transform(result.field))[1]
-        assert grad_sup < mod.omega_prime_at_zero
-
-    def test_already_admissible_returns_one(self):
-        g = Grid(64, TWO_PI)
-        mod = build_knv_modulus(0.1, 10.0)
-        tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
-        result = find_scaling(tiny, mod)
-        assert result.c == 1
-
-    def test_fails_once_the_stretched_box_passes_r_max(self):
-        # the largest separation is 4.44 at C = 1, 8.89 at C = 2 and
-        # 17.8 > r_max at C = 4: data this large never reaches the margin
-        # before the box outgrows the table
-        g = Grid(8, TWO_PI)
-        theta0 = RealField(g, 1e3 * inverse_transform(make_initial("cmt", g)).values)
-        with pytest.raises(ParameterError, match="no admissible rescaling: at C = 4"):
-            find_scaling(theta0, build_knv_modulus(0.1, 10.0))
-
-    def test_fails_at_once_on_a_box_past_r_max(self):
-        # the largest separation of the unstretched box, 70.7, is already
-        # past the table, however small the data
-        g = Grid(8, 100.0)
-        tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
-        with pytest.raises(ParameterError, match="no admissible rescaling: at C = 1"):
-            find_scaling(tiny, build_knv_modulus(0.1, 10.0))
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([8, 16, 32]), log_length=st.floats(-2.0, 2.0),
+       c=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
+       preset=st.sampled_from(PRESETS + ("noise",)), data=st.data())
+def test_stretching_the_box_never_raises_the_worst_ratio(n, log_length, c, seed,
+                                                         preset, data):
+    # theta(C x) on a box C L long has theta's grid values: every difference
+    # stays, every separation grows C-fold, and omega is increasing, so the
+    # stretched box passes wherever the unstretched one does
+    grid = Grid(n, TWO_PI * 10.0 ** log_length)
+    stretched = Grid(n, c * grid.length)
+    if preset == "noise":
+        values = np.random.default_rng(seed).standard_normal((n, n))
+    else:
+        values = inverse_transform(make_initial(preset, grid, seed=seed)).values
+    half = n // 2
+    component = st.integers(-half, half)
+    offsets = default_offsets(grid) + data.draw(st.lists(
+        st.tuples(component, component).filter(any), max_size=8))
+    mod = build_knv_modulus(0.1, stretched.dx * math.hypot(half, half))
+    base = RealField(grid, values)
+    wide = RealField(stretched, values)
+    assert np.array_equal(_shift_sups(wide.values, offsets),
+                          _shift_sups(base.values, offsets))
+    assert (check_modulus(wide, mod, offsets).worst_ratio
+            <= check_modulus(base, mod, offsets).worst_ratio)
 
 
 def test_default_offsets_structure():

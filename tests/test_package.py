@@ -19,8 +19,7 @@ PUBLIC = {
                     "integral_tail_fraction", "record_norms"],
     "initial": ["band_limited_random", "make_initial"],
     "config": ["parse_config"],
-    "modulus": ["build_knv_modulus", "check_modulus", "default_offsets",
-                "find_scaling"],
+    "modulus": ["build_knv_modulus", "check_modulus", "default_offsets"],
     "oracles": ["convergence_ratio", "convolution_nonlinearity",
                 "linear_heat_exact", "scaling_consistency", "single_mode_exact"],
     "snapshot": ["read_snapshot", "write_snapshot"],

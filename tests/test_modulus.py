@@ -20,8 +20,10 @@ from sqglab import (
     build_knv_modulus,
     check_modulus,
     default_offsets,
+    forward_transform,
     inverse_transform,
     make_initial,
+    sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS
 from sqglab.modulus import _lattice_bound, _monitor, _shift_sups
@@ -464,6 +466,37 @@ def test_a_non_finite_field_is_refused(bad):
     field = RealField(g, values)
     with pytest.raises(ParameterError, match="non-finite"):
         check_modulus(field, mod, default_offsets(g))
+
+
+def test_cmt_on_the_doubled_box_passes_with_margin():
+    # criterion 9's box: at amplitude 0.04 the cmt data, stretched by 2,
+    # holds omega with room to spare, and its gradient stays below omega'(0)
+    g = Grid(128, TWO_PI)
+    theta0 = inverse_transform(make_initial("cmt", g, amplitude=0.04))
+    mod = build_knv_modulus(0.05, 10.0)
+    field = RealField(Grid(g.n, 2 * TWO_PI), theta0.values)
+    report = check_modulus(field, mod, default_offsets(field.grid))
+    assert not report.breached and report.worst_ratio <= 0.9
+    grad_sup = sup_and_gradient_sup(forward_transform(field))[1]
+    assert grad_sup < mod.omega_prime_at_zero
+
+
+def test_tiny_data_is_admissible_on_its_own_box():
+    g = Grid(64, TWO_PI)
+    mod = build_knv_modulus(0.1, 10.0)
+    tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
+    report = check_modulus(tiny, mod, default_offsets(g))
+    assert not report.breached and report.worst_ratio <= 0.9
+
+
+@pytest.mark.parametrize("length", [4 * TWO_PI, 100.0])
+def test_a_box_past_r_max_is_refused(length):
+    # the largest separation, 17.8 on the 2 pi box stretched by 4 and 70.7
+    # on the 100 box, is past the table, however small the data
+    g = Grid(8, length)
+    tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
+    with pytest.raises(ParameterError, match="outside tabulated range"):
+        check_modulus(tiny, build_knv_modulus(0.1, 10.0), default_offsets(g))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,32 +2,21 @@
 
 The state advances by classical RK4 applied to the integrating-factor
 variable phi(t) = exp(kappa |k|^gamma t) theta(t), so the dissipation
-semigroup is applied exactly and only the advection term is integrated
-numerically.  One function, ``_advection``, forms u . grad(theta) with
-2/3-rule dealiasing for ``nonlinear_term`` and for ``step``, whose real
-scalar factors carry the minus sign of the right-hand side.
+semigroup is applied exactly and only the advection term
+(``sqglab.spectral._advection``) is integrated numerically.  ``step``'s
+real scalar factors carry the minus sign of the right-hand side.
 
 Every state is exactly zero outside ``dealias_mask``: ``initial_state``
 truncates the data, and a step writes +0.0 there.  So the stepper works on
-the packed live block alone (``sqglab.spectral._pack``), the (2 cutoff + 1,
-cutoff + 1) modes the 2/3 rule keeps, 4/9 of the half spectrum: the stage
-terms and inputs, the integrating factors and the finiteness check.
-``step`` packs theta once per state and unpacks the new state once;
-``SolverState.theta`` and ``nonlinear_term`` stay full width.  The
-advection term of any theta is that of ``dealias(theta)``.
+the packed modes the 2/3 rule keeps (``sqglab.spectral._pack``), 4/9 of
+the half spectrum: the stage terms and inputs, the integrating factors and
+the finiteness check.  ``step`` packs theta once per state and unpacks the
+new state once; ``SolverState.theta`` and ``nonlinear_term`` stay full
+width.  The advection term of any theta is that of ``dealias(theta)``.
 
-Stepping uses two threads on a machine with two or more CPUs:
-``_advection`` evaluates the (u1, d1 theta) pair on the calling thread and
-the (u2, d2 theta) pair on the helper thread of ``sqglab.spectral._pair``;
-from n = ``_FORWARD_SPLIT`` on, the forward transform of their products is
-split too, by halves of the rows and then of the live columns.  Each
-thread runs the 1-D transforms and products one thread would compute, so
-trajectories are the same bit for bit whichever thread runs a part.
-
-A step allocates no large temporaries beyond the arrays it keeps: the
-right-hand side and the RK4 stage inputs are formed in place, in the
-per-thread workspace of ``sqglab.spectral``.  The in-place operations repeat
-the operands and the order of the plain expressions, so trajectories are
+The RK4 stage inputs are formed in place, in one array that a step
+allocates with its stage terms.  The in-place operations repeat the
+operands and the order of the plain expressions, so trajectories are
 unchanged bit for bit.
 """
 
@@ -35,21 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError, _check
-from .spectral import (SpectralField, _forward_columns, _forward_rows, _inverse,
-                       _live_rows, _pack, _packed_shape, _pair, _sup_norm, _unpack,
-                       _workspace, dealias)
+from .spectral import SpectralField, _advection, _pack, _sup_norm, _unpack, dealias
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
-# the grid size from which _advection splits its forward transform too: on
-# 2 CPUs the two extra handoffs cost more than they save below it (a warm
-# step at n = 192 takes 8% longer split; from 208 on, every size measured
-# is 2-9% faster split)
-_FORWARD_SPLIT = 208
 # adapt_dt's floor: a speed that overflows to inf or nan still gets a finite
 # step, so the run ends in BlowUpError and not in a step-size error
 _DT_MIN = 1e-10
@@ -64,8 +46,9 @@ _RULES = {
 
 def _snap_tolerance(t: float) -> float:
     """How close ``run_until`` comes to a scheduled time t before it snaps
-    the state's time to t instead of stepping."""
-    return 1e-14 * max(1.0, abs(t))
+    the state's time to t instead of stepping: relative, so times below 1
+    stay apart as far as times above it."""
+    return 1e-14 * abs(t)
 
 
 def _event_times(times, t_end: float) -> dict[float, float]:
@@ -130,7 +113,7 @@ class SolverState:
         ``dataclasses.replace`` never carries it over to a new state.
         """
         grid = self.theta.grid
-        term = np.empty(_packed_shape(grid), dtype=complex)
+        term = np.empty(grid.packed_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             velocity = _advection(grid, self._packed, term, self.config.nonlinear_enabled)
             return term, 0.0 if velocity is None else _sup_norm(*velocity)
@@ -140,54 +123,6 @@ def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
     return SolverState(t=0.0, theta=dealias(theta0), config=config)
 
 
-def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True):
-    """Write the advection term u . grad(theta) of the packed spectrum
-    ``coeffs`` into the packed ``out``, or zeros without ``nonlinear``;
-    return the grid velocity (u1, u2), or None.
-
-    An inverse transform gives u1, u2 and both gradient components on the
-    grid, and the products are formed there.  ``_pair`` splits that work by
-    field pair: (u1, d1 theta) on this thread, (u2, d2 theta) on the helper.
-    The sum of the products is transformed back and its live block packed
-    into ``out``; from n = ``_FORWARD_SPLIT`` on ``_pair`` splits that too,
-    the row pass by halves of the rows and the column pass by halves of the
-    live columns.  u1 and u2 are views into this thread's workspace, valid
-    until its next call.
-    """
-    if not nonlinear:
-        out.fill(0.0)
-        return None
-    spec, stack, _ = _workspace.get(grid)
-    _pair(partial(_products, grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
-          partial(_products, grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
-    u1, u2, t1, t2 = stack
-    spec = spec[0]
-    if grid.n < _FORWARD_SPLIT:
-        _forward_rows(t1, t2, spec)
-        _forward_columns(grid, spec, out)
-    else:
-        rows, cols = grid.n // 2, out.shape[-1] // 2
-        _pair(partial(_forward_rows, t1[rows:], t2[rows:], spec[rows:]),
-              partial(_forward_rows, t1[:rows], t2[:rows], spec[:rows]))
-        _pair(partial(_forward_columns, grid, spec[:, cols:], out[:, cols:]),
-              partial(_forward_columns, grid, spec, out[:, :cols]))
-    return u1, u2
-
-
-def _products(grid, multipliers, coeffs, spec, stack):
-    """``_advection``'s products on the field pairs of ``multipliers``: the
-    velocity components, then the matching gradient components, on the grid
-    into ``stack``, whose second half then holds u_i d_i theta.  The
-    multipliers go into the live block of ``spec`` only, as the dealiased
-    inverse zeroes the rest."""
-    live = coeffs.shape[-1]
-    for rows, packed in _live_rows(grid):
-        np.multiply(multipliers[:, rows, :live], coeffs[packed], out=spec[:, rows, :live])
-    _inverse(grid, spec, stack, dealiased=True)
-    half = len(stack) // 2
-    stack[half:] *= stack[:half]
-
-
 def nonlinear_term(theta: SpectralField) -> SpectralField:
     """Spectral coefficients of u . grad(theta) for ``dealias(theta)``: the
     packed array the stepper integrates, unpacked, pseudo-spectral and
@@ -195,7 +130,7 @@ def nonlinear_term(theta: SpectralField) -> SpectralField:
     product vanishes, so the zero mode of the output is zero up to roundoff.
     """
     grid = theta.grid
-    out = np.empty(_packed_shape(grid), dtype=complex)
+    out = np.empty(grid.packed_shape, dtype=complex)
     _advection(grid, _pack(grid, theta.coeffs), out)
     return SpectralField(grid, _unpack(grid, out))
 
@@ -205,7 +140,7 @@ def step(state: SolverState, dt: float) -> SolverState:
 
     The right-hand side is -a, a = u . grad, and its minus sign rides on the
     real factors, which is exact.  With a1 = ``state.stage1`` (never written
-    to) and stage inputs built in the workspace, it computes, in this order
+    to) and the stage inputs built in place in x, it computes, in this order
     of operations,
 
         a2 = a(e_half * (th + (-dt/2) a1))
@@ -225,8 +160,7 @@ def step(state: SolverState, dt: float) -> SolverState:
     e_half = np.exp(-lam * (0.5 * dt))
 
     th = state._packed
-    x = _workspace.get(grid)[2]
-    a2, a3, a4 = np.empty((3,) + th.shape, dtype=complex)
+    x, a2, a3, a4 = np.empty((4,) + th.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = state.stage1[0]
         np.multiply(-0.5 * dt, a1, out=x)

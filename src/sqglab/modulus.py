@@ -287,9 +287,10 @@ def check_modulus(field: RealField, mod: ModulusOfContinuity, offsets) -> Breach
     integers, and every bound looked up, before any difference is taken;
     non-finite values raise ``ParameterError``, as no ratio can rank them.
     """
-    offsets = [tuple(d) for d in offsets]
+    offsets = [tuple(d) if np.iterable(d) else d for d in offsets]
     for d in offsets:
-        if not all(isinstance(c, numbers.Integral) for c in d):
+        if not (isinstance(d, tuple) and len(d) == 2
+                and all(isinstance(c, numbers.Integral) for c in d)):
             raise ParameterError(f"offset {d} is not a pair of integers")
     offsets = [(int(d1), int(d2)) for d1, d2 in offsets]
     if not offsets or (0, 0) in offsets:

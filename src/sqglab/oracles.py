@@ -11,6 +11,7 @@ critical equation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +133,14 @@ def scaling_consistency(
     c-th point; run (b) evolves the subsampled initial data on a box shrunk
     by c to time t.  Both run with gamma = 1 and the other ``SolverConfig``
     defaults, so they represent the same solution, and the reported
-    discrepancy measures solver error only.  Requires integer c
-    dividing n and theta0 band-limited to max|m| <= n/(3c) so the rescaled
-    data is exactly representable.
+    discrepancy measures solver error only.  Requires an integer c dividing
+    n (a float is refused, not truncated) and theta0 band-limited to
+    max|m| <= n/(3c) so the rescaled data is exactly representable.
     """
     grid = theta0.grid
+    if not (isinstance(c, numbers.Integral) and c >= 1 and grid.n % c == 0):
+        raise ConfigError(f"c = {c!r} must be a positive integer dividing n = {grid.n}")
     c = int(c)
-    if c < 1 or grid.n % c != 0:
-        raise ConfigError(f"c = {c} must be a positive integer dividing n = {grid.n}")
     if grid.n // c < 8:
         raise ConfigError(f"coarse grid n/c = {grid.n // c} is below the minimum of 8")
     limit = grid.n / (3.0 * c)

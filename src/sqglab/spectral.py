@@ -1,4 +1,5 @@
-"""Discrete Fourier representation of real scalar fields on a periodic box.
+"""Discrete Fourier representation of real scalar fields on a periodic box,
+and the advection kernel the stepper integrates.
 
 Grid points are x_j = (L/n) * j, j = 0..n-1 per axis, stored row-major.
 Coefficients follow F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j) with
@@ -11,33 +12,36 @@ Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
 
 Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
 results match them bit for bit; the column passes work in place on scratch
-in a per-thread workspace, so threads never share buffers and a step
-allocates nothing large; ``_pair``'s helper thread writes only into the
-buffers its caller hands it: slots 1 and 3 of the caller's workspace in a
-right-hand side and in a norm sample (``_sample``), and halves of slot 0
-and of the caller's output in a split forward transform.  Each 1-D pass and
-each reduction is the one a single thread would run, so the split changes
-no bit.
+in a per-thread workspace, so threads never share buffers and a right-hand
+side allocates nothing large.
 
-Under the 2/3 rule the right-hand side reads and writes only the modes
-|m1|, |m2| <= ``Grid.cutoff``, so its column passes run on the first
-cutoff + 1 columns alone (Patterson and Orszag, 1971).  The stepper keeps
-those modes packed (``_pack``, ``_unpack``): a contiguous (2 cutoff + 1,
-cutoff + 1) array of the rows m1 = 0 .. cutoff, then -cutoff .. -1, and the
-columns m2 = 0 .. cutoff.  The dealiased forward transform copies that
-block out of its column pass, and the right-hand side multiplies it into
-the live block of a half spectrum that the dealiased inverse reads.
+One function, ``_advection``, forms u . grad(theta) under the 2/3 rule.
+It reads and writes only the modes |m1|, |m2| <= ``Grid.cutoff``, so its
+column passes run on the first cutoff + 1 columns alone (Patterson and
+Orszag, 1971).  It takes and gives those modes packed (``_pack``,
+``_unpack``): a contiguous ``Grid.packed_shape`` array, (2 cutoff + 1,
+cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
+(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.
+
+On two or more CPUs ``_pair``'s helper thread takes half the work: the
+(u2, d2 theta) pair of ``_advection`` while the caller does (u1, d1
+theta), and from n = ``_FORWARD_SPLIT`` on half the rows, then half the
+live columns, of the forward transform of their products; in a norm sample
+(``_sample``), the gradient.  It writes only into buffers its caller hands
+it: slots 1 and 3 of the caller's workspace, and halves of slot 0 and of
+the caller's output.  Each 1-D pass, product and reduction is the one a
+single thread would run, so the split changes no bit.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import numbers
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,9 +69,10 @@ class Grid:
     integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
     (a column and a row that broadcast), the modulus ``kmag`` and its cached
     powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` n//3 and
-    ``dealias_mask``, and the ``multipliers`` stack (4, n, n/2+1) whose rows
-    give, from theta, the Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the
-    gradient i k1, i k2.  The velocity rows vanish at k = 0 and on both
+    ``dealias_mask``, the ``packed_shape`` and ``live_rows`` of the modes
+    that rule keeps, packed (see the module docstring), and the
+    ``multipliers`` stack (4, n, n/2+1) whose rows give, from theta, the
+    Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the gradient i k1, i k2.  The velocity rows vanish at k = 0 and on both
     Nyquist lines; the gradient rows vanish on their own axis' Nyquist line,
     so derivatives of real fields stay real.
     """
@@ -100,6 +105,11 @@ class Grid:
 
         self.cutoff = n // 3
         self.dealias_mask = (abs(self.m1) <= self.cutoff) & (abs(self.m2) <= self.cutoff)
+        live = self.cutoff + 1
+        self.packed_shape = (2 * self.cutoff + 1, live)
+        # (half-spectrum rows, packed rows): m1 = 0 .. cutoff, then -cutoff .. -1
+        self.live_rows = ((slice(None, live), slice(None, live)),
+                          (slice(n - self.cutoff, None), slice(live, None)))
 
         off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
         inv_k = np.zeros_like(self.kmag)
@@ -156,14 +166,13 @@ class _Workspace(threading.local):
         self.buffers = {}
 
     def get(self, grid):
-        """(half-spectrum stack, grid stack, packed stage input) for this
-        grid."""
+        """(half-spectrum stack, grid stack) for this grid, four of each:
+        the scratch of a right-hand side or of a norm sample."""
         buffers = self.buffers.get(grid.spectral_shape)
         if buffers is None:
             buffers = self.buffers[grid.spectral_shape] = (
                 np.empty((4,) + grid.spectral_shape, dtype=complex),
-                np.empty((4, grid.n, grid.n)),
-                np.empty(_packed_shape(grid), dtype=complex))
+                np.empty((4, grid.n, grid.n)))
         return buffers
 
 
@@ -202,6 +211,11 @@ def _cpus():
 # on one CPU the halves cannot overlap and the handoffs only cost: split
 # there, a step at n = 128 took 12% longer, and one at n = 256 4% longer
 _SPLIT = _cpus() >= 2
+# the grid size from which _advection splits its forward transform too: on
+# 2 CPUs the two extra handoffs cost more than they save below it (a warm
+# step at n = 192 takes 8% longer split; from 208 on, every size measured
+# is 2-9% faster split)
+_FORWARD_SPLIT = 208
 
 
 def _pair(theirs, mine):
@@ -216,7 +230,7 @@ def _pair(theirs, mine):
         return theirs(), mine()
     if helper.ident is None:
         helper.start()
-    helper.job = functools.partial(contextvars.copy_context().run, theirs)
+    helper.job = partial(contextvars.copy_context().run, theirs)
     helper.go.release()
     try:
         result = mine()
@@ -247,37 +261,14 @@ if hasattr(os, "register_at_fork"):  # a forked child starts its own helper
     os.register_at_fork(after_in_child=_new_helper)
 
 
-def _live(grid: Grid, dealiased: bool) -> tuple[int, slice]:
-    """The count of leading columns the column passes transform and the dead
-    rows within them: the columns m2 <= cutoff and the rows |m1| > cutoff
-    under the 2/3 rule, else all n/2 + 1 columns and no rows."""
-    live = grid.cutoff + 1 if dealiased else grid.n // 2 + 1
-    return live, slice(live, grid.n - live + 1)
-
-
-def _packed_shape(grid: Grid) -> tuple[int, int]:
-    """The shape (2 cutoff + 1, cutoff + 1) of a packed spectrum: the modes
-    |m1|, m2 <= cutoff that the 2/3 rule keeps, rows m1 = 0 .. cutoff, then
-    -cutoff .. -1, as in the half spectrum."""
-    return 2 * grid.cutoff + 1, grid.cutoff + 1
-
-
-def _live_rows(grid: Grid) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """The rows of the live block as (half-spectrum rows, packed rows) twice:
-    m1 = 0 .. cutoff, then m1 = -cutoff .. -1."""
-    live, dead = _live(grid, True)
-    return ((slice(None, live), slice(None, live)),
-            (slice(dead.stop, None), slice(live, None)))
-
-
 def _pack(grid: Grid, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The live block of one or a stack of half spectra, packed into ``out``
     (a new array if None).  ``full`` may hold only the packed columns of
     ``out``: a column range of both is packed alike."""
     if out is None:
-        out = np.empty(full.shape[:-2] + _packed_shape(grid), dtype=full.dtype)
+        out = np.empty(full.shape[:-2] + grid.packed_shape, dtype=full.dtype)
     cols = out.shape[-1]
-    for rows, packed in _live_rows(grid):
+    for rows, packed in grid.live_rows:
         out[..., packed, :] = full[..., rows, :cols]
     return out
 
@@ -287,7 +278,7 @@ def _unpack(grid: Grid, packed: np.ndarray) -> np.ndarray:
     +0.0 outside ``dealias_mask``."""
     out = np.zeros(packed.shape[:-2] + grid.spectral_shape, dtype=packed.dtype)
     cols = packed.shape[-1]
-    for rows, block in _live_rows(grid):
+    for rows, block in grid.live_rows:
         out[..., rows, :cols] = packed[..., block, :]
     return out
 
@@ -299,8 +290,8 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     only the modes in ``dealias_mask`` are read: the others are zeroed and
     the column pass skips their columns.  The row pass reads zeroed columns,
     not ``irfft``'s zero-padding, which costs more than filling them."""
-    live, dead = _live(grid, dealiased)
-    spec[..., dead, :live] = 0.0
+    live = grid.packed_shape[1] if dealiased else grid.spectral_shape[1]
+    spec[..., live:grid.n - live + 1, :live] = 0.0  # rows |m1| > cutoff, if any
     cols = spec[..., :live]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     spec[..., live:] = 0.0
@@ -328,6 +319,50 @@ def _forward_columns(grid: Grid, spec: np.ndarray, out: np.ndarray):
     cols = spec[..., :out.shape[-1]]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     _pack(grid, cols, out)
+
+
+def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True):
+    """Write the advection term u . grad(theta) of the packed spectrum
+    ``coeffs`` into the packed ``out``, or zeros without ``nonlinear``;
+    return the grid velocity (u1, u2), or None.
+
+    An inverse transform gives u1, u2 and both gradient components on the
+    grid, the products are formed there, and their sum is transformed back,
+    each part split with the helper as the module docstring says.  u1 and
+    u2 are views into this thread's workspace, valid until its next call.
+    """
+    if not nonlinear:
+        out.fill(0.0)
+        return None
+    spec, stack = _workspace.get(grid)
+    _pair(partial(_products, grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
+          partial(_products, grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
+    u1, u2, t1, t2 = stack
+    spec = spec[0]
+    if grid.n < _FORWARD_SPLIT:
+        _forward_rows(t1, t2, spec)
+        _forward_columns(grid, spec, out)
+    else:
+        rows, cols = grid.n // 2, out.shape[-1] // 2
+        _pair(partial(_forward_rows, t1[rows:], t2[rows:], spec[rows:]),
+              partial(_forward_rows, t1[:rows], t2[:rows], spec[:rows]))
+        _pair(partial(_forward_columns, grid, spec[:, cols:], out[:, cols:]),
+              partial(_forward_columns, grid, spec, out[:, :cols]))
+    return u1, u2
+
+
+def _products(grid, multipliers, coeffs, spec, stack):
+    """``_advection``'s products on the field pairs of ``multipliers``: the
+    velocity components, then the matching gradient components, on the grid
+    into ``stack``, whose second half then holds u_i d_i theta.  The
+    multipliers go into the live block of ``spec`` only, as the dealiased
+    inverse zeroes the rest."""
+    live = coeffs.shape[-1]
+    for rows, packed in grid.live_rows:
+        np.multiply(multipliers[:, rows, :live], coeffs[packed], out=spec[:, rows, :live])
+    _inverse(grid, spec, stack, dealiased=True)
+    half = len(stack) // 2
+    stack[half:] *= stack[:half]
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -388,10 +423,10 @@ def _sample(F: SpectralField, orders=()):
     The values are bit for bit those of ``inverse_transform(F)``, in a view
     into the workspace valid until this thread's next transform."""
     grid = F.grid
-    spec, stack, _ = _workspace.get(grid)
+    spec, stack = _workspace.get(grid)
     grad_sup, (f, hi, lo, norms) = _pair(
-        functools.partial(_gradient_sup, grid, F.coeffs, spec[1::2], stack[1::2]),
-        functools.partial(_values, F, spec[0], stack[0], orders))
+        partial(_gradient_sup, grid, F.coeffs, spec[1::2], stack[1::2]),
+        partial(_values, F, spec[0], stack[0], orders))
     return f, hi, lo, max(abs(hi), abs(lo)), grad_sup, norms
 
 

@@ -156,12 +156,13 @@ class TestDriver:
         later = [t_s for t_s in (0.5, 0.75, 1.0) if t_s > start]
         assert list(t) == ([at] if sampled else []) + later
 
-    @pytest.mark.parametrize("t_end, start", [
-        (1e-16, None),  # t = 0 and t_end are one event
-        (1.0, 1.0 - 1e-15),  # a restart within the snap tolerance of t_end
+    @pytest.mark.parametrize("t_end, start, steps, rows", [
+        # the snap tolerance is relative, so t = 0 and t_end are two events
+        (1e-16, None, 1, [0.0, 1e-16]),
+        (1.0, 1.0 - 1e-15, 0, [1.0]),  # a restart within the snap tolerance of t_end
     ])
     def test_a_start_on_the_end_event_runs_from_and_ends_at_t_end(
-            self, tmp_path, capsys, t_end, start):
+            self, tmp_path, capsys, t_end, start, steps, rows):
         # as run_until(state, t_end) does, the run ends exactly at t_end
         config = write_config(tmp_path, f"output.directory = {tmp_path}/out\n")
         config.write_text(config.read_text().replace(
@@ -175,8 +176,8 @@ class TestDriver:
             argv += ["--restart", str(tmp_path / "start.bin")]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith(
-            f"completed t = {t_end:.6g} after 0 steps")
-        assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == [t_end]
+            f"completed t = {t_end:.6g} after {steps} steps")
+        assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == rows
 
     def test_snapshot_header_matches_run(self, tmp_path):
         text = BASE_CONFIG + "output.snapshot_dt = 0.5\n"

@@ -38,8 +38,7 @@ from sqglab import (
     step,
 )
 from sqglab import dynamics, spectral
-from sqglab.dynamics import _advection
-from sqglab.spectral import _held, _Helper, _inverse, _pack, _packed_shape, _pair, _unpack
+from sqglab.spectral import _advection, _held, _Helper, _inverse, _pack, _pair, _unpack
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,7 +243,7 @@ class TestStep:
         state = initial_state(make_initial("random_h1", g, seed=1), critical_config())
         rhs, umax = state.stage1
         assert state.stage1[0] is rhs  # computed once per state
-        assert rhs.shape == _packed_shape(g)  # the live block only
+        assert rhs.shape == g.packed_shape  # the live block only
         assert np.array_equal(rhs, _pack(g, nonlinear_term(state.theta).coeffs))
         u1, u2 = (inverse_transform(SpectralField(g, u)).values
                   for u in g.multipliers[:2] * state.theta.coeffs)
@@ -261,7 +260,7 @@ class TestStep:
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
     # n = 208 and 256 split the forward transform of each right-hand side;
-    # 192, below dynamics._FORWARD_SPLIT, does not
+    # 192, below spectral._FORWARD_SPLIT, does not
     @pytest.mark.parametrize("n, flow", [
         (32, {}),
         (64, {}),
@@ -420,6 +419,15 @@ class TestRunUntil:
                   callback_times=[0.3, 0.1 * 3, np.nextafter(0.5, 0.0), 0.5])
         assert seen == [0.3, 0.5]
 
+    def test_times_below_one_are_not_snapped_together(self):
+        # the snap tolerance is relative: 1e-15 is a step away from t = 0, and
+        # 2e-15 an event apart from 1e-15
+        g = Grid(16, TWO_PI)
+        state = initial_state(make_initial("cmt", g), critical_config())
+        out = run_until(state, 1e-15)
+        assert (out.t, out.step_count) == (1e-15, 1)
+        assert dynamics._event_times([1e-15, 2e-15], 1.0) == {1e-15: 1e-15, 2e-15: 2e-15}
+
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
         g = Grid(32, TWO_PI)
@@ -484,7 +492,7 @@ class TestFieldPairSplit:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16))
     @example(n=128, seed=1)
-    @example(n=208, seed=3)  # from dynamics._FORWARD_SPLIT on, the forward splits
+    @example(n=208, seed=3)  # from spectral._FORWARD_SPLIT on, the forward splits
     @example(n=256, seed=2)
     def test_matches_the_serial_evaluation_bit_for_bit(self, n, seed):
         g = Grid(n, TWO_PI)
@@ -497,7 +505,7 @@ class TestFieldPairSplit:
         t2 *= u2
         t1 += t2
         expected = _pack(g, np.fft.rfft2(t1, norm="forward"))
-        out = np.empty(_packed_shape(g), dtype=complex)
+        out = np.empty(g.packed_shape, dtype=complex)
         for mode in ("split", "held", "one CPU"):
             # with the helper held, as the diagnostics worker holds it, or on
             # one CPU, both halves run here, in turn
@@ -515,15 +523,16 @@ class TestFieldPairSplit:
     def test_the_forward_splits_from_the_size_floor(self, n, split, monkeypatch):
         # each forward row pass, by the thread that ran it and its rows
         calls = []
+        forward_rows = spectral._forward_rows
 
         def rows(values, more, spec):
             calls.append((threading.current_thread(), len(values)))
-            return spectral._forward_rows(values, more, spec)
+            return forward_rows(values, more, spec)
 
-        monkeypatch.setattr(dynamics, "_forward_rows", rows)
+        monkeypatch.setattr(spectral, "_forward_rows", rows)
         g = Grid(n, TWO_PI)
         coeffs = _pack(g, make_initial("random_h1", g, seed=4).coeffs)
-        out = np.empty(_packed_shape(g), dtype=complex)
+        out = np.empty(g.packed_shape, dtype=complex)
         expected = _pack(g, nonlinear_term(SpectralField(g, _unpack(g, coeffs))).coeffs)
         here = threading.current_thread()
         for mode in ("split", "held", "one CPU"):

@@ -255,13 +255,16 @@ class TestCheckModulus:
         with pytest.raises(ParameterError, match="tabulated range"):
             check_modulus(field, mod, [(30, 0)])
 
-    @pytest.mark.parametrize("bad", [(1.5, 0), (0.9, 0.2), (2, 1.0),
-                                     (np.float64(1.0), 0)])
-    def test_a_non_integer_offset_is_refused_by_name(self, bad):
+    @pytest.mark.parametrize("bad, named", [
+        ((1.5, 0), r"\(1\.5, 0\)"), ((0.9, 0.2), r"\(0\.9, 0\.2\)"),
+        ((2, 1.0), r"\(2, 1\.0\)"), ((np.float64(1.0), 0), r"\(.*1\.0.*, 0\)"),
+        ((1, 2, 3), r"\(1, 2, 3\)"), ((1,), r"\(1,\)"), (5, "5")])
+    def test_a_non_integer_offset_is_refused_by_name(self, bad, named):
         # int() would truncate (1.5, 0) to (1, 0), and (0.9, 0.2) to (0, 0);
-        # the refusal comes before any lookup, so a null field still gives it
+        # a triple, a single and a bare integer are no pair either.  The
+        # refusal comes before any lookup, so a null field still gives it
         field = types.SimpleNamespace(grid=self.grid, values=None)
-        with pytest.raises(ParameterError, match=r"offset \(.*\) is not a pair"):
+        with pytest.raises(ParameterError, match=f"offset {named} is not a pair"):
             check_modulus(field, self.mod, [(1, 0), bad])
 
     def test_numpy_integer_offsets_are_accepted(self):

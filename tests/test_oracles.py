@@ -152,6 +152,8 @@ class TestScalingConsistency:
             scaling_consistency(theta0, 3, 0.1)  # 3 does not divide 64
         with pytest.raises(ConfigError):
             scaling_consistency(theta0, 16, 0.1)  # coarse grid below minimum
+        with pytest.raises(ConfigError, match="c = 2.5 must be a positive integer"):
+            scaling_consistency(theta0, 2.5, 0.1)  # not truncated to c = 2
 
     def test_rejects_wide_band_data(self):
         g = Grid(64, TWO_PI)

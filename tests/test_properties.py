@@ -22,8 +22,7 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab.spectral import (_forward, _forward_columns, _forward_rows, _inverse, _pack,
-                             _packed_shape, _unpack)
+from sqglab.spectral import _forward, _forward_columns, _forward_rows, _inverse, _pack, _unpack
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -118,7 +117,7 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     more = rng.standard_normal(values.shape)
     summed = np.fft.rfft2(values + more, norm="forward")
     _forward_rows(values, more, spec)
-    packed = np.empty(lead + _packed_shape(grid), dtype=complex)
+    packed = np.empty(lead + grid.packed_shape, dtype=complex)
     cut = rng.integers(0, packed.shape[-1] + 1)
     _forward_columns(grid, spec[..., cut:], packed[..., cut:])
     _forward_columns(grid, spec, packed[..., :cut])
@@ -177,7 +176,7 @@ def test_packing_keeps_the_live_block_and_steps_leave_positive_zeros(n, seed):
     grid = Grid(n, 2.0 * math.pi)
     theta = dealias(forward_transform(random_field(grid, seed, 1.0)))
     packed = _pack(grid, theta.coeffs)
-    assert packed.shape == _packed_shape(grid) == (2 * grid.cutoff + 1, grid.cutoff + 1)
+    assert packed.shape == grid.packed_shape == (2 * grid.cutoff + 1, grid.cutoff + 1)
     back = _unpack(grid, packed)
     mask = grid.dealias_mask
     bits, back_bits = theta.coeffs.view(np.uint64), back.view(np.uint64)

@@ -2,13 +2,16 @@
 
     python tools/src_size.py [SRC_DIR]
 
-Three numbers, one per line:
+Four numbers, one per line:
 - ``lines``: all lines of the ``.py`` files under SRC_DIR (default: the
   ``src`` directory beside this script's directory);
 - ``code_lines``: the lines that are not blank, not comment-only, and not
   part of a module, class or function docstring (located with ``ast``);
 - ``public_names``: the names that ``sqglab/__init__.py`` imports or lists
-  in ``__all__``, so the names it loads on first use count too.
+  in ``__all__``, so the names it loads on first use count too;
+- ``private_imports``: the ``_``-prefixed names that one module imports from
+  another by relative import (``from .spectral import _pack``), counted once
+  per importing module.
 """
 
 import ast
@@ -30,18 +33,28 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def sizes(src: Path) -> tuple[int, int, int]:
-    total = code = 0
+def sizes(src: Path) -> tuple[int, int, int, int]:
+    total = code = private = 0
     for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        skip = docstring_lines(ast.parse(text))
+        tree = ast.parse(text)
+        skip = docstring_lines(tree)
+        private += len(private_imports(tree))
         lines = text.splitlines()
         total += len(lines)
         code += sum(1 for number, line in enumerate(lines, start=1)
                     if number not in skip and line.strip()
                     and not line.strip().startswith("#"))
     init = ast.parse((src / "sqglab" / "__init__.py").read_text(encoding="utf-8"))
-    return total, code, len(public_names(init))
+    return total, code, len(public_names(init)), private
+
+
+def private_imports(tree: ast.AST) -> set[tuple[str, str]]:
+    """The (module, name) pairs of the ``_``-prefixed names a parsed module
+    imports by relative ``from`` imports, anywhere in it."""
+    return {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")}
 
 
 def public_names(init: ast.Module) -> set[str]:
@@ -61,10 +74,11 @@ def public_names(init: ast.Module) -> set[str]:
 
 def main(argv):
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    total, code, names = sizes(src)
+    total, code, names, private = sizes(src)
     print(f"lines {total}")
     print(f"code_lines {code}")
     print(f"public_names {names}")
+    print(f"private_imports {private}")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ r^2 log r): strictly increasing, concave, unbounded, with finite slope at
 zero and curvature diverging at zero.  The rescaling theta(2x) stretches
 every separation by 2: sampled on a box twice as long, it has exactly
 theta's grid values, so the stretch needs no interpolation, and as omega is
-increasing the monitor's ratios can only fall.  The stretched box's largest
-periodic separation, 4 pi / sqrt 2 = 8.89, is within the table.  omega grows
+increasing the monitor's ratios can only fall.  The table is built over the
+stretched box, whose largest periodic separation, 4 pi / sqrt 2 = 8.89, is
+below its floor of 10.  omega grows
 only double-logarithmically, so the data must be small against it: cmt at
 amplitude 0.04, as in acceptance criterion 9 (at amplitude 1 the half-box
 shift moves cmt by 2.83, and omega(10) is 0.144).  The monitored run then
@@ -20,8 +21,12 @@ import math
 
 import sqglab as sq
 
+grid = sq.Grid(128, 2 * math.pi)
+theta0 = sq.inverse_transform(sq.make_initial("cmt", grid, amplitude=0.04))
+field = sq.RealField(sq.Grid(grid.n, 2 * grid.length), theta0.values)
+
 print("== building the certificate (delta3 = 0.05, table to r = 10) ==")
-mod = sq.build_knv_modulus(0.05, 10.0)
+mod = sq.build_knv_modulus(0.05, field.grid)
 print(f"  omega'(0) = {mod.omega_prime_at_zero:.6f}")
 for r in (0.01, 0.1, 1.0, 10.0):
     print(f"  omega({r:5.2f}) = {float(mod.omega_at(r)):.6f}")
@@ -29,9 +34,6 @@ print("  note the slow growth at large r: the box's largest separations meet "
       "this flat tail, so rescaling helps only data small against it")
 
 print("== cmt data (amplitude 0.04) stretched by C = 2 onto the 4 pi box ==")
-grid = sq.Grid(128, 2 * math.pi)
-theta0 = sq.inverse_transform(sq.make_initial("cmt", grid, amplitude=0.04))
-field = sq.RealField(sq.Grid(grid.n, 2 * grid.length), theta0.values)
 offsets = sq.default_offsets(field.grid)
 start = sq.check_modulus(field, mod, offsets)
 print(f"  C = 2: worst ratio {start.worst_ratio:.3f} "

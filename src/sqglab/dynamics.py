@@ -32,8 +32,10 @@ from .errors import BlowUpError, BudgetError, ParameterError, _check
 from .spectral import SpectralField, _advection, _pack, _sup_norm, _unpack, dealias
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
-# adapt_dt's floor: a speed that overflows to inf or nan still gets a finite
-# step, so the run ends in BlowUpError and not in a step-size error
+# adapt_dt's floor on the 2 pi box, scaled with the box length L as the CFL
+# step is: a speed that overflows to inf or nan still gets a finite step, so
+# the run ends in BlowUpError and not in a step-size error, while on a tiny
+# box the floor stays far below the CFL step
 _DT_MIN = 1e-10
 # SolverConfig's rules, field -> (test, what it must do); config reuses them
 _RULES = {
@@ -198,17 +200,19 @@ def step(state: SolverState, dt: float) -> SolverState:
 
 
 def adapt_dt(state: SolverState) -> float:
-    """Advective CFL step: clamp(cfl * dx / ||u||_inf, ``_DT_MIN``, dt_max).
+    """Advective CFL step: clamp(cfl * dx / ||u||_inf, ``_DT_MIN`` * L / (2 pi),
+    dt_max) on a box L long.
 
     The speed comes from the state's cached first RK4 stage, which the
     following ``step`` reuses.
     """
-    config = state.config
+    config, grid = state.config, state.theta.grid
     umax = state.stage1[1]
     if umax == 0.0:
         return config.dt_max
-    dt = config.cfl * state.theta.grid.dx / umax
-    return float(min(config.dt_max, max(_DT_MIN, dt)))
+    dt = config.cfl * grid.dx / umax
+    floor = _DT_MIN * (grid.length / (2.0 * math.pi))
+    return float(min(config.dt_max, max(floor, dt)))
 
 
 def run_until(

@@ -50,20 +50,12 @@ _X_LOW, _X_PAD = -90.0, 45.0
 # enough that _certify's second differences resolve omega'' to 1%.
 _TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
 
-# The monitor's table reaches at least this far: every box up to 10 sqrt 2
-# long (the 2 pi box among them) shares one table, and a tiny box gets one.
+# The table reaches at least this far: every box up to 10 sqrt 2 long (the
+# 2 pi box among them) shares one table, and a tiny box gets one.
 _TABLE_FLOOR = 10.0
 
-# The smallest r_max the rule accepts.  Below about 1.5e-16 the table's
-# second differences lose omega'' to roundoff and _certify fails; at 1e-12
-# they are off by about 2e-4, against its 1% tolerance.  It also keeps the
-# quadrature range [-90, log r_max + 45] non-empty.
-_R_MAX_FLOOR = 1e-12
-
-# value rules, (test, what the value must do); modulus.delta3 reuses the first
-_RULES = {"delta3": (lambda v: v > 0.0, "be > 0"),
-          "r_max": (lambda v: _R_MAX_FLOOR <= v < math.inf,
-                    f"be finite and >= {_R_MAX_FLOOR:g}")}
+# value rules, (test, what the value must do); modulus.delta3 reuses them
+_RULES = {"delta3": (lambda v: v > 0.0, "be > 0")}
 
 
 def _unbacked(gamma: float, kappa: float):
@@ -136,27 +128,30 @@ class BreachReport:
     worst_offset: tuple[int, int]
 
 
-def build_knv_modulus(delta3: float, r_max: float) -> ModulusOfContinuity:
-    """Construct and certify the modulus table on log-spaced nodes.
+def build_knv_modulus(delta3: float, grid: Grid) -> ModulusOfContinuity:
+    """Construct and certify the modulus table on log-spaced nodes, up to
+    the largest periodic separation of ``grid``, (n/2) sqrt 2 cells, or
+    ``_TABLE_FLOOR`` if that is further.
 
-    The table for delta3 = 1 is certified first, so a failure there is
-    r_max's; then delta3 must keep every value the certificate forms a
-    normal float (see ``_normal_range``), else ``ParameterError`` names the
-    range of delta3 that builds."""
-    for name, value in (("delta3", delta3), ("r_max", r_max)):
-        _check(_RULES[name], name, value)
+    The table for delta3 = 1 is certified first, so a failure there is the
+    box's (past about L = 1.4e153 the table overflows); then delta3 must
+    keep every value the certificate forms a normal float (see
+    ``_normal_range``), else ``ParameterError`` names the range of delta3
+    that builds."""
+    _check(_RULES["delta3"], "delta3", delta3)
+    reach = max(grid.dx * math.hypot(grid.n // 2, grid.n // 2), _TABLE_FLOOR)
 
-    # a huge r_max overflows on the way (and divides by the overflow): _certify
+    # a huge box overflows on the way (and divides by the overflow): _certify
     # rejects the table that results, so numpy need not warn as well
     with np.errstate(all="ignore"):
-        r = np.geomspace(_TABLE_SPAN * r_max, r_max, _TABLE_SIZE)
+        r = np.geomspace(_TABLE_SPAN * reach, reach, _TABLE_SIZE)
         op, omega, op0 = _shape_tables(r)
         shape = ModulusOfContinuity(1.0, r, omega, op, op0)
         _certify(shape)
         low, high = _normal_range(shape)
         if not low <= delta3 <= high:
             raise ParameterError(f"delta3 must lie in [{low:.3g}, {high:.3g}] for "
-                                 f"r_max = {r_max:g}, got {delta3!r}")
+                                 f"r_max = {shape.r_max:g}, got {delta3!r}")
         mod = ModulusOfContinuity(
             delta3=float(delta3),
             r_table=r,
@@ -244,13 +239,11 @@ def default_offsets(grid: Grid) -> list[tuple[int, int]]:
 
 def _monitor(grid: Grid, delta3: float, kappa: float):
     """The breach monitor on ``grid``: its modulus kappa omega (see
-    ``_unbacked``) up to the box's largest separation, L / sqrt 2, offsets,
-    and per-sample check ``breach(values, hi, lo)``, which returns the
-    exhaustive check's report on a breached sample, else None.  The
-    exhaustive check runs where ``_lattice_bound`` cannot rule a breach out."""
-    mod = build_knv_modulus(delta3 * kappa,
-                            max(grid.dx * math.hypot(grid.n // 2, grid.n // 2),
-                                _TABLE_FLOOR))
+    ``_unbacked``), tabulated over the box, offsets, and per-sample check
+    ``breach(values, hi, lo)``, which returns the exhaustive check's report
+    on a breached sample, else None.  The exhaustive check runs where
+    ``_lattice_bound`` cannot rule a breach out."""
+    mod = build_knv_modulus(delta3 * kappa, grid)
     offsets = default_offsets(grid)
     safe = _lattice_bound(grid, mod, offsets)
 

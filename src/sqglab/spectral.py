@@ -10,10 +10,11 @@ stands for its conjugate partner too, so full-lattice sums are half-lattice
 sums weighted by ``Grid.weights`` (2 there, 1 on columns 0 and n/2), and
 Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
 
-Transforms run the 1-D passes of ``irfftn`` and ``rfft2`` in their order, so
-results match them bit for bit; the column passes work in place on scratch
-in a per-thread workspace, so threads never share buffers and a right-hand
-side allocates nothing large.
+The public transforms are ``irfft2`` and ``rfft2``.  The stepper's and the
+sample's run the same 1-D passes in the same order, so results match them
+bit for bit; their column passes work in place on scratch in a per-thread
+workspace, so threads never share buffers and a right-hand side allocates
+nothing large.
 
 One function, ``_advection``, forms u . grad(theta) under the 2/3 rule.
 It reads and writes only the modes |m1|, |m2| <= ``Grid.cutoff``, so its
@@ -298,12 +299,6 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
 
 
-def _forward(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Half spectrum of one or a stack of grid values, written into ``out``."""
-    np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=-2, norm="forward", out=out)
-
-
 def _forward_rows(values: np.ndarray, more: np.ndarray, spec: np.ndarray):
     """The row pass of the dealiased forward transform of the sum of two
     sets of grid rows: ``more`` is added into ``values``, whose ``rfft``
@@ -373,16 +368,13 @@ def forward_transform(f: RealField) -> SpectralField:
             f"expected shape {(f.grid.n, f.grid.n)}, got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ParameterError("field values contain non-finite entries")
-    out = np.empty(f.grid.spectral_shape, dtype=complex)
-    return SpectralField(f.grid, _forward(values, out))
+    return SpectralField(f.grid, np.fft.rfft2(values, norm="forward"))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Transform coefficients back to real grid values."""
-    grid = F.grid
-    spec = _workspace.get(grid)[0][0]
-    np.copyto(spec, F.coeffs)
-    return RealField(grid, _inverse(grid, spec, np.empty((grid.n, grid.n))))
+    n = F.grid.n
+    return RealField(F.grid, np.fft.irfft2(F.coeffs, s=(n, n), norm="forward"))
 
 
 def dealias(F: SpectralField) -> SpectralField:

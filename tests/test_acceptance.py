@@ -208,10 +208,10 @@ def test_criterion_09_modulus_monitor():
     # moves it by its whole oscillation, 2.83, while omega stays below
     # omega(10) = 0.144 on every separation the table reaches
     theta0 = inverse_transform(make_initial("cmt", grid, amplitude=0.04))
-    mod = build_knv_modulus(0.05, 10.0)
-    # theta0(2x) on the 4 pi box has theta0's grid values exactly, and its
-    # largest separation, 4 pi / sqrt 2 = 8.89, is within the table
+    # theta0(2x) on the 4 pi box has theta0's grid values exactly; its
+    # largest separation, 4 pi / sqrt 2 = 8.89, is below the table's floor
     field = RealField(Grid(grid.n, 2 * TWO_PI), theta0.values)
+    mod = build_knv_modulus(0.05, field.grid)
     offsets = default_offsets(field.grid)
     start = check_modulus(field, mod, offsets)
     # the input holds on every periodic shift, each at its shortest offset

@@ -66,7 +66,7 @@ class TestParseConfig:
         "output.log_per_decade = 10",
         "dynamics.nonlinear = false",  # SolverConfig.nonlinear_enabled stays
         "output.betas = 0.5",  # NormSeries(betas=...) stays
-        "modulus.r_max = 10",  # the table spans the box; build_knv_modulus keeps r_max
+        "modulus.r_max = 10",  # build_knv_modulus tabulates over the grid it is given
     ])
     def test_removed_settings_are_unknown_keys(self, line):
         key = line.split(" = ")[0]

@@ -674,7 +674,7 @@ class TestCli:
         g = Grid(32, 2.0 * math.pi)
         x1, x2 = g.points()
         values = np.sin(x1) * np.sin(x2) + np.cos(x2)
-        ratio = check_modulus(RealField(g, values), build_knv_modulus(0.1, 10.0),
+        ratio = check_modulus(RealField(g, values), build_knv_modulus(0.1, g),
                               default_offsets(g)).worst_ratio
         values *= 0.75 / ratio
         rows = {}
@@ -692,16 +692,16 @@ class TestCli:
         built = []
         real = modulus.build_knv_modulus
 
-        def build_knv_modulus(delta3, r_max):
-            built.append(delta3)
-            return real(delta3, r_max)
+        def build_knv_modulus(delta3, grid):
+            built.append((delta3, grid))
+            return real(delta3, grid)
 
         monkeypatch.setattr(modulus, "build_knv_modulus", build_knv_modulus)
         run_simulation(parse_config(
             BASE_CONFIG.replace("dynamics.kappa = 1.0", "dynamics.kappa = 0.5")
             + "modulus.enabled = true\nmodulus.delta3 = 0.1\n"
             + f"output.directory = {tmp_path}/out\n"))
-        assert built == [0.05]
+        assert built == [(0.05, Grid(32, 2.0 * math.pi))]
 
     def test_analyze_power_law(self, tmp_path, capsys):
         path = tmp_path / "norms.csv"

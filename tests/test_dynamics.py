@@ -354,6 +354,20 @@ class TestAdaptDt:
         with pytest.raises(BlowUpError):
             step(state, adapt_dt(state))
 
+    @pytest.mark.filterwarnings("error")
+    def test_the_floor_scales_with_the_box(self):
+        # on a box 1e-11 long the CFL step is 8.5e-13: a floor fixed at 1e-10
+        # would step 118 times past it, and the inviscid run would blow up
+        g = Grid(32, 1e-11)
+        theta = make_initial("random_h1", g)
+        state = initial_state(theta, critical_config(kappa=0.0))
+        assert adapt_dt(state) == 0.5 * g.dx / state.stage1[1]
+        assert 8e-13 < adapt_dt(state) < 9e-13
+        # an overflowing speed gets the floor at the box's scale
+        state = initial_state(SpectralField(g, 1e160 * theta.coeffs), critical_config())
+        assert state.stage1[1] == math.inf
+        assert adapt_dt(state) == 1e-10 * (1e-11 / TWO_PI)
+
 
 class TestRunUntil:
     def test_identity_when_already_there(self):

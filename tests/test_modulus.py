@@ -29,6 +29,8 @@ from sqglab.initial import PRESETS
 from sqglab.modulus import _lattice_bound, _monitor, _shift_sups
 
 TWO_PI = 2.0 * math.pi
+# every box up to 10 sqrt 2 long has the table to the floor, r = 10
+BOX = Grid(8, TWO_PI)
 
 # Independent quadrature oracle for omega'(0) at delta3 = 0.1, frozen from a
 # brute-force Simpson evaluation (substitutions s = v^2 below s = 1 and
@@ -84,48 +86,52 @@ class TestConstruction:
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
-            build_knv_modulus(0.0, 10.0)
+            build_knv_modulus(0.0, BOX)
         with pytest.raises(ParameterError):
-            build_knv_modulus(-0.1, 10.0)
-        # 1e-300 would give numpy's linspace a negative count, and 1e154
-        # divides by an overflowed omega''
-        for r_max in (0.0, 1e-320, 1e-300, 1e-20, 1e154, 1e300, math.inf, math.nan):
+            build_knv_modulus(-0.1, BOX)
+        # boxes too large to tabulate: from 1.4e153 on omega'' overflows, and
+        # the table divides by it
+        for length in (1.4e153, 1e154, 1e200, 1e308):
             with pytest.raises(ParameterError):
-                build_knv_modulus(0.1, r_max)
+                build_knv_modulus(0.1, Grid(8, length))
 
     @pytest.mark.filterwarnings("error")
-    def test_r_max_floor_is_where_the_table_certifies(self):
-        # the table's second differences certify down to about 1.5e-16; the
-        # rule stops short of that, naming its range, and accepts its floor
-        assert build_knv_modulus(0.1, 1e-12).r_max == 1e-12
-        for r_max in (9.9e-13, 1e-15, 1e-16):
-            with pytest.raises(ParameterError, match="r_max must be finite and >= 1e-12"):
-                build_knv_modulus(0.1, r_max)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("delta3, r_max", [
-        (1e306, 10.0),  # the second differences overflow to nan
-        (1e300, 1e-12),
-        (1e-300, 1e-12),  # subnormal omega values: off by 4e3
-        (1e-320, 10.0),
+    @pytest.mark.parametrize("delta3", [
+        1e306,  # the second differences overflow to nan
+        1e-320,
     ])
-    def test_delta3_that_leaves_the_float_range_is_refused(self, delta3, r_max):
+    def test_delta3_that_leaves_the_float_range_is_refused(self, delta3):
         with pytest.raises(ParameterError) as err:
-            build_knv_modulus(delta3, r_max)
+            build_knv_modulus(delta3, BOX)
         message = str(err.value)
         assert message.startswith("delta3 must lie in [")
-        assert message.endswith(f"for r_max = {r_max:g}, got {delta3!r}")
+        assert message.endswith(f"for r_max = 10, got {delta3!r}")
         low, high = (float(v) for v in message[len("delta3 must lie in ["):
                                                message.index("]")].split(", "))
         assert low < 1e-200 and high > 1e200
         # the range it names builds, at both ends
         for inside in (low * 1.01, high / 1.01):
-            assert build_knv_modulus(inside, r_max).delta3 == inside
+            assert build_knv_modulus(inside, BOX).delta3 == inside
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_delta3_range_follows_the_box(self):
+        # the table's far values grow with its end, L / sqrt 2 on a box past
+        # the floor, and so does the least delta3 that keeps them normal
+        grid = Grid(8, 1e100)
+        with pytest.raises(ParameterError) as err:
+            build_knv_modulus(1e-300, grid)
+        message = str(err.value)
+        assert message.endswith("for r_max = 7.07107e+99, got 1e-300")
+        low, high = (float(v) for v in message[len("delta3 must lie in ["):
+                                               message.index("]")].split(", "))
+        assert 1e-200 < low < 1e-100 and high > 1e300
+        for inside in (low * 1.01, high / 1.01):
+            assert build_knv_modulus(inside, grid).r_max == grid.dx * math.hypot(4, 4)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta3", [1e300, 1e-300])
     def test_extreme_delta3_on_the_monitor_floor_still_builds(self, delta3):
-        mod = build_knv_modulus(delta3, 10.0)
+        mod = build_knv_modulus(delta3, BOX)
         assert mod.omega_prime_at_zero / delta3 == pytest.approx(
             OMEGA_PRIME0_D3_01 / 0.1, rel=1e-12)
 
@@ -134,12 +140,12 @@ class TestConstruction:
         fine = simpson_omega_prime0(40000)
         assert abs(coarse - fine) < 1e-8
         assert abs(0.1 * fine - OMEGA_PRIME0_D3_01) < 1e-8
-        mod = build_knv_modulus(0.1, 10.0)
+        mod = build_knv_modulus(0.1, BOX)
         assert abs(mod.omega_prime_at_zero - OMEGA_PRIME0_D3_01) < 1e-10
 
     def test_linearity_in_delta3(self):
-        a = build_knv_modulus(0.1, 5.0)
-        b = build_knv_modulus(0.2, 5.0)
+        a = build_knv_modulus(0.1, BOX)
+        b = build_knv_modulus(0.2, BOX)
         assert np.allclose(b.omega, 2.0 * a.omega, rtol=1e-13, atol=0.0)
         assert np.allclose(b.omega_prime, 2.0 * a.omega_prime, rtol=1e-13, atol=0.0)
         assert abs(b.omega_prime_at_zero - 2.0 * a.omega_prime_at_zero) < 1e-14
@@ -153,7 +159,7 @@ class TestConstruction:
         assert np.max(-(dip ** 2) * np.log(dip)) <= 1.0 / (2.0 * math.e) + 1e-12
 
     def test_certificate_properties(self):
-        mod = build_knv_modulus(0.1, 10.0)
+        mod = build_knv_modulus(0.1, BOX)
         assert np.all(np.diff(mod.omega) > 0)
         assert np.all(mod.omega_prime > 0)
         assert np.all(np.diff(mod.omega_prime) < 0)  # concavity
@@ -170,7 +176,7 @@ class TestConstruction:
         assert np.all(np.diff(first) > 0)
 
     def test_subadditivity(self):
-        mod = build_knv_modulus(0.1, 10.0)
+        mod = build_knv_modulus(0.1, BOX)
         rng = np.random.default_rng(0)
         for _ in range(200):
             a, b = rng.uniform(1e-3, 5.0, size=2)
@@ -179,14 +185,14 @@ class TestConstruction:
             assert lhs <= rhs * (1.0 + 1e-12)
 
     def test_unbounded_growth_trend(self):
-        values = [build_knv_modulus(0.1, r_max).omega[-1]
-                  for r_max in (1e2, 1e4, 1e6)]
+        values = [build_knv_modulus(0.1, Grid(8, length)).omega[-1]
+                  for length in (1e2, 1e4, 1e6)]
         assert values[0] < values[1] < values[2]
         # no sign of a finite limit at 1% resolution
         assert (values[2] - values[1]) / values[2] > 0.01
 
     def test_table_matches_adaptive_quadrature(self):
-        mod = build_knv_modulus(0.1, 10.0)
+        mod = build_knv_modulus(0.1, BOX)
         r = mod.r_table
         op = 0.1 * np.array([quad_omega_prime_shape(x) for x in r])
         op0 = 0.1 * quad_omega_prime_shape(0.0)
@@ -199,7 +205,7 @@ class TestConstruction:
 class TestCheckModulus:
     def setup_method(self):
         self.grid = Grid(64, TWO_PI)
-        self.mod = build_knv_modulus(0.1, 10.0)
+        self.mod = build_knv_modulus(0.1, self.grid)
 
     def test_zero_field(self):
         field = RealField(self.grid, np.zeros((64, 64)))
@@ -250,10 +256,10 @@ class TestCheckModulus:
             check_modulus(field, self.mod, [(0, 0)])
 
     def test_out_of_range_offset(self):
+        # 120 cells are 11.8 long, past the table's end at 10
         field = RealField(self.grid, np.zeros((64, 64)))
-        mod = build_knv_modulus(0.1, 2 * self.grid.dx)
         with pytest.raises(ParameterError, match="tabulated range"):
-            check_modulus(field, mod, [(30, 0)])
+            check_modulus(field, self.mod, [(120, 0)])
 
     @pytest.mark.parametrize("bad, named", [
         ((1.5, 0), r"\(1\.5, 0\)"), ((0.9, 0.2), r"\(0\.9, 0\.2\)"),
@@ -320,7 +326,7 @@ def fields_and_offsets(draw):
     return RealField(Grid(n, TWO_PI), values), offsets
 
 
-MOD_D3_01 = build_knv_modulus(0.1, 10.0)  # covers every separation up to 2 pi sqrt 2
+MOD_D3_01 = build_knv_modulus(0.1, BOX)  # covers every separation up to 2 pi sqrt 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,9 +346,9 @@ def test_check_modulus_validates_before_differencing():
     # the range error for the last offset comes before any difference is
     # taken, so a field whose values cannot be differenced still reports it
     field = types.SimpleNamespace(grid=Grid(64, TWO_PI), values=None)
-    mod = build_knv_modulus(0.1, 1.0)
+    mod = build_knv_modulus(0.1, field.grid)
     with pytest.raises(ParameterError, match="tabulated range"):
-        check_modulus(field, mod, [(1, 0), (2, 0), (40, 0)])
+        check_modulus(field, mod, [(1, 0), (2, 0), (120, 0)])
     with pytest.raises(ParameterError):
         check_modulus(field, mod, [(1, 0), (0, 0)])
 
@@ -404,7 +410,7 @@ def test_the_monitor_covers_every_box(n, log_length):
 
 
 @pytest.mark.parametrize("n, length, r_max", [
-    (128, TWO_PI, 10.0),  # the floor: the 2 pi box keeps the table r_max = 10 gave
+    (128, TWO_PI, 10.0),  # the floor: the 2 pi box at any n has BOX's table
     (16, 1e-3, 10.0),
     (128, TWO_PI * 100.0, TWO_PI * 100.0 / math.sqrt(2.0)),
     (8, 1e6, 1e6 / math.sqrt(2.0)),
@@ -413,15 +419,32 @@ def test_the_monitor_tabulates_to_the_largest_separation(n, length, r_max):
     mod, _, _ = _monitor(Grid(n, length), 0.1, 1.0)
     assert mod.r_max == pytest.approx(r_max, rel=1e-14)
     if r_max == 10.0:
-        reference = build_knv_modulus(0.1, 10.0)
+        reference = build_knv_modulus(0.1, BOX)
         assert np.array_equal(mod.r_table, reference.r_table)
         assert np.array_equal(mod.omega, reference.omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 64).map(lambda h: 2 * h), log_length=st.floats(-300.0, 150.0),
+       delta3=st.floats(1e-2, 1.0), kappa=st.floats(1e-2, 1e2))
+def test_the_monitor_tabulates_kappa_omega_over_its_box(n, log_length, delta3, kappa):
+    # the boxes of test_the_monitor_covers_every_box: the monitor's table is
+    # the builder's on its grid, which ends at the box's largest periodic
+    # separation or at the floor, 10
+    grid = Grid(n, 10.0 ** log_length)
+    mod, _, _ = _monitor(grid, delta3, kappa)
+    reference = build_knv_modulus(delta3 * kappa, grid)
+    assert mod.delta3 == reference.delta3
+    assert mod.r_max == max(grid.dx * math.hypot(n // 2, n // 2), 10.0)
+    for name in ("r_table", "omega", "omega_prime"):
+        assert np.array_equal(getattr(mod, name), getattr(reference, name))
+    assert mod.omega_prime_at_zero == reference.omega_prime_at_zero
 
 
 class TestLatticeBound:
     def setup_method(self):
         self.grid = Grid(64, TWO_PI)
-        self.mod = build_knv_modulus(0.1, 10.0)
+        self.mod = build_knv_modulus(0.1, self.grid)
         self.offsets = default_offsets(self.grid)
 
     def skips(self, values):
@@ -463,7 +486,7 @@ class TestLatticeBound:
 def test_a_non_finite_field_is_refused(bad):
     # nan > worst is False: unrefused, a NaN would pass as "held" at ratio -1
     g = Grid(16, TWO_PI)
-    mod = build_knv_modulus(0.1, 10.0)
+    mod = build_knv_modulus(0.1, g)
     values = inverse_transform(make_initial("cmt", g)).values
     values[3, 5] = bad
     field = RealField(g, values)
@@ -476,8 +499,8 @@ def test_cmt_on_the_doubled_box_passes_with_margin():
     # holds omega with room to spare, and its gradient stays below omega'(0)
     g = Grid(128, TWO_PI)
     theta0 = inverse_transform(make_initial("cmt", g, amplitude=0.04))
-    mod = build_knv_modulus(0.05, 10.0)
     field = RealField(Grid(g.n, 2 * TWO_PI), theta0.values)
+    mod = build_knv_modulus(0.05, field.grid)
     report = check_modulus(field, mod, default_offsets(field.grid))
     assert not report.breached and report.worst_ratio <= 0.9
     grad_sup = sup_and_gradient_sup(forward_transform(field))[1]
@@ -486,7 +509,7 @@ def test_cmt_on_the_doubled_box_passes_with_margin():
 
 def test_tiny_data_is_admissible_on_its_own_box():
     g = Grid(64, TWO_PI)
-    mod = build_knv_modulus(0.1, 10.0)
+    mod = build_knv_modulus(0.1, g)
     tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
     report = check_modulus(tiny, mod, default_offsets(g))
     assert not report.breached and report.worst_ratio <= 0.9
@@ -499,7 +522,7 @@ def test_a_box_past_r_max_is_refused(length):
     g = Grid(8, length)
     tiny = RealField(g, 1e-6 * inverse_transform(make_initial("cmt", g)).values)
     with pytest.raises(ParameterError, match="outside tabulated range"):
-        check_modulus(tiny, build_knv_modulus(0.1, 10.0), default_offsets(g))
+        check_modulus(tiny, build_knv_modulus(0.1, BOX), default_offsets(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,7 +544,7 @@ def test_stretching_the_box_never_raises_the_worst_ratio(n, log_length, c, seed,
     component = st.integers(-half, half)
     offsets = default_offsets(grid) + data.draw(st.lists(
         st.tuples(component, component).filter(any), max_size=8))
-    mod = build_knv_modulus(0.1, stretched.dx * math.hypot(half, half))
+    mod = build_knv_modulus(0.1, stretched)
     base = RealField(grid, values)
     wide = RealField(stretched, values)
     assert np.array_equal(_shift_sups(wide.values, offsets),
@@ -575,7 +598,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         "import sys, sqglab",
         "from sqglab.driver import run_simulation",
         "loaded = ['scipy' in sys.modules]",
-        "sqglab.build_knv_modulus(0.1, 10.0)",
+        "sqglab.build_knv_modulus(0.1, sqglab.Grid(16, 1.0))",
         "loaded.append('scipy' in sys.modules)",
         f"result = run_simulation(sqglab.parse_config({config!r}))",
         "assert len(result.series) == 3",

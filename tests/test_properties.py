@@ -22,7 +22,7 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab.spectral import _forward, _forward_columns, _forward_rows, _inverse, _pack, _unpack
+from sqglab.spectral import _forward_columns, _forward_rows, _inverse, _pack, _unpack
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -112,8 +112,6 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(lead + (n, n))
     spec = np.empty(lead + grid.spectral_shape, dtype=complex)
-    full = np.fft.rfft2(values, norm="forward")
-    assert np.array_equal(_forward(values, spec), full)
     more = rng.standard_normal(values.shape)
     summed = np.fft.rfft2(values + more, norm="forward")
     _forward_rows(values, more, spec)

@@ -168,9 +168,9 @@ class BoundednessResult:
 
 def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
                       window=None) -> BoundednessResult:
-    """Weighted-sup boundedness check over positive sample times.  A weight
-    that is not finite, or a weighted sup that overflows, raises
-    ``ParameterError``."""
+    """Weighted-sup boundedness check over positive sample times in window
+    = (t_a, t_b), t_a <= t_b.  A weight that is not finite, a reversed
+    window, or a weighted sup that overflows, raises ``ParameterError``."""
     weight_exponent = float(weight_exponent)
     if not np.isfinite(weight_exponent):
         raise ParameterError(f"weight must be finite, got {weight_exponent}")
@@ -182,6 +182,8 @@ def check_boundedness(series: NormSeries, weight_exponent: float, column: str,
             raise ParameterError("series has no positive times")
         window = (float(t[pos][0]), float(t[-1]))
     t_a, t_b = float(window[0]), float(window[1])
+    if not t_a <= t_b:
+        raise ParameterError(f"need t_a <= t_b, got window ({t_a}, {t_b})")
     sel = (t >= t_a) & (t <= t_b)
     if not np.any(sel):
         raise ParameterError("window contains no samples")

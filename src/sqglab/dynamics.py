@@ -14,10 +14,10 @@ the finiteness check.  ``step`` packs theta once per state and unpacks the
 new state once; ``SolverState.theta`` and ``nonlinear_term`` stay full
 width.  The advection term of any theta is that of ``dealias(theta)``.
 
-The RK4 stage inputs are formed in place, in one array that a step
-allocates with its stage terms.  The in-place operations repeat the
-operands and the order of the plain expressions, so trajectories are
-unchanged bit for bit.
+The RK4 stage inputs and the new state's packed block are formed in
+place, in one array that a step allocates with its stage terms.  The
+in-place operations repeat the operands and the order of the plain
+expressions, so trajectories are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -149,6 +149,9 @@ def step(state: SolverState, dt: float) -> SolverState:
         a3 = a(e_half * th + (-dt/2) a2)
         a4 = a(e_full * th + (-dt) (e_half a3))
         new = e_full * th + (-dt/6) ((e_full a1 + (2 e_half) (a2 + a3)) + a4)
+
+    on the packed block, with kappa |k|^gamma from the grid's packed cache;
+    ``new`` goes into a3's slot, and is unpacked into the new state.
     """
     config = state.config
     if not np.isfinite(dt) or dt <= 0.0:
@@ -157,7 +160,7 @@ def step(state: SolverState, dt: float) -> SolverState:
         raise ParameterError(f"step size {dt} exceeds dt_max = {config.dt_max}")
 
     grid = state.theta.grid
-    lam = config.kappa * _pack(grid, grid.kmag_pow(config.gamma))
+    lam = config.kappa * grid._kmag_pow(config.gamma, packed=True)
     e_full = np.exp(-lam * dt)
     e_half = np.exp(-lam * (0.5 * dt))
 
@@ -185,7 +188,8 @@ def step(state: SolverState, dt: float) -> SolverState:
         x += a2
         x += a4
         x *= -dt / 6.0
-        new = e_full * th
+        new = a3  # read no more
+        np.multiply(e_full, th, out=new)
         new += x
 
     if not np.all(np.isfinite(new)):

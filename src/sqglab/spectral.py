@@ -22,7 +22,9 @@ column passes run on the first cutoff + 1 columns alone (Patterson and
 Orszag, 1971).  It takes and gives those modes packed (``_pack``,
 ``_unpack``): a contiguous ``Grid.packed_shape`` array, (2 cutoff + 1,
 cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
-(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.
+(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.  The tables it
+and the stepper read, ``Grid.multipliers`` and the integrating factors'
+powers of |k|, are held on that block only.
 
 On two or more CPUs ``_pair``'s helper thread takes half the work: the
 (u2, d2 theta) pair of ``_advection`` while the caller does (u1, d1
@@ -66,16 +68,17 @@ _SPAN = (lambda n, length: math.isfinite(2.0 * math.pi / float(length) * (n // 2
 class Grid:
     """Uniform n x n periodic grid on [0, L)^2 and its half wavenumber lattice.
 
-    Holds every Fourier multiplier, on the (n, n/2+1) half lattice: the
+    Holds every Fourier multiplier: on the (n, n/2+1) half lattice the
     integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
     (a column and a row that broadcast), the modulus ``kmag`` and its cached
     powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` n//3 and
-    ``dealias_mask``, the ``packed_shape`` and ``live_rows`` of the modes
-    that rule keeps, packed (see the module docstring), and the
-    ``multipliers`` stack (4, n, n/2+1) whose rows give, from theta, the
-    Riesz velocity u1 = -i k2/|k|, u2 = i k1/|k| and the gradient i k1, i k2.  The velocity rows vanish at k = 0 and on both
-    Nyquist lines; the gradient rows vanish on their own axis' Nyquist line,
-    so derivatives of real fields stay real.
+    ``dealias_mask``, and the ``packed_shape`` and ``live_rows`` of the
+    modes that rule keeps, packed (see the module docstring).  On that
+    packed block only, the ``multipliers`` stack (4, 2 cutoff + 1,
+    cutoff + 1) gives, from theta, the Riesz velocity u1 = -i k2/|k|,
+    u2 = i k1/|k| (0 at k = 0) and the gradient i k1, i k2.  The norm
+    sample's gradient factors, a column and a row, vanish on their own
+    axis' Nyquist line, so derivatives of real fields stay real.
     """
 
     def __init__(self, n: int, length: float):
@@ -113,12 +116,18 @@ class Grid:
                           (slice(n - self.cutoff, None), slice(live, None)))
 
         off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
-        inv_k = np.zeros_like(self.kmag)
-        np.divide(1.0, self.kmag, out=inv_k, where=(self.kmag > 0.0) & off1 & off2)
-        self.multipliers = 1j * np.stack(np.broadcast_arrays(
-            -self.k2 * inv_k, self.k1 * inv_k, self.k1 * off1, self.k2 * off2))
+        self._gradient = (1j * (self.k1 * off1), 1j * (self.k2 * off2))
 
-        self._pow_cache: dict[float, np.ndarray] = {}
+        # the packed block holds no Nyquist line, so off1 and off2 hold there
+        k1, k2 = self.k1[np.r_[:live, n - self.cutoff:n]], self.k2[:, :live]
+        kmag = _pack(self, self.kmag)
+        inv_k = np.zeros_like(kmag)
+        np.divide(1.0, kmag, out=inv_k, where=kmag > 0.0)
+        self.multipliers = np.empty((4,) + self.packed_shape, dtype=complex)
+        for out, symbol in zip(self.multipliers, (-k2 * inv_k, k1 * inv_k, k1, k2)):
+            np.multiply(1j, symbol, out=out)
+
+        self._pow_cache: dict[tuple[float, bool], np.ndarray] = {}
 
     def points(self):
         """Coordinate arrays (x1, x2), each of shape (n, n)."""
@@ -127,12 +136,17 @@ class Grid:
 
     def kmag_pow(self, s: float) -> np.ndarray:
         """|k|^s with 0^s = 0 for s > 0 and 0^0 = 1, cached per exponent."""
-        s = float(s)
-        out = self._pow_cache.get(s)
+        return self._kmag_pow(s, packed=False)
+
+    def _kmag_pow(self, s: float, packed: bool) -> np.ndarray:
+        """``kmag_pow(s)``, or with ``packed`` its packed block, cached per
+        exponent and layout."""
+        key = (float(s), packed)
+        out = self._pow_cache.get(key)
         if out is None:
             with np.errstate(divide="ignore"):
-                out = self.kmag ** s
-            self._pow_cache[s] = out
+                out = (_pack(self, self.kmag) if packed else self.kmag) ** key[0]
+            self._pow_cache[key] = out
         return out
 
     def __eq__(self, other):
@@ -350,11 +364,11 @@ def _products(grid, multipliers, coeffs, spec, stack):
     """``_advection``'s products on the field pairs of ``multipliers``: the
     velocity components, then the matching gradient components, on the grid
     into ``stack``, whose second half then holds u_i d_i theta.  The
-    multipliers go into the live block of ``spec`` only, as the dealiased
-    inverse zeroes the rest."""
+    packed products go into the live block of ``spec`` only, as the
+    dealiased inverse zeroes the rest."""
     live = coeffs.shape[-1]
     for rows, packed in grid.live_rows:
-        np.multiply(multipliers[:, rows, :live], coeffs[packed], out=spec[:, rows, :live])
+        np.multiply(multipliers[:, packed], coeffs[packed], out=spec[:, rows, :live])
     _inverse(grid, spec, stack, dealiased=True)
     half = len(stack) // 2
     stack[half:] *= stack[:half]
@@ -386,16 +400,17 @@ def sobolev_norms(F: SpectralField, orders) -> list[float]:
     """Homogeneous Sobolev norms (L^2 sum_m |k|^{2s} |F(m)|^2)^{1/2}, one per
     order s, from one weighted |F|^2 array and one sum per distinct order.
 
-    For s = 0 the zero mode is included (|k|^0 = 1 there), so the value is
-    the full L^2 norm; for s > 0 the zero mode contributes nothing.
+    For s = 0 the weighted |F|^2 is summed as it is, zero mode included, so
+    the value is the full L^2 norm; for s > 0 the zero mode contributes
+    nothing.
     """
     orders = [float(s) for s in orders]
     if not all(0.0 <= s < math.inf for s in orders):
         raise ParameterError(f"Sobolev orders must be finite and >= 0, got {orders}")
     grid = F.grid
     energy = grid.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
-    norms = {s: grid.length * float(np.sqrt(np.sum(grid.kmag_pow(2.0 * s) * energy)))
-             for s in set(orders)}
+    norms = {s: grid.length * float(np.sqrt(np.sum(
+        grid.kmag_pow(2.0 * s) * energy if s else energy))) for s in set(orders)}
     return [norms[s] for s in orders]
 
 
@@ -425,7 +440,8 @@ def _sample(F: SpectralField, orders=()):
 def _gradient_sup(grid, coeffs, spec, stack):
     """Grid maximum of |grad f| for the half spectrum ``coeffs``, with the
     scratch pairs ``spec`` and ``stack``."""
-    np.multiply(grid.multipliers[2:], coeffs, out=spec)
+    for factor, out in zip(grid._gradient, spec):
+        np.multiply(factor, coeffs, out=out)
     return _sup_norm(*_inverse(grid, spec, stack))
 
 

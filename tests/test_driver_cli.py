@@ -779,6 +779,20 @@ class TestCli:
         assert main(argv + ["0:10"] + args) == 12
         assert "positive times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        ([], "need t_a < t_b, got (1.0, 0.1)"),
+        (["--weight", "1"], "need t_a <= t_b, got window (1.0, 0.1)"),
+    ])
+    def test_analyze_reversed_window_exit_12(self, tmp_path, capsys, args, message):
+        # the fit and the boundedness check name the window, not its samples
+        path = tmp_path / "norms.csv"
+        path.write_text("t,linf,l2,h1,h3_2,h2,grad_sup\n" + "".join(
+            ",".join([f"{t:.17g}"] + [f"{5.0 * t ** -2:.17g}"] * 6) + "\n"
+            for t in np.geomspace(0.1, 10.0, 30)))
+        assert main(["analyze", "--norms", str(path), "--column", "h2",
+                     "--window", "1:0.1"] + args) == 12
+        assert capsys.readouterr().err == f"error: analyze: {message}\n"
+
     def test_analyze_missing_norms_exit_10(self, tmp_path):
         assert main(["analyze", "--norms", str(tmp_path / "nope.csv"),
                      "--column", "linf", "--window", "0:1"]) == 10

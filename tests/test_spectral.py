@@ -4,6 +4,7 @@ import contextlib
 import math
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -29,7 +30,9 @@ from sqglab import (
 )
 from sqglab import spectral
 from sqglab.initial import PRESETS, make_initial
-from sqglab.spectral import _held, _inverse, sobolev_norms
+from sqglab.spectral import _held, _inverse, _pack, sobolev_norms
+
+from full_width import full_multipliers
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,8 +59,8 @@ def half(coeffs):
 
 
 def velocity(f):
-    """Grid values of (u1, u2) = (-R2 f, R1 f), by ``Grid.multipliers[:2]``."""
-    u = f.grid.multipliers[:2] * forward_transform(f).coeffs
+    """Grid values of (u1, u2) = (-R2 f, R1 f), by the full-width multipliers."""
+    u = full_multipliers(f.grid)[:2] * forward_transform(f).coeffs
     return [inverse_transform(SpectralField(f.grid, c)).values for c in u]
 
 
@@ -115,7 +118,7 @@ class TestGrid:
         assert g.spectral_shape == (8, 5)
         assert np.array_equal(g.m2[0], [0, 1, 2, 3, 4])
         assert g.kmag.shape == g.dealias_mask.shape == (8, 5)
-        assert g.multipliers.shape == (4, 8, 5)
+        assert g.multipliers.shape == (4,) + g.packed_shape == (4, 5, 3)
         assert np.array_equal(g.weights[0], [1, 2, 2, 2, 1])
 
     @pytest.mark.parametrize("n", [8, 98, 128, 196, 206, 214, 256, 322, 1018])
@@ -131,6 +134,32 @@ class TestGrid:
         block = np.zeros(g.spectral_shape, dtype=bool)
         block[np.ix_(rows, np.arange(g.cutoff + 1))] = True
         assert np.array_equal(g.dealias_mask, block)
+
+    @pytest.mark.parametrize("length", [TWO_PI, 1.0, 1e-11, 4e6])
+    @pytest.mark.parametrize("n", [8, 10, 98, 128, 196, 206, 208, 256, 322])
+    def test_packed_tables_are_the_live_block_of_the_full_width_ones(self, n, length):
+        # bit for bit, signed zeros included: the stepper's trajectories are
+        # those of the full-width tables
+        g = grid(n, length)
+        assert np.array_equal(g.multipliers.view(np.int64),
+                              _pack(g, full_multipliers(g)).view(np.int64))
+        for gamma in (0.5, 1.0, 1.7):
+            assert np.array_equal(g._kmag_pow(gamma, packed=True).view(np.int64),
+                                  _pack(g, g.kmag_pow(gamma)).view(np.int64))
+
+    def test_grid_256_holds_and_builds_within_its_budget(self):
+        # a full-width (4, n, n/2+1) multiplier stack alone is 2,113,536 bytes
+        tracemalloc.start()
+        try:
+            g = grid(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for value in vars(g).values()
+                   for a in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(a, np.ndarray))
+        assert held <= 1.3e6
+        assert peak <= 2.4e6
 
 
 class TestTransforms:
@@ -271,12 +300,12 @@ class TestRieszVelocity:
     def test_constant_field(self):
         g = grid(8)
         F = forward_transform(RealField(g, np.full((8, 8), 3.7)))
-        assert np.all(g.multipliers[:2] * F.coeffs == 0)
+        assert np.all(full_multipliers(g)[:2] * F.coeffs == 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_divergence_free(self, seed):
         g = grid(32)
-        u1, u2 = g.multipliers[:2] * forward_transform(random_field(g, seed)).coeffs
+        u1, u2 = full_multipliers(g)[:2] * forward_transform(random_field(g, seed)).coeffs
         div = g.k1 * u1 + g.k2 * u2
         assert np.max(np.abs(div)) < 1e-13
 
@@ -334,6 +363,14 @@ class TestNorms:
         # s = 0 includes the mean, s > 0 does not
         assert abs(sobolev_norm(F, 0.0) - 2.0 * g.length) < 1e-12
         assert sobolev_norm(F, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n", [8, 98, 256])
+    def test_l2_is_the_sum_weighted_by_kmag_to_the_zero_bit_for_bit(self, n):
+        g = grid(n)
+        F = forward_transform(random_field(g, n))
+        energy = g.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
+        assert sobolev_norm(F, 0.0) == g.length * float(
+            np.sqrt(np.sum(g.kmag_pow(0.0) * energy)))
 
     def test_negative_order_rejected(self):
         g = grid(8)
@@ -446,8 +483,13 @@ class TestSampleSplit:
     def test_every_mode_gives_the_same_bits(self, n, seed, source):
         g = grid(n)
         F = sample_field(g, source, seed)
-        # the one-thread sample: one batched inverse of (F, i k1 F, i k2 F)
-        spec = np.stack([F.coeffs, *(g.multipliers[2:] * F.coeffs)])
+        # the one-thread sample: one batched inverse of (F, i k1 F, i k2 F),
+        # whose gradient the grid's 1-D factors give exactly
+        gradient = full_multipliers(g)[2:] * F.coeffs
+        for factor, expected in zip(g._gradient, gradient):
+            assert np.array_equal((factor * F.coeffs).view(np.int64),
+                                  expected.view(np.int64))
+        spec = np.stack([F.coeffs, *gradient])
         f, d1, d2 = _inverse(g, spec, np.empty((3, n, n)))
         linf, grad_sup = np.abs(f).max(), float(np.sqrt((d1 * d1 + d2 * d2).max()))
         norms = sobolev_norms(F, (0.0, 1.0, 1.5, 2.0, 1.5, 2.0))

@@ -102,8 +102,7 @@ def record_norms(state, series: NormSeries):
     Returns theta's grid values with their max and min, from the row's
     inverse transform of theta: a view into this thread's workspace, valid
     until its next transform.  The row is computed by ``spectral._sample``,
-    which splits it across this thread and the helper of ``spectral._pair``
-    with the same bits."""
+    from one batched inverse transform of theta and its gradient."""
     with np.errstate(over="ignore", invalid="ignore"):
         values, hi, lo, linf, grad_sup, (l2, h1, h3_2, h2, *extra) = _sample(
             state.theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))

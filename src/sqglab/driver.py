@@ -2,21 +2,17 @@
 
 After the initial sample, a run's sample diagnostics (``record_norms``, then
 the check ``modulus._monitor`` returns) run on a one-thread executor, in
-sample order with at most one sample waiting, while the stepper goes on; a
-run's three threads (the stepper, its advection helper and this worker)
-share up to two cores.  While the worker computes a sample it holds the
-helper, so the stepper runs its whole right-hand side on its own core, and
-the sample runs its two halves (see ``spectral._sample``) in turn; left to
-compete for the second core, the split lost 2% on the monitored n = 128
-benchmark run.  The initial sample runs in line, split across the stepper
-and the helper.  The outputs and the failure behaviour are those of running
-them in line: snapshots, checkpoints and ``norms.csv`` wait for every
-earlier sample, and the first diagnostics error is raised in place of
-anything the stepper raises after it.  A failed sample ends the run at the
-next snapshot or checkpoint, or at the second sample after it.  The overlap
-pays at every size measured on a 2-CPU machine: running the diagnostics in
-line lost every pair of whole ``sqglab run`` wall times at n = 256 and 512,
-and moving only the norm rows in line lost at n = 128.
+sample order with at most one sample waiting, while the stepper goes on: a
+run has two threads, the stepper and this worker, each computing in its own
+workspace.  The initial sample runs in line.  The outputs and the failure
+behaviour are those of running them in line: snapshots, checkpoints and
+``norms.csv`` wait for every earlier sample, and the first diagnostics
+error is raised in place of anything the stepper raises after it.  A failed
+sample ends the run at the next snapshot or checkpoint, or at the second
+sample after it.  The overlap paid at every size measured on a 2-CPU
+machine: running the diagnostics in line lost every pair of whole
+``sqglab run`` wall times at n = 256 and 512, and moving only the norm rows
+in line lost at n = 128.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from .errors import ConfigError, ParameterError
 from .initial import make_initial
 from .modulus import _monitor
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import Grid, _held, forward_transform, inverse_transform
+from .spectral import Grid, forward_transform, inverse_transform
 
 
 @dataclass
@@ -140,10 +136,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     # never reaches it.
     def observe_after(before: Future, st: SolverState):
         before.result()
-        # while a sample is computed the stepper keeps its right-hand side
-        # on one core and leaves the other to the sample
-        with _held():
-            observe(st)
+        observe(st)
 
     prev = job = Future()
     job.set_result(None)

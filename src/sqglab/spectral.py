@@ -26,25 +26,17 @@ cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
 and the stepper read, ``Grid.multipliers`` and the integrating factors'
 powers of |k|, are held on that block only.
 
-On two or more CPUs ``_pair``'s helper thread takes half the work: the
-(u2, d2 theta) pair of ``_advection`` while the caller does (u1, d1
-theta), and from n = ``_FORWARD_SPLIT`` on half the rows, then half the
-live columns, of the forward transform of their products; in a norm sample
-(``_sample``), the gradient.  It writes only into buffers its caller hands
-it: slots 1 and 3 of the caller's workspace, and halves of slot 0 and of
-the caller's output.  Each 1-D pass, product and reduction is the one a
-single thread would run, so the split changes no bit.
+Each right-hand side and each norm sample runs as one batch on the calling
+thread: numpy's FFT passes hold the interpreter lock, so a second thread
+would not run them at the same time.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -175,14 +167,16 @@ class SpectralField:
 
 
 class _Workspace(threading.local):
-    """This thread's scratch buffers, one set per ``Grid.spectral_shape``."""
+    """This thread's scratch buffers, one set per ``Grid.spectral_shape``:
+    each thread steps and samples in its own, so threads share none."""
 
     def __init__(self):
         self.buffers = {}
 
     def get(self, grid):
         """(half-spectrum stack, grid stack) for this grid, four of each:
-        the scratch of a right-hand side or of a norm sample."""
+        a right-hand side's u1, u2, d1 theta and d2 theta, or in the first
+        three a norm sample's f, d1 f and d2 f."""
         buffers = self.buffers.get(grid.spectral_shape)
         if buffers is None:
             buffers = self.buffers[grid.spectral_shape] = (
@@ -192,88 +186,6 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
-
-
-class _Helper(threading.Thread):
-    """The thread that runs the other half of ``_pair``, started on first use.
-    ``free`` is held by the caller it serves; ``go`` is released to hand it a
-    job, and ``done`` once the job has ended."""
-
-    def __init__(self):
-        super().__init__(name="sqglab-pair", daemon=True)
-        self.free, self.go, self.done = (threading.Lock() for _ in range(3))
-        self.go.acquire()
-        self.done.acquire()
-        self.job = self.result = self.error = None
-
-    def run(self):
-        while self.go.acquire():
-            try:
-                self.result = self.job()
-            except BaseException as exc:  # raised again in the caller
-                self.error = exc
-            self.job = None
-            self.done.release()
-
-
-def _cpus():
-    """The count of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# on one CPU the halves cannot overlap and the handoffs only cost: split
-# there, a step at n = 128 took 12% longer, and one at n = 256 4% longer
-_SPLIT = _cpus() >= 2
-# the grid size from which _advection splits its forward transform too: on
-# 2 CPUs the two extra handoffs cost more than they save below it (a warm
-# step at n = 192 takes 8% longer split; from 208 on, every size measured
-# is 2-9% faster split)
-_FORWARD_SPLIT = 208
-
-
-def _pair(theirs, mine):
-    """Call theirs() on the helper thread and mine() on this one, and return
-    both results once both are done.  The helper runs in a copy of this
-    thread's context, so ``np.errstate`` holds there too.  An exception in
-    either half is raised here, after the helper has finished.  On one CPU,
-    or if another thread holds the helper (see ``_held``), both halves run
-    here, in turn."""
-    helper = _helper
-    if not _SPLIT or not helper.free.acquire(blocking=False):
-        return theirs(), mine()
-    if helper.ident is None:
-        helper.start()
-    helper.job = partial(contextvars.copy_context().run, theirs)
-    helper.go.release()
-    try:
-        result = mine()
-    finally:
-        # free is released only once the helper is idle again
-        helper.done.acquire()
-        their_result, error = helper.result, helper.error
-        helper.result = helper.error = None
-        helper.free.release()
-    if error is not None:
-        raise error
-    return their_result, result
-
-
-def _held():
-    """The helper's lock: a thread that holds it keeps the helper idle, so
-    steppers run both halves themselves and leave the other core to it."""
-    return _helper.free
-
-
-def _new_helper():
-    global _helper
-    _helper = _Helper()
-
-
-_new_helper()
-if hasattr(os, "register_at_fork"):  # a forked child starts its own helper
-    os.register_at_fork(after_in_child=_new_helper)
 
 
 def _pack(grid: Grid, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -313,19 +225,15 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
 
 
-def _forward_rows(values: np.ndarray, more: np.ndarray, spec: np.ndarray):
-    """The row pass of the dealiased forward transform of the sum of two
-    sets of grid rows: ``more`` is added into ``values``, whose ``rfft``
-    along the rows goes into ``spec``."""
+def _forward(grid: Grid, values: np.ndarray, more: np.ndarray, spec: np.ndarray,
+             out: np.ndarray):
+    """The dealiased forward transform of the sum of one or a stack of grid
+    values and ``more``, packed into ``out``.  ``more`` is added into
+    ``values``, whose ``rfft`` along the rows goes into the scratch ``spec``;
+    the column pass runs in place on the packed columns alone."""
     values += more
     np.fft.rfft(values, axis=-1, norm="forward", out=spec)
-
-
-def _forward_columns(grid: Grid, spec: np.ndarray, out: np.ndarray):
-    """The column pass of the dealiased forward transform on the columns of
-    the packed ``out``, which ``spec``, after the row pass, starts with.
-    ``spec`` is scratch; the live rows are packed into ``out``."""
-    cols = spec[..., :out.shape[-1]]
+    cols = spec[..., :grid.packed_shape[1]]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     _pack(grid, cols, out)
 
@@ -335,43 +243,31 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
     ``coeffs`` into the packed ``out``, or zeros without ``nonlinear``;
     return the grid velocity (u1, u2), or None.
 
-    An inverse transform gives u1, u2 and both gradient components on the
-    grid, the products are formed there, and their sum is transformed back,
-    each part split with the helper as the module docstring says.  u1 and
-    u2 are views into this thread's workspace, valid until its next call.
+    One inverse transform gives u1, u2 and both gradient components on the
+    grid, the products are formed there, and their sum is transformed back.
+    u1 and u2 are views into this thread's workspace, valid until its next
+    call.
     """
     if not nonlinear:
         out.fill(0.0)
         return None
     spec, stack = _workspace.get(grid)
-    _pair(partial(_products, grid, grid.multipliers[1::2], coeffs, spec[1::2], stack[1::2]),
-          partial(_products, grid, grid.multipliers[::2], coeffs, spec[::2], stack[::2]))
+    _products(grid, coeffs, spec, stack)
     u1, u2, t1, t2 = stack
-    spec = spec[0]
-    if grid.n < _FORWARD_SPLIT:
-        _forward_rows(t1, t2, spec)
-        _forward_columns(grid, spec, out)
-    else:
-        rows, cols = grid.n // 2, out.shape[-1] // 2
-        _pair(partial(_forward_rows, t1[rows:], t2[rows:], spec[rows:]),
-              partial(_forward_rows, t1[:rows], t2[:rows], spec[:rows]))
-        _pair(partial(_forward_columns, grid, spec[:, cols:], out[:, cols:]),
-              partial(_forward_columns, grid, spec, out[:, :cols]))
+    _forward(grid, t1, t2, spec[0], out)
     return u1, u2
 
 
-def _products(grid, multipliers, coeffs, spec, stack):
-    """``_advection``'s products on the field pairs of ``multipliers``: the
-    velocity components, then the matching gradient components, on the grid
-    into ``stack``, whose second half then holds u_i d_i theta.  The
-    packed products go into the live block of ``spec`` only, as the
-    dealiased inverse zeroes the rest."""
+def _products(grid, coeffs, spec, stack):
+    """``_advection``'s products: the velocity components, then the matching
+    gradient components, on the grid into ``stack``, whose last two slots
+    then hold u1 d1 theta and u2 d2 theta.  The packed products go into the
+    live block of ``spec`` only, as the dealiased inverse zeroes the rest."""
     live = coeffs.shape[-1]
     for rows, packed in grid.live_rows:
-        np.multiply(multipliers[:, packed], coeffs[packed], out=spec[:, rows, :live])
+        np.multiply(grid.multipliers[:, packed], coeffs[packed], out=spec[:, rows, :live])
     _inverse(grid, spec, stack, dealiased=True)
-    half = len(stack) // 2
-    stack[half:] *= stack[:half]
+    stack[2:] *= stack[:2]
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -421,36 +317,22 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
 
 def _sample(F: SpectralField, orders=()):
     """(f, max f, min f, max |f|, max |grad f|, Sobolev norms of ``orders``)
-    on the grid, for f the field of F, split by ``_pair``: the helper inverts
-    (i k1 F, i k2 F) in slots 1 and 3 of this thread's workspace, where it
-    works in every right-hand side, and reduces them to max |grad f| in
-    place; this thread inverts F in slot 0 and sums the norms.  The gradient
-    is spectral.
+    on the grid, for f the field of F, from one inverse transform of
+    (F, i k1 F, i k2 F) in slots 0 to 2 of this thread's workspace.  The
+    gradient is spectral.
 
     The values are bit for bit those of ``inverse_transform(F)``, in a view
     into the workspace valid until this thread's next transform."""
     grid = F.grid
     spec, stack = _workspace.get(grid)
-    grad_sup, (f, hi, lo, norms) = _pair(
-        partial(_gradient_sup, grid, F.coeffs, spec[1::2], stack[1::2]),
-        partial(_values, F, spec[0], stack[0], orders))
-    return f, hi, lo, max(abs(hi), abs(lo)), grad_sup, norms
-
-
-def _gradient_sup(grid, coeffs, spec, stack):
-    """Grid maximum of |grad f| for the half spectrum ``coeffs``, with the
-    scratch pairs ``spec`` and ``stack``."""
-    for factor, out in zip(grid._gradient, spec):
-        np.multiply(factor, coeffs, out=out)
-    return _sup_norm(*_inverse(grid, spec, stack))
-
-
-def _values(F, spec, out, orders):
-    """(f, max f, min f, Sobolev norms of ``orders``) for f the field of F,
-    whose values are written into ``out`` with ``spec`` as scratch."""
-    np.copyto(spec, F.coeffs)
-    f = _inverse(F.grid, spec, out)
-    return f, float(f.max()), float(f.min()), sobolev_norms(F, orders) if orders else []
+    spec, stack = spec[:3], stack[:3]
+    np.copyto(spec[0], F.coeffs)
+    for factor, out in zip(grid._gradient, spec[1:]):
+        np.multiply(factor, F.coeffs, out=out)
+    f, d1, d2 = _inverse(grid, spec, stack)
+    hi, lo = float(f.max()), float(f.min())
+    norms = sobolev_norms(F, orders) if orders else []
+    return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2), norms
 
 
 def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -71,8 +71,8 @@ class TestNormSeries:
             series.append([0.1, 1.0, math.nan, math.inf, 1, 1, 1])
         assert len(series) == 0
 
-    # the sample's gradient half runs on the helper thread: it must ignore
-    # the overflow under record_norms' np.errstate too
+    # the sample ignores the overflow of its gradient and norms under
+    # record_norms' np.errstate
     @pytest.mark.filterwarnings("error")
     def test_record_norms_blow_up_carries_step_count(self):
         g = Grid(16, TWO_PI)

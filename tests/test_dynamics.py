@@ -1,16 +1,13 @@
 """Tests for the time stepper and nonlinear term."""
 
-import contextlib
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -37,8 +34,8 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab import dynamics, spectral
-from sqglab.spectral import _advection, _held, _Helper, _inverse, _pack, _pair, _unpack
+from sqglab import dynamics
+from sqglab.spectral import _advection, _inverse, _pack, _unpack
 
 from full_width import full_multipliers
 
@@ -261,8 +258,6 @@ class TestStep:
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
-    # n = 208 and 256 split the forward transform of each right-hand side;
-    # 192, below spectral._FORWARD_SPLIT, does not
     @pytest.mark.parametrize("n, flow", [
         (32, {}),
         (64, {}),
@@ -464,7 +459,7 @@ def test_inviscid_l2_conservation_over_unit_time():
 def test_threads_match_sequential():
     # four threads, each stepping an n=32, an n=64 and an n=128 trajectory
     # while the others do, so a workspace shared across threads would mix
-    # their stages; at n=128 they contend for the advection helper too
+    # their stages
     work = [[(32, 3 * k + 1), (64, 3 * k + 2), (128, 3 * k + 3)] for k in range(4)]
     expected = {job: trajectory(*job) for jobs in work for job in jobs}
     results = {job: [] for job in expected}
@@ -492,163 +487,85 @@ def test_threads_match_sequential():
         assert all(np.array_equal(got, expected[job]) for got in runs)
 
 
-class Boom(Exception):
-    pass
-
-
-class TestFieldPairSplit:
-    """``_advection`` runs its (u1, d1 theta) and (u2, d2 theta) pairs on this
-    thread and on the helper thread of ``spectral._pair``.  The helper runs
-    here whatever the CPU count, so these tests hold on one CPU too."""
-
-    @pytest.fixture(autouse=True)
-    def split(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_SPLIT", True)
+class TestAdvectionBatch:
+    """``_advection`` runs its four fields as one batch on the calling
+    thread."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16))
     @example(n=128, seed=1)
-    @example(n=208, seed=3)  # from spectral._FORWARD_SPLIT on, the forward splits
+    @example(n=208, seed=3)
     @example(n=256, seed=2)
     def test_matches_the_serial_evaluation_bit_for_bit(self, n, seed):
         g = Grid(n, TWO_PI)
         coeffs = _pack(g, make_initial("random_h1", g, seed=seed).coeffs)
-        # the one-thread evaluation: one batched 4-field inverse transform and
-        # the forward transform of the summed products, packed
+        # one batched 4-field inverse transform and the forward transform of
+        # the summed products, packed
         spec = full_multipliers(g) * _unpack(g, coeffs)
         u1, u2, t1, t2 = _inverse(g, spec, np.empty((4, n, n)), dealiased=True)
         t1 *= u1
         t2 *= u2
         t1 += t2
         expected = _pack(g, np.fft.rfft2(t1, norm="forward"))
-        out = np.empty(g.packed_shape, dtype=complex)
-        for mode in ("split", "held", "one CPU"):
-            # with the helper held, as the diagnostics worker holds it, or on
-            # one CPU, both halves run here, in turn
-            out.fill(np.nan)
-            with _held() if mode == "held" else contextlib.nullcontext():
-                spectral._SPLIT = mode != "one CPU"
-                velocity = _advection(g, coeffs, out)
-            assert np.array_equal(out, expected), mode
-            assert np.array_equal(velocity[0], u1), mode
-            assert np.array_equal(velocity[1], u2), mode
-
-    # the floor, 208, lies between the benchmark's n = 128 and n = 256
-    @pytest.mark.parametrize("n, split", [(128, False), (192, False), (206, False),
-                                          (208, True), (256, True)])
-    def test_the_forward_splits_from_the_size_floor(self, n, split, monkeypatch):
-        # each forward row pass, by the thread that ran it and its rows
-        calls = []
-        forward_rows = spectral._forward_rows
-
-        def rows(values, more, spec):
-            calls.append((threading.current_thread(), len(values)))
-            return forward_rows(values, more, spec)
-
-        monkeypatch.setattr(spectral, "_forward_rows", rows)
-        g = Grid(n, TWO_PI)
-        coeffs = _pack(g, make_initial("random_h1", g, seed=4).coeffs)
-        out = np.empty(g.packed_shape, dtype=complex)
-        expected = _pack(g, nonlinear_term(SpectralField(g, _unpack(g, coeffs))).coeffs)
-        here = threading.current_thread()
-        for mode in ("split", "held", "one CPU"):
-            calls.clear()
-            with _held() if mode == "held" else contextlib.nullcontext():
-                spectral._SPLIT = mode != "one CPU"
-                _advection(g, coeffs, out)
-            assert np.array_equal(out, expected), mode
-            if not split:
-                assert calls == [(here, n)], mode
-            elif mode == "split":
-                assert sorted(calls, key=lambda c: c[0] is here) == [
-                    (spectral._helper, n // 2), (here, n // 2)]
-            else:
-                assert calls == [(here, n // 2), (here, n // 2)], mode
-
-    @pytest.mark.parametrize("failing", [{"theirs"}, {"mine"}, {"theirs", "mine"}])
-    def test_an_error_in_either_half_reaches_the_caller(self, failing):
-        finished = []
-
-        def half(name):
-            time.sleep(0.02 if name == "theirs" else 0.0)
-            if name in failing:
-                raise Boom(name)
-            finished.append(name)
-
-        with pytest.raises(Boom) as err:
-            _pair(partial(half, "theirs"), partial(half, "mine"))
-        assert err.value.args[0] in failing
-        # the helper's half had ended before the error was raised here
-        assert sorted(finished) == sorted({"theirs", "mine"} - failing)
-        assert threads_running_pair() == {"theirs": spectral._helper,
-                                          "mine": threading.current_thread()}
-
-    def test_one_cpu_or_a_held_helper_runs_both_halves_here(self, monkeypatch):
-        here = {"theirs": threading.current_thread(), "mine": threading.current_thread()}
-        with _held():
-            assert threads_running_pair() == here
-        monkeypatch.setattr(spectral, "_SPLIT", False)
-        assert threads_running_pair() == here
-
-    def test_the_helper_half_runs_in_the_callers_errstate(self):
-        with np.errstate(over="ignore", invalid="raise"):
-            theirs, mine = _pair(np.geterr, np.geterr)
-        assert theirs == mine
-        assert mine["over"] == "ignore" and mine["invalid"] == "raise"
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_steps_with_its_own_helper(self):
-        # the parent's helper is not in the child: waiting on it would hang,
-        # until the alarm ends the child
-        code = textwrap.dedent("""
-            import os, signal, threading
-            import numpy as np
-            import sqglab as sq
-            from sqglab import spectral
-            spectral._SPLIT = True  # on one CPU too
-            g = sq.Grid(128, 2 * np.pi)
-            config = sq.SolverConfig(gamma=1.0)
-            state = sq.initial_state(sq.make_initial("random_h1", g, seed=3), config)
-            state = sq.step(state, 0.01)
-            expected = sq.step(state, 0.01).theta.coeffs
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(30)
-                ok = False
-                try:
-                    got = sq.step(state, 0.01).theta.coeffs
-                    ok = np.array_equal(got, expected) and 1 == sum(
-                        isinstance(th, spectral._Helper)
-                        for th in threading.enumerate())
-                finally:
-                    os._exit(0 if ok else 1)
-            _, status = os.waitpid(pid, 0)
-            raise SystemExit(os.waitstatus_to_exitcode(status))
-        """)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(dynamics.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-W", "always::DeprecationWarning", "-c", code],
-            env=env, timeout=60, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        # the helper outlives the steps, so from Python 3.12 on the fork warns
-        # that the process is multi-threaded
-        warned = "multi-threaded" in proc.stderr and "fork()" in proc.stderr
-        assert warned == (sys.version_info >= (3, 12)), proc.stderr
-
-    def test_runs_share_one_helper(self):
-        g = Grid(128, TWO_PI)
-        for seed in range(3):
-            run_until(initial_state(make_initial("random_h1", g, seed=seed),
-                                    critical_config()), 2e-3)
-        assert sum(isinstance(th, _Helper) for th in threading.enumerate()) == 1
+        out = np.full(g.packed_shape, np.nan, dtype=complex)
+        velocity = _advection(g, coeffs, out)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(velocity[0], u1)
+        assert np.array_equal(velocity[1], u2)
 
 
-def threads_running_pair():
-    """The threads on which ``_pair`` runs its two halves, from the results
-    it returns."""
-    theirs, mine = _pair(threading.current_thread, threading.current_thread)
-    return {"theirs": theirs, "mine": mine}
+RUN_IN_CHILD = """
+import os, sys, threading
+import numpy as np
+import sqglab as sq
+g = sq.Grid(128, 2 * np.pi)
+config = sq.SolverConfig(gamma=1.0)
+state = sq.initial_state(sq.make_initial("random_h1", g, seed=3), config)
+"""
+
+
+def run_child(code):
+    """Run ``code`` after RUN_IN_CHILD's set-up in a fresh interpreter, with
+    a multi-threaded fork an error, and return its standard output."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(dynamics.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c",
+         RUN_IN_CHILD + textwrap.dedent(code)],
+        env=env, timeout=60, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_stepping_and_sampling_start_no_thread():
+    out = run_child("""
+        before = threading.active_count()
+        state = sq.run_until(state, 0.05)
+        sq.record_norms(state, sq.NormSeries())
+        print(before, threading.active_count())
+    """)
+    before, after = out.split()
+    assert after == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_stepping_steps_to_the_same_bits():
+    # from Python 3.12 on a fork warns if the process has other threads, and
+    # the child runs with that warning an error
+    out = run_child("""
+        state = sq.step(state, 0.01)
+        expected = sq.step(state, 0.01).theta.coeffs
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = np.array_equal(sq.step(state, 0.01).theta.coeffs, expected)
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        print(os.waitstatus_to_exitcode(status))
+    """)
+    assert out.split() == ["0"]
 
 
 def test_warm_step_allocates_no_large_temporaries():

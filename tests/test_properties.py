@@ -22,7 +22,7 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab.spectral import _forward_columns, _forward_rows, _inverse, _pack, _unpack
+from sqglab.spectral import _forward, _inverse, _pack, _unpack
 
 from full_width import full_multipliers
 
@@ -106,7 +106,7 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     # batch 0 is a single unbatched field; the passes must repeat irfftn's and
     # rfft2's bit for bit, so that trajectories do not change, and the pruned
     # passes must repeat them on the 2/3-rule truncation, packed, for the sum
-    # of two fields and for any split of the columns
+    # of two fields
     n = 2 * half_n
     grid = Grid(n, 1.0)
     mask = grid.dealias_mask
@@ -116,11 +116,8 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     spec = np.empty(lead + grid.spectral_shape, dtype=complex)
     more = rng.standard_normal(values.shape)
     summed = np.fft.rfft2(values + more, norm="forward")
-    _forward_rows(values, more, spec)
     packed = np.empty(lead + grid.packed_shape, dtype=complex)
-    cut = rng.integers(0, packed.shape[-1] + 1)
-    _forward_columns(grid, spec[..., cut:], packed[..., cut:])
-    _forward_columns(grid, spec, packed[..., :cut])
+    _forward(grid, values, more, spec, packed)
     assert np.array_equal(packed, _pack(grid, summed))
     assert np.array_equal(_unpack(grid, packed), summed * mask)
 

@@ -922,6 +922,24 @@ class TestDiagnosticsWorker:
         rows = NormSeries.read_csv(tmp_path / "out" / "norms.csv").t
         assert list(rows) == [0.0, 0.25, 0.5]
 
+    def test_the_initial_sample_runs_here_and_the_rest_on_the_worker(
+            self, tmp_path, monkeypatch):
+        seen = []
+        real = driver.record_norms
+
+        def record_norms(state, series):
+            seen.append((state.t, threading.current_thread()))
+            return real(state, series)
+
+        monkeypatch.setattr(driver, "record_norms", record_norms)
+        run_simulation(parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/out\n"))
+        # the initial sample is the set-up's, on this thread; the rest are
+        # the worker's, all on one thread
+        times, threads = zip(*seen)
+        assert times == SAMPLES
+        assert threads[0] is threading.current_thread()
+        assert threads[1] is not threads[0] and set(threads[1:]) == {threads[1]}
+
     def test_concurrent_runs_match_a_lone_run(self, tmp_path):
         # more runs than cores, each with its own worker, switching often
         def run(name):

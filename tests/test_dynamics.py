@@ -34,7 +34,7 @@ from sqglab import (
     sobolev_norm,
     step,
 )
-from sqglab import dynamics
+from sqglab import dynamics, spectral
 from sqglab.spectral import _advection, _inverse, _pack, _unpack
 
 from full_width import full_multipliers
@@ -512,6 +512,91 @@ class TestAdvectionBatch:
         assert np.array_equal(out, expected)
         assert np.array_equal(velocity[0], u1)
         assert np.array_equal(velocity[1], u2)
+
+    # 208 and 256 are the sizes from which the forward transform used to be
+    # cut in two; every size now transforms the whole grid at once
+    @pytest.mark.parametrize("n", [128, 192, 206, 208, 256])
+    def test_one_inverse_and_one_forward_per_evaluation(self, n, monkeypatch):
+        g = Grid(n, TWO_PI)
+        coeffs = _pack(g, make_initial("random_h1", g, seed=4).coeffs)
+        out = np.empty(g.packed_shape, dtype=complex)
+        expected = _pack(g, nonlinear_term(SpectralField(g, _unpack(g, coeffs))).coeffs)
+        calls = record_transforms(monkeypatch)
+        _advection(g, coeffs, out)
+        assert np.array_equal(out, expected)
+        here = threading.current_thread()
+        assert calls == [("_inverse", here, (4, n, n)), ("_forward", here, (n, n))]
+
+    @pytest.mark.parametrize("failing", ["_products", "_inverse", "_forward"])
+    def test_an_error_in_the_batch_reaches_the_caller(self, failing, monkeypatch):
+        g = Grid(32, TWO_PI)
+        coeffs = _pack(g, make_initial("random_h1", g, seed=5).coeffs)
+        expected = np.empty(g.packed_shape, dtype=complex)
+        _advection(g, coeffs, expected)
+        real = getattr(spectral, failing)
+
+        def fail(*args, **kwargs):
+            raise Boom(failing)
+
+        monkeypatch.setattr(spectral, failing, fail)
+        out = np.full(g.packed_shape, np.nan, dtype=complex)
+        with pytest.raises(Boom, match=failing):
+            _advection(g, coeffs, out)
+        assert np.isnan(out).all()  # a failed evaluation writes nothing out
+        # and the next evaluation gives the same bits
+        monkeypatch.setattr(spectral, failing, real)
+        _advection(g, coeffs, out)
+        assert np.array_equal(out, expected)
+
+    def test_the_batch_runs_in_the_callers_errstate(self):
+        # products of 1e200-sized fields overflow
+        g = Grid(16, TWO_PI)
+        coeffs = np.full(g.packed_shape, 1e200, dtype=complex)
+        out = np.empty(g.packed_shape, dtype=complex)
+        with np.errstate(over="raise", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            _advection(g, coeffs, out)
+        with np.errstate(all="ignore"):
+            _advection(g, coeffs, out)
+        assert not np.isfinite(out).all()
+
+    def test_the_batch_runs_on_the_calling_thread(self, monkeypatch):
+        calls = record_transforms(monkeypatch)
+        g = Grid(32, TWO_PI)
+        coeffs = _pack(g, make_initial("random_h1", g, seed=6).coeffs)
+        out = np.empty(g.packed_shape, dtype=complex)
+        threads = []
+
+        def evaluate():
+            threads.append(threading.current_thread())
+            _advection(g, coeffs, out)
+
+        evaluate()
+        worker = threading.Thread(target=evaluate)
+        worker.start()
+        worker.join()
+        assert threads[1] is worker and threads[0] is not worker
+        assert [thread for _, thread, _ in calls] == [threads[0]] * 2 + [worker] * 2
+
+
+class Boom(Exception):
+    pass
+
+
+def record_transforms(monkeypatch):
+    """Patch ``spectral._inverse`` and ``spectral._forward`` to record each
+    call's (name, thread, shape of the grid values) in the returned list."""
+    calls = []
+
+    def watch(name, transform, values_at):
+        def watched(*args, **kwargs):
+            calls.append((name, threading.current_thread(), args[values_at].shape))
+            return transform(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, watched)
+
+    watch("_inverse", spectral._inverse, 2)
+    watch("_forward", spectral._forward, 1)
+    return calls
 
 
 RUN_IN_CHILD = """

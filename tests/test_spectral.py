@@ -1,6 +1,7 @@
 """Tests for the spectral core: transforms, multipliers, norms."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from sqglab import (
     sobolev_norm,
     sup_and_gradient_sup,
 )
+from sqglab import spectral
 from sqglab.initial import PRESETS, make_initial
 from sqglab.spectral import _inverse, _pack, sobolev_norms
 
@@ -468,6 +470,62 @@ class TestSampleBatch:
         assert np.array_equal(values, f)
         assert (hi, lo) == (f.max(), f.min())
         assert sups == (linf, grad_sup)
+
+    @pytest.mark.parametrize("failing", ["_inverse", "_sup_norm", "sobolev_norms"])
+    def test_an_error_in_the_batch_reaches_the_caller(self, failing, monkeypatch):
+        F = make_initial("random_h1", grid(32), seed=4)
+        expected = sample(F)
+        real = getattr(spectral, failing)
+
+        def fail(*args, **kwargs):
+            raise Boom(failing)
+
+        monkeypatch.setattr(spectral, failing, fail)
+        series = NormSeries()
+        with pytest.raises(Boom, match=failing):
+            record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
+        assert len(series) == 0  # a failed sample appends no row
+        # and the next sample gives the same bits
+        monkeypatch.setattr(spectral, failing, real)
+        got = sample(F)
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
+
+    def test_the_batch_runs_in_the_callers_errstate(self):
+        # the squared gradient of a 1e200-sized field overflows
+        F = SpectralField(grid(16), np.full(grid(16).spectral_shape, 1e200, dtype=complex))
+        with np.errstate(over="raise", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            sup_and_gradient_sup(F)
+        with np.errstate(all="ignore"):
+            linf, grad_sup = sup_and_gradient_sup(F)
+        assert grad_sup == math.inf
+
+    def test_the_batch_runs_on_the_calling_thread(self, monkeypatch):
+        F = make_initial("random_h1", grid(32), seed=3)
+        ran = []
+
+        def watch(name):
+            half = getattr(spectral, name)
+
+            def watched(*args, **kwargs):
+                ran.append((name, threading.current_thread()))
+                return half(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, watched)
+
+        for name in ("_inverse", "_sup_norm"):
+            watch(name)
+        sample(F)
+        worker = threading.Thread(target=sample, args=(F,))
+        worker.start()
+        worker.join()
+        here = threading.current_thread()
+        # each sample calls sup_and_gradient_sup once beside record_norms
+        assert ran == [("_inverse", here), ("_sup_norm", here)] * 2 + [
+            ("_inverse", worker), ("_sup_norm", worker)] * 2
+
+
+class Boom(Exception):
+    pass
 
 
 class TestDealias:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ParameterError, _check
-from .spectral import _sample
+from .spectral import _sample, sobolev_norms
 
 BASE_COLUMNS = ("t", "linf", "l2", "h1", "h3_2", "h2", "grad_sup")
 # NormSeries' rule, (test, what the betas must do): each extra order 1 + beta
@@ -101,10 +101,12 @@ def record_norms(state, series: NormSeries):
 
     Returns theta's grid values with their max and min, from the row's
     inverse transform of theta: a view into this thread's workspace, valid
-    until its next transform.  The row is computed by ``spectral._sample``,
-    from one batched inverse transform of theta and its gradient."""
+    until its next transform.  The sup norms are ``spectral._sample``'s,
+    from one batched inverse transform of theta and its gradient, and the
+    Sobolev norms are ``sobolev_norms``'."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values, hi, lo, linf, grad_sup, (l2, h1, h3_2, h2, *extra) = _sample(
+        values, hi, lo, linf, grad_sup = _sample(state.theta)
+        l2, h1, h3_2, h2, *extra = sobolev_norms(
             state.theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
     row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
     finite = np.isfinite(row)

@@ -26,9 +26,9 @@ cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
 and the stepper read, ``Grid.multipliers`` and the integrating factors'
 powers of |k|, are held on that block only.
 
-Each right-hand side and each norm sample runs as one batch on the calling
-thread: numpy's FFT passes hold the interpreter lock, so a second thread
-would not run them at the same time.
+A right-hand side is one batched inverse and one forward transform, a
+norm sample (``_sample``) one batched inverse, on the calling thread: numpy's
+FFT passes hold the interpreter lock, so a second thread would not overlap.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Grid:
     Holds every Fourier multiplier: on the (n, n/2+1) half lattice the
     integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
     (a column and a row that broadcast), the modulus ``kmag`` and its cached
-    powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` n//3 and
+    powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` (n-1)//3 and
     ``dealias_mask``, and the ``packed_shape`` and ``live_rows`` of the
     modes that rule keeps, packed (see the module docstring).  On that
     packed block only, the ``multipliers`` stack (4, 2 cutoff + 1,
@@ -99,7 +99,9 @@ class Grid:
         self.weights = np.full((1, n // 2 + 1), 2.0)
         self.weights[0, [0, -1]] = 1.0
 
-        self.cutoff = n // 3
+        # the largest cutoff with 3 cutoff < n: at 3 cutoff = n the product of
+        # two modes at the cutoff aliases back onto the mode -cutoff
+        self.cutoff = (n - 1) // 3
         self.dealias_mask = (abs(self.m1) <= self.cutoff) & (abs(self.m2) <= self.cutoff)
         live = self.cutoff + 1
         self.packed_shape = (2 * self.cutoff + 1, live)
@@ -225,13 +227,10 @@ def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
     return np.fft.irfft(spec, n=grid.n, axis=-1, norm="forward", out=out)
 
 
-def _forward(grid: Grid, values: np.ndarray, more: np.ndarray, spec: np.ndarray,
-             out: np.ndarray):
-    """The dealiased forward transform of the sum of one or a stack of grid
-    values and ``more``, packed into ``out``.  ``more`` is added into
-    ``values``, whose ``rfft`` along the rows goes into the scratch ``spec``;
-    the column pass runs in place on the packed columns alone."""
-    values += more
+def _forward(grid: Grid, values: np.ndarray, spec: np.ndarray, out: np.ndarray):
+    """The dealiased forward transform of one or a stack of grid values,
+    packed into ``out``.  The ``rfft`` along the rows goes into the scratch
+    ``spec``; the column pass runs in place on the packed columns alone."""
     np.fft.rfft(values, axis=-1, norm="forward", out=spec)
     cols = spec[..., :grid.packed_shape[1]]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
@@ -243,31 +242,23 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
     ``coeffs`` into the packed ``out``, or zeros without ``nonlinear``;
     return the grid velocity (u1, u2), or None.
 
-    One inverse transform gives u1, u2 and both gradient components on the
-    grid, the products are formed there, and their sum is transformed back.
-    u1 and u2 are views into this thread's workspace, valid until its next
-    call.
+    One inverse transform of the velocity and gradient spectra, formed on
+    the live block only, gives u1, u2, d1 theta and d2 theta on the grid;
+    u1 d1 theta + u2 d2 theta is summed there and transformed back.  u1 and
+    u2 are views into this thread's workspace, valid until its next call.
     """
     if not nonlinear:
         out.fill(0.0)
         return None
     spec, stack = _workspace.get(grid)
-    _products(grid, coeffs, spec, stack)
-    u1, u2, t1, t2 = stack
-    _forward(grid, t1, t2, spec[0], out)
-    return u1, u2
-
-
-def _products(grid, coeffs, spec, stack):
-    """``_advection``'s products: the velocity components, then the matching
-    gradient components, on the grid into ``stack``, whose last two slots
-    then hold u1 d1 theta and u2 d2 theta.  The packed products go into the
-    live block of ``spec`` only, as the dealiased inverse zeroes the rest."""
     live = coeffs.shape[-1]
     for rows, packed in grid.live_rows:
         np.multiply(grid.multipliers[:, packed], coeffs[packed], out=spec[:, rows, :live])
-    _inverse(grid, spec, stack, dealiased=True)
+    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased=True)
     stack[2:] *= stack[:2]
+    t1 += t2
+    _forward(grid, t1, spec[0], out)
+    return u1, u2
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -288,7 +279,7 @@ def inverse_transform(F: SpectralField) -> RealField:
 
 
 def dealias(F: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero coefficients with max(|m1|, |m2|) > n/3."""
+    """2/3-rule truncation: zero coefficients with max(|m1|, |m2|) >= n/3."""
     return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
 
 
@@ -315,11 +306,10 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     return sobolev_norms(F, (s,))[0]
 
 
-def _sample(F: SpectralField, orders=()):
-    """(f, max f, min f, max |f|, max |grad f|, Sobolev norms of ``orders``)
-    on the grid, for f the field of F, from one inverse transform of
-    (F, i k1 F, i k2 F) in slots 0 to 2 of this thread's workspace.  The
-    gradient is spectral.
+def _sample(F: SpectralField):
+    """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
+    of F, from one inverse transform of (F, i k1 F, i k2 F) in slots 0 to 2
+    of this thread's workspace.  The gradient is spectral.
 
     The values are bit for bit those of ``inverse_transform(F)``, in a view
     into the workspace valid until this thread's next transform."""
@@ -331,8 +321,7 @@ def _sample(F: SpectralField, orders=()):
         np.multiply(factor, F.coeffs, out=out)
     f, d1, d2 = _inverse(grid, spec, stack)
     hi, lo = float(f.max()), float(f.min())
-    norms = sobolev_norms(F, orders) if orders else []
-    return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2), norms
+    return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2)
 
 
 def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -345,4 +334,4 @@ def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     """Grid maxima of |f| and of |grad f|; see ``_sample``."""
-    return _sample(F)[3:5]
+    return _sample(F)[3:]

@@ -137,6 +137,26 @@ def test_criterion_03_inviscid_conservation():
            f"inviscid L2 drift {drift:.3e} <= 1e-6, {wall:.2f}s < 60s")
 
 
+def test_criterion_03_inviscid_hamiltonian_conservation():
+    # beside criterion 3, on its run: the SQG Hamiltonian ||theta||^2 in
+    # H^-1/2 is the inviscid flow's second invariant.  Gate, set before
+    # measuring: 1e-10 relative drift
+    grid = Grid(128, TWO_PI)
+    theta0 = make_initial("cmt", grid)
+    config = SolverConfig(gamma=1.0, kappa=0.0, cfl=0.5, dt_max=0.05)
+    start = initial_state(theta0, config)
+    state = run_until(start, 1.0)
+    inv_k = np.zeros_like(grid.kmag)
+    np.divide(1.0, grid.kmag, out=inv_k, where=grid.kmag > 0.0)
+
+    def hamiltonian(theta):
+        return float(np.sum(grid.weights * inv_k * np.abs(theta.coeffs) ** 2))
+
+    h0 = hamiltonian(start.theta)
+    drift = abs(hamiltonian(state.theta) - h0) / h0
+    assert drift <= 1e-10, f"inviscid H^-1/2 drift {drift:.3e} > 1e-10"
+
+
 def test_criterion_04_maximum_principle_trend(cmt_run_10):
     _, series, wall = cmt_run_10
     linf = series.column("linf")

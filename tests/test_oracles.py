@@ -20,6 +20,7 @@ from sqglab import (
     inverse_transform,
     linear_heat_exact,
     make_initial,
+    nonlinear_term,
     run_until,
     scaling_consistency,
     single_mode_exact,
@@ -116,6 +117,17 @@ class TestConvolutionOracle:
         theta = band_limited_random(g, seed=3, max_mode=5, amplitude=1.0)
         out = convolution_nonlinearity(theta)
         assert abs(out.coeffs[0, 0]) < 1e-13
+
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    def test_the_advection_term_matches_it_where_3_divides_n(self, n):
+        # at n = 3 c a cutoff of c would let the product of two modes at the
+        # cutoff alias onto the mode -c, 1e-2 off the convolution at n = 12
+        g = Grid(n, TWO_PI)
+        for seed in range(3):
+            theta = make_initial("random_h1", g, seed=seed)
+            direct = convolution_nonlinearity(theta).coeffs
+            pseudo = nonlinear_term(theta).coeffs
+            assert np.max(np.abs(direct - pseudo)) <= 1e-10 * np.max(np.abs(direct))
 
     def test_budget_guard(self):
         g = Grid(32, TWO_PI)

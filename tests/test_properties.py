@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqglab import (
@@ -117,7 +117,8 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     more = rng.standard_normal(values.shape)
     summed = np.fft.rfft2(values + more, norm="forward")
     packed = np.empty(lead + grid.packed_shape, dtype=complex)
-    _forward(grid, values, more, spec, packed)
+    values += more
+    _forward(grid, values, spec, packed)
     assert np.array_equal(packed, _pack(grid, summed))
     assert np.array_equal(_unpack(grid, packed), summed * mask)
 
@@ -126,8 +127,8 @@ def test_split_passes_match_numpy_2d_transforms(half_n, batch, seed):
     for dealiased, kept in ((False, spec), (True, spec * mask)):
         expected = np.fft.irfftn(kept, s=(n, n), axes=(-2, -1), norm="forward")
         scratch = spec.copy()
-        if dealiased:  # nothing past column n//3 may reach the pruned inverse
-            scratch[..., n // 3 + 1:] = np.nan
+        if dealiased:  # nothing past the cutoff column may reach the pruned inverse
+            scratch[..., grid.cutoff + 1:] = np.nan
         assert np.array_equal(_inverse(grid, scratch, out, dealiased), expected)
 
 
@@ -187,3 +188,34 @@ def test_packing_keeps_the_live_block_and_steps_leave_positive_zeros(n, seed):
         state = initial_state(theta0, config)
         state = step(state, adapt_dt(state))
         assert np.all(state.theta.coeffs.view(np.uint64)[~live] == 0)
+
+
+def parseval_inner(grid, a, b):
+    """The L^2 inner product of two real fields, from their half spectra."""
+    return grid.length ** 2 * float(np.sum(grid.weights * (a * b.conj()).real))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=128).map(lambda h: 2 * h),
+       st.floats(min_value=0.5, max_value=20.0), seeds, scales)
+@example(n=98, length=2.0 * math.pi, seed=0, scale=3.0)
+@example(n=196, length=2.0 * math.pi, seed=1, scale=3.0)
+@example(n=206, length=2.0 * math.pi, seed=2, scale=3.0)
+@example(n=12, length=2.0 * math.pi, seed=3, scale=1.0)
+@example(n=192, length=1.0, seed=4, scale=1.0)
+def test_advection_conserves_l2_and_the_hamiltonian(n, length, seed, scale):
+    # under the 2/3 rule the product is alias-free, so for dealiased theta
+    # the advection term N is orthogonal, as the PDE's is, to theta (L^2 is
+    # conserved) and to Lambda^-1 theta (so is ||theta||^2 in H^-1/2).
+    # Tolerance, set before measuring: 1e-14 of the product of the norms.
+    # 98, 196 and 206 are the sizes where Grid.m1 was once wrong; 12 and 192
+    # are multiples of 3, where a cutoff of n/3 would alias
+    grid = Grid(n, length)
+    theta = dealias(forward_transform(random_field(grid, seed, scale))).coeffs
+    term = nonlinear_term(SpectralField(grid, theta)).coeffs
+    inv_k = np.zeros_like(grid.kmag)
+    np.divide(1.0, grid.kmag, out=inv_k, where=grid.kmag > 0.0)
+    norm = math.sqrt(parseval_inner(grid, term, term))
+    for partner in (theta, inv_k * theta):
+        bound = 1e-14 * math.sqrt(parseval_inner(grid, partner, partner)) * norm
+        assert abs(parseval_inner(grid, partner, term)) <= bound

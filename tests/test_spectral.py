@@ -25,7 +25,7 @@ from sqglab import (
     sobolev_norm,
     sup_and_gradient_sup,
 )
-from sqglab import spectral
+from sqglab import diagnostics, spectral
 from sqglab.initial import PRESETS, make_initial
 from sqglab.spectral import _inverse, _pack, sobolev_norms
 
@@ -118,12 +118,14 @@ class TestGrid:
         assert g.multipliers.shape == (4,) + g.packed_shape == (4, 5, 3)
         assert np.array_equal(g.weights[0], [1, 2, 2, 2, 1])
 
-    @pytest.mark.parametrize("n", [8, 98, 128, 196, 206, 214, 256, 322, 1018])
+    @pytest.mark.parametrize("n", [8, 12, 98, 128, 192, 196, 206, 214, 256, 322, 1018])
     def test_frequencies_are_the_integers_and_the_mask_is_the_cutoff_block(self, n):
         # numpy's fftfreq(n, d=1/n) gives 32.00000000000001 for 32 at n = 98,
         # where the mask then left out the outermost row and column of the
-        # block that cutoff, and the advection term, keep
+        # block that cutoff, and the advection term, keep.  The cutoff is the
+        # largest c with 3 c < n: at 3 c = n, (c, c) would alias onto -c
         g = grid(n, 1.0)
+        assert 3 * g.cutoff < n <= 3 * (g.cutoff + 1)
         half = n // 2
         assert np.array_equal(g.m1[:, 0], np.r_[0:half, -half:0])
         assert np.array_equal(g.m2[0], np.arange(half + 1))
@@ -440,9 +442,9 @@ def sample(F):
 
 
 class TestSampleBatch:
-    """``spectral._sample`` inverts (F, i k1 F, i k2 F) as one batch, takes
-    the max and min of f and sup |grad f| from it, and sums the Sobolev
-    norms."""
+    """``spectral._sample`` inverts (F, i k1 F, i k2 F) as one batch and
+    takes the max and min of f and sup |grad f| from it; ``record_norms``
+    takes the Sobolev norms from ``sobolev_norms``."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
@@ -473,20 +475,22 @@ class TestSampleBatch:
 
     @pytest.mark.parametrize("failing", ["_inverse", "_sup_norm", "sobolev_norms"])
     def test_an_error_in_the_batch_reaches_the_caller(self, failing, monkeypatch):
+        # record_norms calls sobolev_norms by the name diagnostics imports
+        module = diagnostics if failing == "sobolev_norms" else spectral
         F = make_initial("random_h1", grid(32), seed=4)
         expected = sample(F)
-        real = getattr(spectral, failing)
+        real = getattr(module, failing)
 
         def fail(*args, **kwargs):
             raise Boom(failing)
 
-        monkeypatch.setattr(spectral, failing, fail)
+        monkeypatch.setattr(module, failing, fail)
         series = NormSeries()
         with pytest.raises(Boom, match=failing):
             record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
         assert len(series) == 0  # a failed sample appends no row
         # and the next sample gives the same bits
-        monkeypatch.setattr(spectral, failing, real)
+        monkeypatch.setattr(module, failing, real)
         got = sample(F)
         assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
 

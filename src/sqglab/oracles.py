@@ -24,7 +24,6 @@ from .spectral import (
     RealField,
     SpectralField,
     dealias,
-    forward_transform,
     inverse_transform,
     sobolev_norm,
 )
@@ -130,12 +129,13 @@ def scaling_consistency(
     """Compare theta(c t, c x) against the run started from theta0(c x).
 
     Run (a) evolves theta0 on the full box to time c*t and subsamples every
-    c-th point; run (b) evolves the subsampled initial data on a box shrunk
-    by c to time t.  Both run with gamma = 1 and the other ``SolverConfig``
-    defaults, so they represent the same solution, and the reported
-    discrepancy measures solver error only.  Requires an integer c dividing
-    n (a float is refused, not truncated) and theta0 band-limited to
-    max|m| <= n/(3c) so the rescaled data is exactly representable.
+    c-th point; run (b) evolves theta0(c x), whose coefficients on the box
+    shrunk by c are theta0's own, on that box's n/c grid to time t.  Both
+    run with gamma = 1 and the other ``SolverConfig`` defaults, so they
+    represent the same solution, and the reported discrepancy measures
+    solver error only.  Requires an integer c dividing n (a float is
+    refused, not truncated) and theta0 band-limited to the coarse grid's
+    ``cutoff``: run (b) starts from that block, copied on its ``live_rows``.
     """
     grid = theta0.grid
     if not (isinstance(c, numbers.Integral) and c >= 1 and grid.n % c == 0):
@@ -143,21 +143,21 @@ def scaling_consistency(
     c = int(c)
     if grid.n // c < 8:
         raise ConfigError(f"coarse grid n/c = {grid.n // c} is below the minimum of 8")
-    limit = grid.n / (3.0 * c)
-    outside = (np.abs(grid.m1) > limit) | (np.abs(grid.m2) > limit)
+    coarse_grid = Grid(grid.n // c, grid.length / c)
+    cutoff = coarse_grid.cutoff
+    outside = (np.abs(grid.m1) > cutoff) | (np.abs(grid.m2) > cutoff)
     if float(np.max(np.abs(theta0.coeffs[outside]))) > 1e-13:
-        raise ConfigError(f"theta0 must be band-limited to max|m| <= n/(3c) = {limit:.3g}")
+        raise ConfigError("theta0 must be band-limited to max|m| <= the coarse "
+                          f"grid's cutoff {cutoff}, n/c = {coarse_grid.n}")
 
     config = SolverConfig(gamma=1.0, nonlinear_enabled=nonlinear)
     fine = run_until(initial_state(theta0, config), c * t)
     fine_vals = inverse_transform(fine.theta).values[::c, ::c]
 
-    if c == 1:
-        coarse0 = theta0  # same run, bit for bit
-    else:
-        coarse_grid = Grid(grid.n // c, grid.length / c)
-        coarse0 = forward_transform(
-            RealField(coarse_grid, inverse_transform(theta0).values[::c, ::c]))
+    coeffs = np.zeros(coarse_grid.spectral_shape, dtype=complex)
+    for rows, _ in coarse_grid.live_rows:
+        coeffs[rows, :cutoff + 1] = theta0.coeffs[rows, :cutoff + 1]
+    coarse0 = SpectralField(coarse_grid, coeffs)
     coarse = run_until(initial_state(coarse0, config), t)
     coarse_vals = inverse_transform(coarse.theta).values
 

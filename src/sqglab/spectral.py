@@ -107,13 +107,13 @@ class Grid:
         self.packed_shape = (2 * self.cutoff + 1, live)
         # (half-spectrum rows, packed rows): m1 = 0 .. cutoff, then -cutoff .. -1
         self.live_rows = ((slice(None, live), slice(None, live)),
-                          (slice(n - self.cutoff, None), slice(live, None)))
+                          (slice(-self.cutoff, None), slice(live, None)))
 
         off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
         self._gradient = (1j * (self.k1 * off1), 1j * (self.k2 * off2))
 
         # the packed block holds no Nyquist line, so off1 and off2 hold there
-        k1, k2 = self.k1[np.r_[:live, n - self.cutoff:n]], self.k2[:, :live]
+        k1, k2 = _pack(self, self.k1), self.k2[:, :live]
         kmag = _pack(self, self.kmag)
         inv_k = np.zeros_like(kmag)
         np.divide(1.0, kmag, out=inv_k, where=kmag > 0.0)
@@ -193,7 +193,8 @@ _workspace = _Workspace()
 def _pack(grid: Grid, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The live block of one or a stack of half spectra, packed into ``out``
     (a new array if None).  ``full`` may hold only the packed columns of
-    ``out``: a column range of both is packed alike."""
+    ``out``: a column range of both is packed alike.  Its rows are read from
+    both ends, so a finer grid's half spectrum is restricted to this block."""
     if out is None:
         out = np.empty(full.shape[:-2] + grid.packed_shape, dtype=full.dtype)
     cols = out.shape[-1]

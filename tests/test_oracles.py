@@ -174,6 +174,18 @@ class TestScalingConsistency:
             scaling_consistency(theta0, 2, 0.1)
 
 
+    def test_the_band_limit_is_the_coarse_grids_cutoff(self):
+        # at n = 96, c = 2 the coarse cutoff is (48 - 1) // 3 = 15: data at
+        # |m| = 16 would be dealiased away by the coarse run only, and read
+        # 5.2e-6 here against the linear tolerance
+        g = Grid(96, TWO_PI)
+        theta0 = band_limited_random(g, seed=0, max_mode=15, amplitude=0.5)
+        report = scaling_consistency(theta0, 2, 0.25, nonlinear=False, tolerance=1e-12)
+        assert report.max_rel_error <= 1e-12
+        wide = band_limited_random(g, seed=0, max_mode=16, amplitude=0.5)
+        with pytest.raises(ConfigError, match="cutoff 15"):
+            scaling_consistency(wide, 2, 0.25, nonlinear=False, tolerance=1e-12)
+
 def test_convergence_ratio_is_fourth_order():
     g = Grid(64, TWO_PI)
     theta0 = make_initial("cmt", g)

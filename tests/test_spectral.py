@@ -26,8 +26,8 @@ from sqglab import (
     sup_and_gradient_sup,
 )
 from sqglab import diagnostics, spectral
-from sqglab.initial import PRESETS, make_initial
-from sqglab.spectral import _inverse, _pack, sobolev_norms
+from sqglab.initial import PRESETS, band_limited_random, make_initial
+from sqglab.spectral import _inverse, _pack, _unpack, sobolev_norms
 
 from full_width import full_multipliers
 
@@ -145,6 +145,20 @@ class TestGrid:
         for gamma in (0.5, 1.0, 1.7):
             assert np.array_equal(g._kmag_pow(gamma, packed=True).view(np.int64),
                                   _pack(g, g.kmag_pow(gamma)).view(np.int64))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 64, 96, 98])
+    def test_packing_restricts_a_finer_spectrum_to_the_coarse_block(self, n, k):
+        # live_rows counts the negative rows from the end, so the coarse
+        # grid's pair reads the coarse block out of a k n half spectrum:
+        # data band-limited to the coarse cutoff has the same coefficients
+        # as its values at every k-th point
+        coarse, fine = grid(n), grid(k * n)
+        F = band_limited_random(fine, seed=n + k, max_mode=coarse.cutoff)
+        restricted = _unpack(coarse, _pack(coarse, F.coeffs))
+        sub = RealField(coarse, inverse_transform(F).values[::k, ::k])
+        expected = forward_transform(sub).coeffs
+        assert np.max(np.abs(restricted - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_grid_256_holds_and_builds_within_its_budget(self):
         # a full-width (4, n, n/2+1) multiplier stack alone is 2,113,536 bytes

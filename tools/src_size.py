@@ -2,7 +2,7 @@
 
     python tools/src_size.py [SRC_DIR]
 
-Four numbers, one per line:
+Five numbers, one per line:
 - ``lines``: all lines of the ``.py`` files under SRC_DIR (default: the
   ``src`` directory beside this script's directory);
 - ``code_lines``: the lines that are not blank, not comment-only, and not
@@ -11,7 +11,9 @@ Four numbers, one per line:
   in ``__all__``, so the names it loads on first use count too;
 - ``private_imports``: the ``_``-prefixed names that one module imports from
   another by relative import (``from .spectral import _pack``), counted once
-  per importing module.
+  per importing module;
+- ``config_keys``: the entries of the literal ``_KEYS`` dict in
+  ``sqglab/config.py``, the keys a run config may set.
 """
 
 import ast
@@ -33,7 +35,7 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def sizes(src: Path) -> tuple[int, int, int, int]:
+def sizes(src: Path) -> tuple[int, int, int, int, int]:
     total = code = private = 0
     for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -46,7 +48,8 @@ def sizes(src: Path) -> tuple[int, int, int, int]:
                     if number not in skip and line.strip()
                     and not line.strip().startswith("#"))
     init = ast.parse((src / "sqglab" / "__init__.py").read_text(encoding="utf-8"))
-    return total, code, len(public_names(init)), private
+    config = ast.parse((src / "sqglab" / "config.py").read_text(encoding="utf-8"))
+    return total, code, len(public_names(init)), private, config_keys(config)
 
 
 def private_imports(tree: ast.AST) -> set[tuple[str, str]]:
@@ -72,13 +75,24 @@ def public_names(init: ast.Module) -> set[str]:
     return names
 
 
+def config_keys(config: ast.Module) -> int:
+    """The number of entries of a parsed ``config.py``'s literal ``_KEYS``."""
+    for node in config.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "_KEYS"
+                        for t in node.targets)):
+            return len(node.value.keys)
+    raise SystemExit("sqglab/config.py has no literal _KEYS dict")
+
+
 def main(argv):
     src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    total, code, names, private = sizes(src)
+    total, code, names, private, keys = sizes(src)
     print(f"lines {total}")
     print(f"code_lines {code}")
     print(f"public_names {names}")
     print(f"private_imports {private}")
+    print(f"config_keys {keys}")
 
 
 if __name__ == "__main__":

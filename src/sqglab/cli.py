@@ -99,7 +99,7 @@ def _cmd_oracle(args) -> int:
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(f"{status} {report.name}: rel {report.max_rel_error:.3e} "
-              f"(tol {report.tolerance:.0e})")
+              f"(tol {report.tolerance:g})")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILURE
 
 

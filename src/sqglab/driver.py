@@ -9,11 +9,12 @@ behaviour are those of running them in line: snapshots, checkpoints and
 ``norms.csv`` wait for every earlier sample, and the first diagnostics
 error is raised in place of anything the stepper raises after it.  A failed
 sample ends the run at the next snapshot or checkpoint, or at the second
-sample after it.  On a 2-CPU machine, monitored runs read CPU/wall
-0.95-0.99 at n = 128 and 256, as numpy's FFT holds the interpreter lock,
-and were slower than in-line diagnostics in 3 of 4 pairs at n = 256; the
-worker stays for n = 512, where the monitor's differencing releases the
-lock and 2 of 3 runs read CPU/wall 1.48-1.50 and won their pairs.
+sample after it.  On a shared 2-CPU machine, monitored runs read CPU/wall
+0.95-0.99 at n = 128 and 256, where two processes often read as low (the
+second CPU is busy; numpy's FFT releases the interpreter lock), and were
+slower than in-line diagnostics in 3 of 4 pairs at n = 256; the worker
+stays for n = 512, where 2 of 3 runs read CPU/wall 1.48-1.50 and won their
+pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ConfigError, ParameterError
 from .initial import make_initial
 from .modulus import _monitor
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import Grid, forward_transform, inverse_transform
+from .spectral import Grid, dealias, forward_transform, inverse_transform
 
 
 @dataclass
@@ -55,8 +56,8 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     resumed run samples there only when a sample event merges there, and
     reproduces the uninterrupted trajectory exactly: snapshot writes
     round-trip the in-memory state through the serialized values, and both
-    runs project them as ``initial_state`` does, so every state stays
-    exactly zero outside ``dealias_mask``.  A sample's
+    runs project them with ``dealias``, as ``initial_state`` does, so every
+    state holds +0.0 outside ``dealias_mask``.  A sample's
     monitor check is ``_monitor``'s.  The output directory is created only
     after the set-up, the initial sample included, has succeeded.
     """
@@ -120,7 +121,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
                            solver.gamma, solver.kappa)
         # re-project through the stored values so a resumed run continues
         # from bit-identical state
-        return replace(st, theta=initial_state(forward_transform(phys), solver).theta)
+        return replace(st, theta=dealias(forward_transform(phys)))
 
     # the initial sample is the last of the set-up: a run that fails before
     # its first step leaves no output directory

@@ -6,13 +6,14 @@ semigroup is applied exactly and only the advection term
 (``sqglab.spectral._advection``) is integrated numerically.  ``step``'s
 real scalar factors carry the minus sign of the right-hand side.
 
-Every state is exactly zero outside ``dealias_mask``: ``initial_state``
-truncates the data, and a step writes +0.0 there.  So the stepper works on
-the packed modes the 2/3 rule keeps (``sqglab.spectral._pack``), 4/9 of
-the half spectrum: the stage terms and inputs, the integrating factors and
-the finiteness check.  ``step`` packs theta once per state and unpacks the
-new state once; ``SolverState.theta`` and ``nonlinear_term`` stay full
-width.  The advection term of any theta is that of ``dealias(theta)``.
+Every state holds +0.0 outside ``dealias_mask``: ``initial_state``
+truncates the data with ``dealias``, and a step writes +0.0 there.  So the
+stepper works on the packed modes the 2/3 rule keeps
+(``sqglab.spectral._pack``), 4/9 of the half spectrum: the stage terms and
+inputs, the integrating factors and the finiteness check.  ``step`` packs
+theta once per state and unpacks the new state once; ``SolverState.theta``
+and ``nonlinear_term`` stay full width.  The advection term of any theta
+is that of ``dealias(theta)``.
 
 The RK4 stage inputs and the new state's packed block are formed in
 place, in one array that a step allocates with its stage terms.  The

@@ -41,11 +41,22 @@ import numpy as np
 from .errors import ParameterError, _check
 from .spectral import RealField, Grid
 
-# Composite Gauss-Legendre rule in x = log s: panel width and nodes per panel
-# (4 already match adaptive quadrature to 3e-13), and the x range beyond
-# which the integrals are below 1e-19 of the table values.
-_PANEL_WIDTH, _PANEL_NODES = 0.25, 8
+# Composite Gauss-Legendre rule in x = log s: panel width, and the x range
+# beyond which the integrals are below 1e-19 of the table values.
+_PANEL_WIDTH = 0.25
 _X_LOW, _X_PAD = -90.0, 45.0
+# Its 8-point rule on [-1, 1] (4 points already match adaptive quadrature to
+# 3e-13): numpy.polynomial.legendre.leggauss(8)'s nodes and weights, in its
+# order and to the last bit, written out so that building a table loads
+# neither numpy.polynomial nor LAPACK's eigensolver for 16 constants.
+_GAUSS_LEGENDRE = np.array([
+    [-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+     0.7966664774136267, 0.9602898564975362],
+    [0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+     0.22238103445337443, 0.10122853629037706],
+])
 # Table nodes, log-spaced on [1e-4 r_max, r_max]: the spacing ratio is small
 # enough that _certify's second differences resolve omega'' to 1%.
 _TABLE_SIZE, _TABLE_SPAN = 256, 1e-4
@@ -77,7 +88,7 @@ def _shape_tables(r: np.ndarray):
     top = log_r[-1] + _X_PAD
     fixed = np.linspace(_X_LOW, top, math.ceil((top - _X_LOW) / _PANEL_WIDTH) + 1)
     edges = np.sort(np.concatenate((fixed, log_r)))
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    xg, wg = _GAUSS_LEGENDRE
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * xg
     # h and e^x h with e^x and e^{2x} divided out, so that nothing overflows

@@ -249,12 +249,23 @@ def convolution_suite():
     return reports
 
 
+def rk4_order_suite():
+    # criterion 12's Richardson ratio, 2^4 = 16 for a fourth-order stepper,
+    # with its gate [14, 18] as a relative error of 1/8
+    config = SolverConfig(gamma=1.0, kappa=1.0, dt_max=0.05)
+    ratio = convergence_ratio(make_initial("cmt", Grid(64, 2.0 * math.pi)),
+                              config, 0.1, 0.01)
+    return [OracleReport("rk4_order", abs(ratio - 16.0), abs(ratio / 16.0 - 1.0),
+                         0.125)]
+
+
 # suite name -> suite; ``all`` runs them in this order
 SUITES = {
     "linear": linear_suite,
     "single-mode": single_mode_suite,
     "scaling": scaling_suite,
     "convolution": convolution_suite,
+    "rk4-order": rk4_order_suite,
 }
 
 

@@ -27,8 +27,10 @@ and the stepper read, ``Grid.multipliers`` and the integrating factors'
 powers of |k|, are held on that block only.
 
 A right-hand side is one batched inverse and one forward transform, a
-norm sample (``_sample``) one batched inverse, on the calling thread: numpy's
-FFT passes hold the interpreter lock, so a second thread would not overlap.
+norm sample (``_sample``) one batched inverse, on the calling thread.
+numpy's FFT passes release the interpreter lock, but a two-thread split of
+them was timed no faster on a shared 2-CPU machine, where two processes
+often read CPU/wall near 1 as well: the second CPU was busy, not locked out.
 """
 
 from __future__ import annotations
@@ -280,8 +282,11 @@ def inverse_transform(F: SpectralField) -> RealField:
 
 
 def dealias(F: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero coefficients with max(|m1|, |m2|) >= n/3."""
-    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask)
+    """2/3-rule truncation: a new field that keeps F's coefficients where
+    max(|m1|, |m2|) <= ``Grid.cutoff`` and holds +0.0 where it is
+    > ``Grid.cutoff``, as a step's states do, whatever F holds there: a
+    non-finite coefficient becomes +0.0 too, not NaN."""
+    return SpectralField(F.grid, _unpack(F.grid, _pack(F.grid, F.coeffs)))
 
 
 def sobolev_norms(F: SpectralField, orders) -> list[float]:

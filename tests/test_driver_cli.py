@@ -84,17 +84,25 @@ class TestDriver:
 
     def test_states_stay_dealiased_across_checkpoint_and_restart(self, tmp_path):
         outside = ~Grid(32, 2.0 * math.pi).dealias_mask
+
+        def positive_zeros(state):
+            # +0.0, as a step writes: masking the transform of the stored
+            # values left -0.0 under each negative part
+            coeffs = state.theta.coeffs[outside]
+            return np.all(coeffs == 0) and not np.any(
+                np.signbit(coeffs.real) | np.signbit(coeffs.imag))
+
         text = BASE_CONFIG + "time.checkpoint_dt = 0.5\noutput.snapshot_dt = 0.5\n"
         full = run_simulation(
             parse_config(text + f"output.directory = {tmp_path}/full\n"))
         # the final state is the one re-projected by the t = 1 checkpoint
-        assert np.all(full.state.theta.coeffs[outside] == 0)
+        assert positive_zeros(full.state)
         plain = parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/resumed\n")
         # from t = 1 the resumed run takes no step; from t = 0.5 it steps
         for snap, stepped in (("checkpoint.bin", False), ("snap_0.500000.bin", True)):
             resumed = run_simulation(plain, restart=tmp_path / "full" / snap)
             assert (resumed.state.step_count > 0) is stepped
-            assert np.all(resumed.state.theta.coeffs[outside] == 0)
+            assert positive_zeros(resumed.state)
 
     @pytest.mark.parametrize("t_end, sample_dt, rows", [
         ("0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
@@ -597,6 +605,13 @@ class TestCli:
         assert lines[0] == "name,max_abs_error,max_rel_error,tolerance,pass"
         assert lines[1].startswith("single_mode,")
         assert lines[1].endswith(",true")
+
+    def test_oracle_prints_the_rk4_tolerance_as_it_is(self, tmp_path, capsys):
+        # 0.125 printed to one significant digit would read 1e-01
+        csv = tmp_path / "oracle_report.csv"
+        assert main(["oracle", "--suite", "rk4-order", "--output", str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("pass rk4_order: rel ") and out.endswith(" (tol 0.125)\n")
 
     def test_modulus_check_command(self, tmp_path, capsys):
         config = write_config(tmp_path, (

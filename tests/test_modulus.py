@@ -26,7 +26,8 @@ from sqglab import (
     sup_and_gradient_sup,
 )
 from sqglab.initial import PRESETS
-from sqglab.modulus import _lattice_bound, _monitor, _shift_sups
+from sqglab import modulus
+from sqglab.modulus import _GAUSS_LEGENDRE, _lattice_bound, _monitor, _shift_sups
 
 TWO_PI = 2.0 * math.pi
 # every box up to 10 sqrt 2 long has the table to the floor, r = 10
@@ -200,6 +201,29 @@ class TestConstruction:
         assert np.max(np.abs(mod.omega_prime / op - 1.0)) <= 1e-12
         assert abs(mod.omega_prime_at_zero / op0 - 1.0) <= 1e-12
         assert np.max(np.abs(mod.omega / omega - 1.0)) <= 1e-12
+
+
+class TestGaussLegendreRule:
+    def test_the_rule_is_leggauss_8(self):
+        # within 1 ulp, in leggauss's order: numpy builds may round the
+        # eigensolver's nodes differently (with numpy 2.4.6 they are equal)
+        for tabulated, computed in zip(_GAUSS_LEGENDRE,
+                                       np.polynomial.legendre.leggauss(8)):
+            assert np.all(np.abs(tabulated - computed) <= np.spacing(np.abs(computed)))
+
+    @pytest.mark.parametrize("delta3", [0.05, 0.1])
+    @pytest.mark.parametrize("n, length", [
+        (32, TWO_PI), (128, TWO_PI), (128, 2.0 * TWO_PI), (8, 100.0 * TWO_PI)])
+    def test_the_tables_are_those_of_the_computed_rule(self, delta3, n, length,
+                                                       monkeypatch):
+        grid = Grid(n, length)
+        tabulated = build_knv_modulus(delta3, grid)
+        monkeypatch.setattr(modulus, "_GAUSS_LEGENDRE",
+                            np.polynomial.legendre.leggauss(8))
+        computed = build_knv_modulus(delta3, grid)
+        for name in ("r_table", "omega", "omega_prime", "omega_prime_at_zero"):
+            assert np.array_equal(np.float64(getattr(tabulated, name)).view(np.int64),
+                                  np.float64(getattr(computed, name)).view(np.int64))
 
 
 class TestCheckModulus:
@@ -582,6 +606,21 @@ def test_default_offsets_are_distinct_shifts(n):
     assert (n // 2, n // 2) in offsets and (n // 2, -(n // 2)) not in offsets
     if n == 128:
         assert len(offsets) == 55
+
+
+def test_a_table_build_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rule is a literal: no leggauss, so no eigensolver
+    import sqglab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sqglab.__file__)))
+    code = "\n".join([
+        "import math, sys, sqglab",
+        "sqglab.build_knv_modulus(0.05, sqglab.Grid(32, 2.0 * math.pi))",
+        "print('numpy.polynomial' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

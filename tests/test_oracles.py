@@ -27,6 +27,7 @@ from sqglab import (
     sobolev_norm,
 )
 from sqglab.cli import _build_parser
+from sqglab import oracles
 from sqglab.oracles import OracleReport, SUITES, run_oracle_suite
 
 TWO_PI = 2.0 * math.pi
@@ -212,13 +213,24 @@ class TestSuites:
 
     def test_every_suite_passes_at_its_tolerance(self):
         # the tolerances never loosen: linear 1e-12, single-mode 1e-8, scaling
-        # 1e-5 (nonlinear) and 1e-12 (linear), convolution 1e-10
+        # 1e-5 (nonlinear) and 1e-12 (linear), convolution 1e-10, and the RK4
+        # ratio within 1/8 of 16, criterion 12's [14, 18]
         reports = run_oracle_suite("all")
         assert [(r.name, r.tolerance) for r in reports] == (
             [(f"linear_gamma{gamma}", 1e-12) for gamma in ("0.5", "1", "1.5", "2")]
             + [("single_mode", 1e-8), ("scaling_c2", 1e-5), ("scaling_c2_linear", 1e-12)]
-            + [(f"convolution_seed{seed}", 1e-10) for seed in range(5)])
+            + [(f"convolution_seed{seed}", 1e-10) for seed in range(5)]
+            + [("rk4_order", 0.125)])
         assert all(r.passed for r in reports), [r.csv_row() for r in reports]
+
+    @pytest.mark.parametrize("ratio, passed", [(8.0, False), (13.9, False),
+                                               (14.0, True), (18.0, True), (18.1, False)])
+    def test_the_rk4_suite_gates_the_ratio_at_14_to_18(self, ratio, passed, monkeypatch):
+        monkeypatch.setattr(oracles, "convergence_ratio", lambda *args: ratio)
+        [report] = run_oracle_suite("rk4-order")
+        assert report.name == "rk4_order"
+        assert report.max_abs_error == abs(ratio - 16.0)
+        assert report.passed is passed
 
     def test_unknown_suite_is_a_config_error(self):
         with pytest.raises(ConfigError, match="choose all, linear"):

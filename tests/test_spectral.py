@@ -562,6 +562,19 @@ class TestDealias:
         coeffs[-11, 0] = 1.0
         assert np.all(dealias(SpectralField(g, coeffs)).coeffs == 0)
 
+    def test_every_mode_outside_becomes_positive_zero(self):
+        # what a step writes there, whatever it held: a mask multiply would
+        # leave -0.0 under a negative part and NaN under a non-finite one
+        g = grid(24)
+        F = forward_transform(random_field(g, 3))
+        outside = ~g.dealias_mask
+        F.coeffs[outside] = np.resize([-1.0 - 1.0j, np.nan, complex(-np.inf, 0.0)],
+                                      int(outside.sum()))
+        out = dealias(F).coeffs
+        assert np.array_equal(out[g.dealias_mask], F.coeffs[g.dealias_mask])
+        assert np.all(out[outside] == 0)
+        assert not np.any(np.signbit(out[outside].real) | np.signbit(out[outside].imag))
+
     def test_idempotent(self):
         g = grid(16)
         F = forward_transform(random_field(g, 2))

@@ -1,26 +1,15 @@
 """Run orchestration: set-up, restart, checkpointing, norm recording.
 
-After the initial sample, a run's sample diagnostics (``record_norms``, then
-the check ``modulus._monitor`` returns) run on a one-thread executor, in
-sample order with at most one sample waiting, while the stepper goes on: a
-run has two threads, the stepper and this worker, each computing in its own
-workspace.  The initial sample runs in line.  The outputs and the failure
-behaviour are those of running them in line: snapshots, checkpoints and
-``norms.csv`` wait for every earlier sample, and the first diagnostics
-error is raised in place of anything the stepper raises after it.  A failed
-sample ends the run at the next snapshot or checkpoint, or at the second
-sample after it.  On a shared 2-CPU machine, monitored runs read CPU/wall
-0.95-0.99 at n = 128 and 256, where two processes often read as low (the
-second CPU is busy; numpy's FFT releases the interpreter lock), and were
-slower than in-line diagnostics in 3 of 4 pairs at n = 256; the worker
-stays for n = 512, where 2 of 3 runs read CPU/wall 1.48-1.50 and won their
-pairs.
+A run is one thread.  At each event the stepper lands on its time, writes
+any snapshot or checkpoint, and then takes the sample (``record_norms``,
+then the check ``modulus._monitor`` returns) in line, so a failed sample
+raises at its own event and no step runs after it; ``norms.csv`` holds
+every sample taken before the failure.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -130,33 +119,15 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     norms_path = out_dir / "norms.csv"
-    # states are frozen and a step never writes an array it has returned, so
-    # the worker reads them without a lock.  A sample event waits for the
-    # sample two back, so one sample waits behind the one in hand; snapshots,
-    # checkpoints and the end wait for all of them.  A job after a failed
-    # sample raises that error in place of observing, as the serial order
-    # never reaches it.
-    def observe_after(before: Future, st: SolverState):
-        before.result()
-        observe(st)
-
-    prev = job = Future()
-    job.set_result(None)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            for t_ev, kinds in events:
-                state = run_until(state, t_ev)
-                if "snapshot" in kinds or "checkpoint" in kinds:
-                    job.result()
-                    state = persist(state, kinds)
-                if "sample" in kinds:
-                    prev.result()
-                    prev, job = job, worker.submit(observe_after, job, state)
-        finally:
-            try:
-                job.result()
-            finally:
-                series.write_csv(norms_path)
+    try:
+        for t_ev, kinds in events:
+            state = run_until(state, t_ev)
+            if "snapshot" in kinds or "checkpoint" in kinds:
+                state = persist(state, kinds)
+            if "sample" in kinds:
+                observe(state)
+    finally:
+        series.write_csv(norms_path)
 
     return RunResult(state=state, series=series, breaches=breaches,
                      norms_path=norms_path)

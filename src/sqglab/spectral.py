@@ -28,9 +28,6 @@ powers of |k|, are held on that block only.
 
 A right-hand side is one batched inverse and one forward transform, a
 norm sample (``_sample``) one batched inverse, on the calling thread.
-numpy's FFT passes release the interpreter lock, but a two-thread split of
-them was timed no faster on a shared 2-CPU machine, where two processes
-often read CPU/wall near 1 as well: the second CPU was busy, not locked out.
 """
 
 from __future__ import annotations

@@ -812,8 +812,7 @@ class TestCli:
                      "--column", "linf", "--window", "0:1"]) == 10
 
 
-# samples every 0.25 to t = 1, snapshots every 0.5, a checkpoint at 1: the
-# stepper passes a sample between snapshots without waiting for the worker
+# samples every 0.25 to t = 1, snapshots every 0.5 and a checkpoint at 1
 EVENTS = (
     "output.snapshot_dt = 0.5\n"
     "time.checkpoint_dt = 1.0\n"
@@ -823,16 +822,14 @@ EVENTS = (
 SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def fail_record_norms_at(monkeypatch, t_s, wait=None):
-    """Make the driver's record_norms raise BlowUpError at sample time t_s,
-    after ``wait`` is set if one is given; returns the errors raised."""
+def fail_record_norms_at(monkeypatch, t_s):
+    """Make the driver's record_norms raise BlowUpError at sample time t_s;
+    returns the errors raised."""
     raised = []
     real = driver.record_norms
 
     def record_norms(state, series):
         if state.t == t_s:
-            if wait is not None:
-                wait.wait(timeout=10.0)
             raised.append(BlowUpError(state.t, state.step_count, (0, 0)))
             raise raised[-1]
         return real(state, series)
@@ -841,16 +838,16 @@ def fail_record_norms_at(monkeypatch, t_s, wait=None):
     return raised
 
 
-class TestDiagnosticsWorker:
-    """The sample diagnostics run beside the stepper, with the outputs and
-    failures of running them in line."""
+class TestInlineDiagnostics:
+    """The sample diagnostics run in line on the calling thread, so a failed
+    sample ends the run at its own event."""
 
     def run_failing(self, tmp_path, capsys):
         config = write_config(tmp_path,
                               EVENTS + f"output.directory = {tmp_path}/out\n")
         threads = threading.active_count()
         code = main(["run", "--config", str(config)])
-        assert threading.active_count() == threads  # the worker has stopped
+        assert threading.active_count() == threads  # no thread is left behind
         captured = capsys.readouterr()
         assert captured.out == ""
         return code, captured.err
@@ -873,32 +870,10 @@ class TestDiagnosticsWorker:
         assert err == f"error: {raised[0]}\n"
         self.assert_stopped_at(tmp_path, t_s)
 
-    def test_diagnostics_failure_wins_over_a_later_stepper_blow_up(
+    def test_a_failed_sample_ends_the_run_at_its_sample(
             self, tmp_path, capsys, monkeypatch):
-        # the sample at 0.5 fails only once the step after it has blown up,
-        # so the stepper's error is raised first; the sample's is reported
-        stepper_failed = threading.Event()
-        raised = fail_record_norms_at(monkeypatch, 0.5, wait=stepper_failed)
-        real_step = dynamics.step
-
-        def step(state, dt):
-            if state.t >= 0.5:
-                stepper_failed.set()
-                raise BlowUpError(state.t + dt, state.step_count + 1, (1, 1))
-            return real_step(state, dt)
-
-        monkeypatch.setattr(dynamics, "step", step)
-        code, err = self.run_failing(tmp_path, capsys)
-        assert stepper_failed.is_set()
-        assert code == 2
-        assert len(raised) == 1
-        assert err == f"error: {raised[0]}\n"
-        self.assert_stopped_at(tmp_path, 0.5)
-
-    def test_a_failed_sample_ends_the_run_two_samples_later(
-            self, tmp_path, capsys, monkeypatch):
-        # samples only, so no snapshot or checkpoint waits for the failed one:
-        # the sample at 0.75 waits for it, and the one at 0.5 is never taken
+        # samples only, so no snapshot or checkpoint event stops the run:
+        # the failed sample at 0.25 itself ends it, before any later step
         raised = fail_record_norms_at(monkeypatch, 0.25)
         starts = []
         real_step = dynamics.step
@@ -914,7 +889,7 @@ class TestDiagnosticsWorker:
         assert captured.out == ""
         assert len(raised) == 1
         assert captured.err == f"error: {raised[0]}\n"
-        assert starts and max(starts) < 0.75  # the event at 0.75 ends the run
+        assert starts and max(starts) < 0.25  # no step runs after the failure
         assert list(NormSeries.read_csv(tmp_path / "out" / "norms.csv").t) == [0.0]
 
     def test_an_interrupt_leaves_no_worker_behind(self, tmp_path, monkeypatch):
@@ -937,7 +912,7 @@ class TestDiagnosticsWorker:
         rows = NormSeries.read_csv(tmp_path / "out" / "norms.csv").t
         assert list(rows) == [0.0, 0.25, 0.5]
 
-    def test_the_initial_sample_runs_here_and_the_rest_on_the_worker(
+    def test_every_sample_runs_on_the_calling_thread(
             self, tmp_path, monkeypatch):
         seen = []
         real = driver.record_norms
@@ -948,15 +923,13 @@ class TestDiagnosticsWorker:
 
         monkeypatch.setattr(driver, "record_norms", record_norms)
         run_simulation(parse_config(BASE_CONFIG + f"output.directory = {tmp_path}/out\n"))
-        # the initial sample is the set-up's, on this thread; the rest are
-        # the worker's, all on one thread
         times, threads = zip(*seen)
         assert times == SAMPLES
-        assert threads[0] is threading.current_thread()
-        assert threads[1] is not threads[0] and set(threads[1:]) == {threads[1]}
+        assert set(threads) == {threading.current_thread()}
 
     def test_concurrent_runs_match_a_lone_run(self, tmp_path):
-        # more runs than cores, each with its own worker, switching often
+        # more runs than cores, each stepping and sampling on its own
+        # thread, switching often
         def run(name):
             return run_simulation(parse_config(
                 BASE_CONFIG + EVENTS + f"output.directory = {tmp_path}/{name}\n"))

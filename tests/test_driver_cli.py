@@ -870,6 +870,29 @@ class TestInlineDiagnostics:
         assert err == f"error: {raised[0]}\n"
         self.assert_stopped_at(tmp_path, t_s)
 
+    def test_diagnostics_failure_wins_over_a_later_stepper_blow_up(
+            self, tmp_path, capsys, monkeypatch):
+        # the step after the sample at 0.5 would blow up; the sample fails
+        # first, so that step never runs and the sample's error is reported
+        raised = fail_record_norms_at(monkeypatch, 0.5)
+        blown_up = []
+        real_step = dynamics.step
+
+        def step(state, dt):
+            if state.t >= 0.5:
+                blown_up.append(BlowUpError(state.t + dt, state.step_count + 1,
+                                            (1, 1)))
+                raise blown_up[-1]
+            return real_step(state, dt)
+
+        monkeypatch.setattr(dynamics, "step", step)
+        code, err = self.run_failing(tmp_path, capsys)
+        assert blown_up == []
+        assert code == 2
+        assert len(raised) == 1
+        assert err == f"error: {raised[0]}\n"
+        self.assert_stopped_at(tmp_path, 0.5)
+
     def test_a_failed_sample_ends_the_run_at_its_sample(
             self, tmp_path, capsys, monkeypatch):
         # samples only, so no snapshot or checkpoint event stops the run:

@@ -21,7 +21,7 @@ print(f"  relative L2 discrepancy: {report.max_rel_error:.3e} "
       f"(tolerance {report.tolerance:g}) -> {'pass' if report.passed else 'FAIL'}")
 
 print("== dissipation only (advection off): exact semigroup algebra ==")
-report = sq.scaling_consistency(theta0, 2, 0.5, nonlinear=False, tolerance=1e-12)
+report = sq.scaling_consistency(theta0, 2, 0.5, nonlinear=False)
 print(f"  relative L2 discrepancy: {report.max_rel_error:.3e} "
       f"(tolerance {report.tolerance:g}) -> {'pass' if report.passed else 'FAIL'}")
 

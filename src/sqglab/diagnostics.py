@@ -99,11 +99,10 @@ def record_norms(state, series: NormSeries):
     """Append one row of norms for the given solver state; a norm that is not
     finite (squares can overflow) raises ``BlowUpError`` naming its column.
 
-    Returns theta's grid values with their max and min, from the row's
-    inverse transform of theta: a view into this thread's workspace, valid
-    until its next transform.  The sup norms are ``spectral._sample``'s,
-    from one batched inverse transform of theta and its gradient, and the
-    Sobolev norms are ``sobolev_norms``'."""
+    The sup norms and the returned grid values, with their max and min, are
+    ``spectral._sample``'s of ``dealias(theta)``, which a state's theta is;
+    the values are a view valid until this thread's next transform.  The
+    Sobolev norms are ``sobolev_norms``' of theta."""
     with np.errstate(over="ignore", invalid="ignore"):
         values, hi, lo, linf, grad_sup = _sample(state.theta)
         l2, h1, h3_2, h2, *extra = sobolev_norms(

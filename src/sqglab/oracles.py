@@ -124,7 +124,6 @@ def scaling_consistency(
     c: int,
     t: float,
     nonlinear: bool = True,
-    tolerance: float = 1e-5,
 ) -> OracleReport:
     """Compare theta(c t, c x) against the run started from theta0(c x).
 
@@ -136,6 +135,8 @@ def scaling_consistency(
     solver error only.  Requires an integer c dividing n (a float is
     refused, not truncated) and theta0 band-limited to the coarse grid's
     ``cutoff``: run (b) starts from that block, copied on its ``live_rows``.
+    The report's tolerance is the scaling oracle's 1e-5, or without
+    ``nonlinear`` the linear oracle's 1e-12.
     """
     grid = theta0.grid
     if not (isinstance(c, numbers.Integral) and c >= 1 and grid.n % c == 0):
@@ -166,7 +167,7 @@ def scaling_consistency(
     max_abs = float(np.max(np.abs(diff)))
     rel = math.sqrt(float(np.sum(diff ** 2))) / ref if ref > 0.0 else 0.0
     return OracleReport(f"scaling_c{c}" + ("" if nonlinear else "_linear"),
-                        max_abs, float(rel), tolerance)
+                        max_abs, float(rel), 1e-5 if nonlinear else 1e-12)
 
 
 def convergence_ratio(theta0: SpectralField, config: SolverConfig, t_end: float,
@@ -227,11 +228,8 @@ def scaling_suite():
     grid = Grid(128, 2.0 * math.pi)
     theta0 = band_limited_random(grid, seed=0, max_mode=grid.n // 6,
                                  amplitude=0.5)
-    nonlinear = scaling_consistency(theta0, 2, 0.5, nonlinear=True,
-                                    tolerance=1e-5)
-    linear = scaling_consistency(theta0, 2, 0.5, nonlinear=False,
-                                 tolerance=1e-12)
-    return [nonlinear, linear]
+    return [scaling_consistency(theta0, 2, 0.5, nonlinear=nonlinear)
+            for nonlinear in (True, False)]
 
 
 def convolution_suite():

@@ -11,23 +11,24 @@ sums weighted by ``Grid.weights`` (2 there, 1 on columns 0 and n/2), and
 Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
 
 The public transforms are ``irfft2`` and ``rfft2``.  The stepper's and the
-sample's run the same 1-D passes in the same order, so results match them
-bit for bit; their column passes work in place on scratch in a per-thread
-workspace, so threads never share buffers and a right-hand side allocates
-nothing large.
+sample's run the same 1-D passes in the same order, so on the 2/3-rule
+block results match them bit for bit; their column passes work in place on
+scratch in a per-thread workspace, so threads never share buffers and a
+right-hand side allocates nothing large.
 
-One function, ``_advection``, forms u . grad(theta) under the 2/3 rule.
-It reads and writes only the modes |m1|, |m2| <= ``Grid.cutoff``, so its
-column passes run on the first cutoff + 1 columns alone (Patterson and
-Orszag, 1971).  It takes and gives those modes packed (``_pack``,
+One function, ``_advection``, forms u . grad(theta) under the 2/3 rule,
+and one, ``_sample``, the norm sample's grid values and gradient.  Both
+read only the modes |m1|, |m2| <= ``Grid.cutoff``, so their column passes
+run on the first cutoff + 1 columns alone (Patterson and Orszag, 1971).
+``_advection`` takes and gives those modes packed (``_pack``,
 ``_unpack``): a contiguous ``Grid.packed_shape`` array, (2 cutoff + 1,
 cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
-(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.  The tables it
+(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.  The tables they
 and the stepper read, ``Grid.multipliers`` and the integrating factors'
 powers of |k|, are held on that block only.
 
 A right-hand side is one batched inverse and one forward transform, a
-norm sample (``_sample``) one batched inverse, on the calling thread.
+norm sample one batched inverse, on the calling thread.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ class Grid:
     modes that rule keeps, packed (see the module docstring).  On that
     packed block only, the ``multipliers`` stack (4, 2 cutoff + 1,
     cutoff + 1) gives, from theta, the Riesz velocity u1 = -i k2/|k|,
-    u2 = i k1/|k| (0 at k = 0) and the gradient i k1, i k2.  The norm
-    sample's gradient factors, a column and a row, vanish on their own
-    axis' Nyquist line, so derivatives of real fields stay real.
+    u2 = i k1/|k| (0 at k = 0) and the gradient i k1, i k2.
     """
 
     def __init__(self, n: int, length: float):
@@ -108,10 +107,6 @@ class Grid:
         self.live_rows = ((slice(None, live), slice(None, live)),
                           (slice(-self.cutoff, None), slice(live, None)))
 
-        off1, off2 = np.abs(self.m1) < n // 2, np.abs(self.m2) < n // 2  # not Nyquist
-        self._gradient = (1j * (self.k1 * off1), 1j * (self.k2 * off2))
-
-        # the packed block holds no Nyquist line, so off1 and off2 hold there
         k1, k2 = _pack(self, self.k1), self.k2[:, :live]
         kmag = _pack(self, self.kmag)
         inv_k = np.zeros_like(kmag)
@@ -212,14 +207,13 @@ def _unpack(grid: Grid, packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray,
-             dealiased: bool = False) -> np.ndarray:
-    """Grid values of one or a stack of half spectra, written into ``out``.
-    ``spec`` is scratch: the column pass overwrites it.  With ``dealiased``
-    only the modes in ``dealias_mask`` are read: the others are zeroed and
-    the column pass skips their columns.  The row pass reads zeroed columns,
-    not ``irfft``'s zero-padding, which costs more than filling them."""
-    live = grid.packed_shape[1] if dealiased else grid.spectral_shape[1]
+def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Grid values of the modes in ``dealias_mask`` of one or a stack of half
+    spectra, written into ``out``.  ``spec`` is scratch: the other modes are
+    zeroed, and the column pass skips their columns and overwrites the rest.
+    The row pass reads zeroed columns, not ``irfft``'s zero-padding, which
+    costs more than filling them."""
+    live = grid.packed_shape[1]
     spec[..., live:grid.n - live + 1, :live] = 0.0  # rows |m1| > cutoff, if any
     cols = spec[..., :live]
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
@@ -254,7 +248,7 @@ def _advection(grid, coeffs: np.ndarray, out: np.ndarray, nonlinear: bool = True
     live = coeffs.shape[-1]
     for rows, packed in grid.live_rows:
         np.multiply(grid.multipliers[:, packed], coeffs[packed], out=spec[:, rows, :live])
-    u1, u2, t1, t2 = _inverse(grid, spec, stack, dealiased=True)
+    u1, u2, t1, t2 = _inverse(grid, spec, stack)
     stack[2:] *= stack[:2]
     t1 += t2
     _forward(grid, t1, spec[0], out)
@@ -311,17 +305,19 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
 
 def _sample(F: SpectralField):
     """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
-    of F, from one inverse transform of (F, i k1 F, i k2 F) in slots 0 to 2
-    of this thread's workspace.  The gradient is spectral.
-
-    The values are bit for bit those of ``inverse_transform(F)``, in a view
-    into the workspace valid until this thread's next transform."""
+    of ``dealias(F)``, from one inverse transform of the 2/3-rule block of
+    (F, i k1 F, i k2 F), formed as ``_advection`` forms its four fields, in
+    slots 0 to 2 of this thread's workspace.  f is bit for bit
+    ``inverse_transform(dealias(F))``, in a view valid until this thread's
+    next transform."""
     grid = F.grid
     spec, stack = _workspace.get(grid)
     spec, stack = spec[:3], stack[:3]
-    np.copyto(spec[0], F.coeffs)
-    for factor, out in zip(grid._gradient, spec[1:]):
-        np.multiply(factor, F.coeffs, out=out)
+    live = grid.packed_shape[1]
+    for rows, packed in grid.live_rows:
+        block = F.coeffs[rows, :live]
+        spec[0, rows, :live] = block
+        np.multiply(grid.multipliers[2:, packed], block, out=spec[1:, rows, :live])
     f, d1, d2 = _inverse(grid, spec, stack)
     hi, lo = float(f.max()), float(f.min())
     return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2)
@@ -336,5 +332,5 @@ def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
-    """Grid maxima of |f| and of |grad f|; see ``_sample``."""
+    """Grid maxima of |f| and |grad f|, f the field of ``dealias(F)``; see ``_sample``."""
     return _sample(F)[3:]

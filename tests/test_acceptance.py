@@ -332,7 +332,7 @@ def test_criterion_10_scaling_symmetry():
     t0 = time.perf_counter()
     grid = Grid(128, TWO_PI)
     theta0 = band_limited_random(grid, seed=3, max_mode=grid.n // 6, amplitude=0.5)
-    rep = scaling_consistency(theta0, 2, 0.5, tolerance=1e-5)
+    rep = scaling_consistency(theta0, 2, 0.5)
     wall = time.perf_counter() - t0
     report(10, rep.passed and wall < 120.0,
            f"C = 2 scaling discrepancy {rep.max_rel_error:.3e} <= 1e-5, "

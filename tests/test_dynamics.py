@@ -515,7 +515,7 @@ class TestAdvectionBatch:
         # one batched 4-field inverse transform and the forward transform of
         # the summed products, packed
         spec = full_multipliers(g) * _unpack(g, coeffs)
-        u1, u2, t1, t2 = _inverse(g, spec, np.empty((4, n, n)), dealiased=True)
+        u1, u2, t1, t2 = _inverse(g, spec, np.empty((4, n, n)))
         t1 *= u1
         t2 *= u2
         t1 += t2

@@ -147,15 +147,16 @@ class TestScalingConsistency:
     def test_linear_runs_match_to_roundoff(self):
         g = Grid(64, TWO_PI)
         theta0 = band_limited_random(g, seed=1, max_mode=g.n // 6, amplitude=0.5)
-        report = scaling_consistency(theta0, 2, 0.5, nonlinear=False,
-                                     tolerance=1e-12)
+        report = scaling_consistency(theta0, 2, 0.5, nonlinear=False)
         assert report.max_rel_error <= 1e-12
+        assert report.tolerance == 1e-12
         assert report.passed
 
     def test_nonlinear_c2(self):
         g = Grid(64, TWO_PI)
         theta0 = band_limited_random(g, seed=2, max_mode=g.n // 6, amplitude=0.5)
         report = scaling_consistency(theta0, 2, 0.5)
+        assert report.tolerance == 1e-5
         assert report.passed
 
     def test_rejects_bad_c(self):
@@ -181,11 +182,11 @@ class TestScalingConsistency:
         # 5.2e-6 here against the linear tolerance
         g = Grid(96, TWO_PI)
         theta0 = band_limited_random(g, seed=0, max_mode=15, amplitude=0.5)
-        report = scaling_consistency(theta0, 2, 0.25, nonlinear=False, tolerance=1e-12)
+        report = scaling_consistency(theta0, 2, 0.25, nonlinear=False)
         assert report.max_rel_error <= 1e-12
         wide = band_limited_random(g, seed=0, max_mode=16, amplitude=0.5)
         with pytest.raises(ConfigError, match="cutoff 15"):
-            scaling_consistency(wide, 2, 0.25, nonlinear=False, tolerance=1e-12)
+            scaling_consistency(wide, 2, 0.25, nonlinear=False)
 
 def test_convergence_ratio_is_fourth_order():
     g = Grid(64, TWO_PI)

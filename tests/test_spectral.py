@@ -20,6 +20,7 @@ from sqglab import (
     SpectralField,
     dealias,
     forward_transform,
+    initial_state,
     inverse_transform,
     record_norms,
     sobolev_norm,
@@ -430,16 +431,16 @@ def sample_field(g, source, seed):
 @pytest.mark.parametrize("n", [8, 16, 48, 128])
 @pytest.mark.parametrize("source", SOURCES)
 def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
-    # the sample's inverse of F gives F's values bit for bit, which
-    # record_norms returns, and its max and min give sup |f| as the in-place
-    # abs did
+    # the sample's inverse of F gives the values of dealias(F) bit for bit,
+    # which record_norms returns, and its max and min give sup |f| as the
+    # in-place abs did
     F = sample_field(grid(n), source, 5 if source in PRESETS else n)
     linf, _ = sup_and_gradient_sup(F)
     series = NormSeries()
     values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
     values = values.copy()
     assert series.column("linf")[0] == linf
-    expected = inverse_transform(F).values
+    expected = inverse_transform(dealias(F)).values
     assert np.array_equal(values, expected)
     assert (hi, lo) == (expected.max(), expected.min())
     assert linf == np.abs(expected).max()
@@ -455,10 +456,53 @@ def sample(F):
     return [series.column(name)[0] for name in series.columns], values, hi, lo, sups
 
 
+def bits(x):
+    """The float64 bit patterns of x, so that -0.0 and +0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [8, 16, 48, 128])
+@pytest.mark.parametrize("source", PRESETS + ("noise",))
+def test_the_sample_reads_the_2_3_rule_block(n, source):
+    # modes past the 2/3 rule, grid noise's or a preset's roundoff, do not
+    # reach the sup norms: F samples as dealias(F) and as the state that
+    # initial_state builds from it
+    F = sample_field(grid(n), source, 5 if source in PRESETS else n)
+    sups = sup_and_gradient_sup(F)
+    assert np.array_equal(bits(sups), bits(sup_and_gradient_sup(dealias(F))))
+    series = NormSeries()
+    record_norms(initial_state(F, SolverConfig(gamma=1.0)), series)
+    row = [series.column(name)[0] for name in ("linf", "grad_sup")]
+    assert np.array_equal(bits(row), bits(sups))
+
+
+@pytest.mark.parametrize("n", [8, 12, 98, 196, 206, 256])
+@pytest.mark.parametrize("source", PRESETS + ("noise",))
+def test_the_block_sample_matches_a_full_width_one_bit_for_bit(n, source):
+    # on a dealiased spectrum, the sample gives the bits of the full-width
+    # arithmetic it replaced: gradient factors on the whole half lattice,
+    # zero on their own axis' Nyquist line, and column passes over every
+    # column
+    g = grid(n)
+    F = dealias(sample_field(g, source, 5 if source in PRESETS else n))
+    off1, off2 = np.abs(g.m1) < n // 2, np.abs(g.m2) < n // 2
+    spec = np.stack([F.coeffs, 1j * (g.k1 * off1) * F.coeffs,
+                     1j * (g.k2 * off2) * F.coeffs])
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    f, d1, d2 = np.fft.irfft(spec, n=n, axis=-1, norm="forward")
+    linf = max(abs(f.max()), abs(f.min()))
+    grad_sup = float(np.sqrt((d1 * d1 + d2 * d2).max()))
+    row, values, hi, lo, sups = sample(F)
+    assert np.array_equal(bits(values), bits(f))
+    assert np.array_equal(bits([hi, lo]), bits([f.max(), f.min()]))
+    assert np.array_equal(bits(sups), bits([linf, grad_sup]))
+    assert np.array_equal(bits([row[1], row[6]]), bits([linf, grad_sup]))  # linf, grad_sup
+
+
 class TestSampleBatch:
-    """``spectral._sample`` inverts (F, i k1 F, i k2 F) as one batch and
-    takes the max and min of f and sup |grad f| from it; ``record_norms``
-    takes the Sobolev norms from ``sobolev_norms``."""
+    """``spectral._sample`` inverts (F, i k1 F, i k2 F) on the 2/3-rule
+    block as one batch and takes the max and min of f and sup |grad f| from
+    it; ``record_norms`` takes the Sobolev norms from ``sobolev_norms``."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
@@ -469,17 +513,13 @@ class TestSampleBatch:
     def test_matches_the_three_field_batch_bit_for_bit(self, n, seed, source):
         g = grid(n)
         F = sample_field(g, source, seed)
-        # the gradient the grid's 1-D factors give is exactly the stacked one
-        gradient = full_multipliers(g)[2:] * F.coeffs
-        for factor, expected in zip(g._gradient, gradient):
-            assert np.array_equal((factor * F.coeffs).view(np.int64),
-                                  expected.view(np.int64))
-        spec = np.stack([F.coeffs, *gradient])
+        # the sup norms read F's 2/3-rule block, the Sobolev norms all of F
+        kept = dealias(F).coeffs
+        spec = np.stack([kept, *(full_multipliers(g)[2:] * kept)])
         f, d1, d2 = _inverse(g, spec, np.empty((3, n, n)))
         linf, grad_sup = np.abs(f).max(), float(np.sqrt((d1 * d1 + d2 * d2).max()))
         norms = sobolev_norms(F, (0.0, 1.0, 1.5, 2.0, 1.5, 2.0))
-        # not the dealiased inverse: F may have modes past the 2/3 rule
-        assert np.array_equal(f, inverse_transform(F).values)
+        assert np.array_equal(f, inverse_transform(dealias(F)).values)
         row, values, hi, lo, sups = sample(F)
         assert row == [0.0, linf, *norms[:4], grad_sup, *norms[4:]]
         assert math.copysign(1.0, row[1]) == 1.0  # +0.0 for the zero field

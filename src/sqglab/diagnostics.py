@@ -99,14 +99,17 @@ def record_norms(state, series: NormSeries):
     """Append one row of norms for the given solver state; a norm that is not
     finite (squares can overflow) raises ``BlowUpError`` naming its column.
 
-    The sup norms and the returned grid values, with their max and min, are
-    ``spectral._sample``'s of ``dealias(theta)``, which a state's theta is;
-    the values are a view valid until this thread's next transform.  The
-    Sobolev norms are ``sobolev_norms``' of theta."""
+    The row reads the state's packed 2/3-rule block alone, so its sup
+    norms and Sobolev norms are all those of one spectrum, ``dealias(theta)``:
+    the sups and the returned grid values, with their max and min, are
+    ``spectral._sample``'s, the values a view valid until this thread's
+    next transform, and the Sobolev norms are ``sobolev_norms``' of the
+    block."""
+    grid, packed = state.grid, state.packed
     with np.errstate(over="ignore", invalid="ignore"):
-        values, hi, lo, linf, grad_sup = _sample(state.theta)
+        values, hi, lo, linf, grad_sup = _sample(grid, packed)
         l2, h1, h3_2, h2, *extra = sobolev_norms(
-            state.theta, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
+            grid, packed, (0.0, 1.0, 1.5, 2.0) + tuple(1.0 + b for b in series.betas))
     row = [state.t, linf, l2, h1, h3_2, h2, grad_sup, *extra]
     finite = np.isfinite(row)
     if not finite.all():

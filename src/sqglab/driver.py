@@ -22,7 +22,7 @@ from .errors import ConfigError, ParameterError
 from .initial import make_initial
 from .modulus import _monitor
 from .snapshot import read_snapshot, write_snapshot
-from .spectral import Grid, dealias, forward_transform, inverse_transform
+from .spectral import Grid, forward_transform, inverse_transform
 
 
 @dataclass
@@ -45,10 +45,10 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
     resumed run samples there only when a sample event merges there, and
     reproduces the uninterrupted trajectory exactly: snapshot writes
     round-trip the in-memory state through the serialized values, and both
-    runs project them with ``dealias``, as ``initial_state`` does, so every
-    state holds +0.0 outside ``dealias_mask``.  A sample's
-    monitor check is ``_monitor``'s.  The output directory is created only
-    after the set-up, the initial sample included, has succeeded.
+    runs pack the 2/3-rule block of their transform, as ``initial_state``
+    does.  A sample's monitor check is ``_monitor``'s.  The output directory
+    is created only after the set-up, the initial sample included, has
+    succeeded.
     """
     out_dir = Path(config.directory)
     grid = Grid(config.n, config.length)
@@ -110,7 +110,7 @@ def run_simulation(config: RunConfig, restart=None) -> RunResult:
                            solver.gamma, solver.kappa)
         # re-project through the stored values so a resumed run continues
         # from bit-identical state
-        return replace(st, theta=dealias(forward_transform(phys)))
+        return replace(st, packed=initial_state(forward_transform(phys), solver).packed)
 
     # the initial sample is the last of the set-up: a run that fails before
     # its first step leaves no output directory

@@ -6,17 +6,10 @@ semigroup is applied exactly and only the advection term
 (``sqglab.spectral._advection``) is integrated numerically.  ``step``'s
 real scalar factors carry the minus sign of the right-hand side.
 
-Every state holds +0.0 outside ``dealias_mask``: ``initial_state``
-truncates the data with ``dealias``, and a step writes +0.0 there.  So the
-stepper works on the packed modes the 2/3 rule keeps
-(``sqglab.spectral._pack``), 4/9 of the half spectrum: the stage terms and
-inputs, the integrating factors and the finiteness check.  ``step`` packs
-theta once per state and unpacks the new state once; ``SolverState.theta``
-and ``nonlinear_term`` stay full width.  The advection term of any theta
-is that of ``dealias(theta)``.
-
-The RK4 stage inputs and the new state's packed block are formed in
-place, in one array that a step allocates with its stage terms.  The
+A state holds theta's packed 2/3-rule block (``sqglab.spectral._pack``),
+4/9 of the half spectrum, and ``step`` takes and gives that block without
+unpacking it; ``SolverState.theta`` unpacks it anew for a caller that asks.
+The advection term of any theta is that of ``dealias(theta)``.  ``step``'s
 in-place operations repeat the operands and the order of the plain
 expressions, so trajectories are unchanged bit for bit.
 """
@@ -30,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, BudgetError, ParameterError, _check
-from .spectral import SpectralField, _advection, _pack, _sup_norm, _unpack, dealias
+from .spectral import Grid, SpectralField, _advection, _pack, _sup_norm, _unpack
 
 _MAX_STEPS = 1_000_000  # run_until's step budget
 # adapt_dt's floor on the 2 pi box, scaled with the box length L as the CFL
@@ -93,37 +86,45 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """One point on a trajectory: (t, theta, config, step count)."""
+    """One point on a trajectory: (t, grid, packed block, config, step count).
+
+    ``packed`` holds theta's modes that the 2/3 rule keeps, in
+    ``grid.packed_shape`` (see ``sqglab.spectral._pack``); theta is +0.0
+    past them.  Build a state with ``initial_state``, and give it another
+    time with ``dataclasses.replace``.
+    """
 
     t: float
-    theta: SpectralField
+    grid: Grid
+    packed: np.ndarray
     config: SolverConfig
     step_count: int = 0
 
-    @cached_property
-    def _packed(self) -> np.ndarray:
-        """theta's modes that the 2/3 rule keeps, packed (see
-        ``sqglab.spectral._pack``): what ``stage1`` and ``step`` read."""
-        return _pack(self.theta.grid, self.theta.coeffs)
+    @property
+    def theta(self) -> SpectralField:
+        """theta's half spectrum, unpacked anew on each access and never
+        cached, so a kept state holds its block only."""
+        return SpectralField(self.grid, _unpack(self.grid, self.packed))
 
     @cached_property
     def stage1(self) -> tuple[np.ndarray, float]:
         """The packed advection term u . grad(theta) at this state and sup|u|.
 
         Both come from one batched transform; ``adapt_dt`` reads the speed
-        and ``step`` uses the term, negated, as its first RK4 stage.  Like
-        ``_packed`` it is computed on first use and is not a field, so
-        ``dataclasses.replace`` never carries it over to a new state.
+        and ``step`` uses the term, negated, as its first RK4 stage.  It is
+        computed on first use and is not a field, so ``dataclasses.replace``
+        never carries it over to a new state.
         """
-        grid = self.theta.grid
-        term = np.empty(grid.packed_shape, dtype=complex)
+        term = np.empty(self.grid.packed_shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            velocity = _advection(grid, self._packed, term, self.config.nonlinear_enabled)
+            velocity = _advection(self.grid, self.packed, term,
+                                  self.config.nonlinear_enabled)
             return term, 0.0 if velocity is None else _sup_norm(*velocity)
 
 
 def initial_state(theta0: SpectralField, config: SolverConfig) -> SolverState:
-    return SolverState(t=0.0, theta=dealias(theta0), config=config)
+    """The state at t = 0 of ``dealias(theta0)``: theta0's packed 2/3-rule block."""
+    return SolverState(0.0, theta0.grid, _pack(theta0.grid, theta0.coeffs), config)
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
@@ -152,7 +153,7 @@ def step(state: SolverState, dt: float) -> SolverState:
         new = e_full * th + (-dt/6) ((e_full a1 + (2 e_half) (a2 + a3)) + a4)
 
     on the packed block, with kappa |k|^gamma from the grid's packed cache;
-    ``new`` goes into a3's slot, and is unpacked into the new state.
+    ``new``, the new state's block, is an array of its own.
     """
     config = state.config
     if not np.isfinite(dt) or dt <= 0.0:
@@ -160,12 +161,12 @@ def step(state: SolverState, dt: float) -> SolverState:
     if dt > config.dt_max * (1.0 + 1e-12):
         raise ParameterError(f"step size {dt} exceeds dt_max = {config.dt_max}")
 
-    grid = state.theta.grid
-    lam = config.kappa * grid._kmag_pow(config.gamma, packed=True)
+    grid = state.grid
+    lam = config.kappa * grid._kmag_pow(config.gamma)
     e_full = np.exp(-lam * dt)
     e_half = np.exp(-lam * (0.5 * dt))
 
-    th = state._packed
+    th = state.packed
     x, a2, a3, a4 = np.empty((4,) + th.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = state.stage1[0]
@@ -189,19 +190,19 @@ def step(state: SolverState, dt: float) -> SolverState:
         x += a2
         x += a4
         x *= -dt / 6.0
-        new = a3  # read no more
-        np.multiply(e_full, th, out=new)
+        new = np.multiply(e_full, th)
         new += x
 
     if not np.all(np.isfinite(new)):
-        bad = _unpack(grid, new)
-        kmag_bad = np.where(np.isfinite(bad), -1.0, grid.kmag)
-        i, j = np.unravel_index(int(np.argmax(kmag_bad)), bad.shape)
+        # the first non-finite mode of largest |k| in row-major order, where
+        # the packed rows m1 = 0 .. cutoff, -cutoff .. -1 keep the half
+        # spectrum's order
+        kmag_bad = np.where(np.isfinite(new), -1.0, grid._kmag_pow(1.0))
+        i, j = np.unravel_index(int(np.argmax(kmag_bad)), new.shape)
         raise BlowUpError(state.t + dt, state.step_count + 1,
-                          (grid.m1[i, 0], grid.m2[0, j]))
+                          (i if i <= grid.cutoff else i - new.shape[0], j))
 
-    return SolverState(t=state.t + dt, theta=SpectralField(grid, _unpack(grid, new)),
-                       config=config, step_count=state.step_count + 1)
+    return SolverState(state.t + dt, grid, new, config, state.step_count + 1)
 
 
 def adapt_dt(state: SolverState) -> float:
@@ -211,7 +212,7 @@ def adapt_dt(state: SolverState) -> float:
     The speed comes from the state's cached first RK4 stage, which the
     following ``step`` reuses.
     """
-    config, grid = state.config, state.theta.grid
+    config, grid = state.config, state.grid
     umax = state.stage1[1]
     if umax == 0.0:
         return config.dt_max

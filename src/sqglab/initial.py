@@ -86,7 +86,8 @@ def _random_h1(grid: Grid, seed: int) -> SpectralField:
     amp = np.zeros(grid.spectral_shape)
     nonzero = mmag > 0.0
     amp[nonzero] = mmag[nonzero] ** (-2.0 - delta)
-    amp[~grid.dealias_mask] = 0.0  # keep the data alias-free under the dynamics
+    # keep the data alias-free under the dynamics: no mode past the cutoff
+    amp[np.maximum(abs(grid.m1), abs(grid.m2)) > grid.cutoff] = 0.0
 
     field = SpectralField(grid, amp * np.exp(1j * phase))
     return SpectralField(grid, field.coeffs / sobolev_norm(field, 1.0))

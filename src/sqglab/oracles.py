@@ -50,10 +50,11 @@ ORACLE_CSV_HEADER = "name,max_abs_error,max_rel_error,tolerance,pass"
 
 def linear_heat_exact(theta0: SpectralField, gamma: float, kappa: float,
                       t: float) -> SpectralField:
-    """Exact fractional heat semigroup: coefficients times exp(-kappa |k|^gamma t)."""
+    """Exact fractional heat semigroup: coefficients times exp(-kappa |k|^gamma t),
+    on the whole half spectrum, so modes past the cutoff decay too."""
     if t < 0.0:
         raise ParameterError(f"time must be >= 0, got {t}")
-    decay = np.exp(-kappa * theta0.grid.kmag_pow(gamma) * t)
+    decay = np.exp(-kappa * theta0.grid._kmag_pow(gamma, packed=False) * t)
     return SpectralField(theta0.grid, decay * theta0.coeffs)
 
 

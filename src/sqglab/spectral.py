@@ -1,34 +1,24 @@
 """Discrete Fourier representation of real scalar fields on a periodic box,
 and the advection kernel the stepper integrates.
 
-Grid points are x_j = (L/n) * j, j = 0..n-1 per axis, stored row-major.
-Coefficients follow F(m) = (1/n^2) * sum_j f(x_j) exp(-i k(m) . x_j) with
-k(m) = (2 pi / L) m.  Fields are real, so a ``SpectralField`` holds only the
-(n, n/2+1) half spectrum of ``numpy.fft.rfft2``: rows m1 = 0, 1, .., n/2-1,
--n/2, .., -1 and columns m2 = 0, 1, .., n/2.  A mode of columns 1 .. n/2-1
-stands for its conjugate partner too, so full-lattice sums are half-lattice
-sums weighted by ``Grid.weights`` (2 there, 1 on columns 0 and n/2), and
-Parseval reads ||f||_{L^2}^2 = L^2 * sum_m w(m) |F(m)|^2.
+Grid points are x_j = (L/n) j, j = 0..n-1 per axis, row-major; coefficients
+are F(m) = (1/n^2) sum_j f(x_j) exp(-i k(m) . x_j), k(m) = (2 pi / L) m.  A
+``SpectralField`` holds the (n, n/2+1) half spectrum of ``numpy.fft.rfft2``
+(rows m1 = 0 .. n/2-1, -n/2 .. -1; columns m2 = 0 .. n/2), so full-lattice
+sums are half-lattice sums weighted by ``Grid.weights`` (2, or 1 on columns
+0 and n/2): ||f||_{L^2}^2 = L^2 sum_m w(m) |F(m)|^2.
 
-The public transforms are ``irfft2`` and ``rfft2``.  The stepper's and the
-sample's run the same 1-D passes in the same order, so on the 2/3-rule
-block results match them bit for bit; their column passes work in place on
-scratch in a per-thread workspace, so threads never share buffers and a
-right-hand side allocates nothing large.
-
-One function, ``_advection``, forms u . grad(theta) under the 2/3 rule,
-and one, ``_sample``, the norm sample's grid values and gradient.  Both
-read only the modes |m1|, |m2| <= ``Grid.cutoff``, so their column passes
-run on the first cutoff + 1 columns alone (Patterson and Orszag, 1971).
-``_advection`` takes and gives those modes packed (``_pack``,
-``_unpack``): a contiguous ``Grid.packed_shape`` array, (2 cutoff + 1,
-cutoff + 1), of the rows m1 = 0 .. cutoff, then -cutoff .. -1
-(``Grid.live_rows``), and the columns m2 = 0 .. cutoff.  The tables they
-and the stepper read, ``Grid.multipliers`` and the integrating factors'
-powers of |k|, are held on that block only.
-
-A right-hand side is one batched inverse and one forward transform, a
-norm sample one batched inverse, on the calling thread.
+The 2/3 rule keeps the modes |m1|, |m2| <= ``Grid.cutoff``, held packed
+(``_pack``, ``_unpack``) in a contiguous ``Grid.packed_shape`` array of the
+rows m1 = 0 .. cutoff, -cutoff .. -1 (``Grid.live_rows``) and the columns
+m2 = 0 .. cutoff.  A solver state is that block.  ``_advection`` (the term
+u . grad(theta)), ``_sample`` (the norm sample) and ``sobolev_norms`` read
+it, and the tables they read live on it only.  Their transforms run the
+1-D passes of ``irfft2`` and ``rfft2`` in the same order, the column passes
+on the cutoff + 1 live columns alone (Patterson and Orszag, 1971), so on
+the block they match them bit for bit.  They work in place in a per-thread
+workspace: one batched inverse transform, and for a right-hand side one
+forward transform, on the calling thread.
 """
 
 from __future__ import annotations
@@ -61,14 +51,14 @@ class Grid:
     """Uniform n x n periodic grid on [0, L)^2 and its half wavenumber lattice.
 
     Holds every Fourier multiplier: on the (n, n/2+1) half lattice the
-    integer frequencies ``m1``/``m2`` and physical wavenumbers ``k1``/``k2``
-    (a column and a row that broadcast), the modulus ``kmag`` and its cached
-    powers, the Parseval ``weights``, the 2/3-rule ``cutoff`` (n-1)//3 and
-    ``dealias_mask``, and the ``packed_shape`` and ``live_rows`` of the
-    modes that rule keeps, packed (see the module docstring).  On that
-    packed block only, the ``multipliers`` stack (4, 2 cutoff + 1,
-    cutoff + 1) gives, from theta, the Riesz velocity u1 = -i k2/|k|,
-    u2 = i k1/|k| (0 at k = 0) and the gradient i k1, i k2.
+    integer frequencies ``m1``/``m2``, the physical wavenumbers ``k1``/``k2``
+    (a column and a row that broadcast) and the Parseval ``weights``; the
+    2/3-rule ``cutoff`` (n-1)//3, and the ``packed_shape`` and ``live_rows``
+    of the modes that rule keeps, packed (see the module docstring).  On that
+    packed block only, the cached powers of |k| and the ``multipliers`` stack
+    (4, 2 cutoff + 1, cutoff + 1), which gives, from theta, the Riesz
+    velocity u1 = -i k2/|k|, u2 = i k1/|k| (0 at k = 0) and the gradient
+    i k1, i k2.
     """
 
     def __init__(self, n: int, length: float):
@@ -81,9 +71,17 @@ class Grid:
         self.length = float(length)
         self.dx = self.length / n
         self.spectral_shape = (n, n // 2 + 1)
-        # the first (n, n/2+1) array before any n-long one: a grid too large
-        # to hold fails here, having touched no memory
-        self.kmag = np.empty(self.spectral_shape)
+        # the largest cutoff with 3 cutoff < n: at 3 cutoff = n the product of
+        # two modes at the cutoff aliases back onto the mode -cutoff
+        self.cutoff = (n - 1) // 3
+        live = self.cutoff + 1
+        self.packed_shape = (2 * self.cutoff + 1, live)
+        # the first packed array before any n-long one: a grid too large to
+        # hold fails here, having touched no memory
+        self.multipliers = np.empty((4,) + self.packed_shape, dtype=complex)
+        # (half-spectrum rows, packed rows): m1 = 0 .. cutoff, then -cutoff .. -1
+        self.live_rows = ((slice(None, live), slice(None, live)),
+                          (slice(-self.cutoff, None), slice(live, None)))
 
         # the integers, Nyquist at -n/2 and at +n/2; fftfreq(n, d=1/n) scales
         # them by 1 / (n (1/n)), which is not 1 at n = 98, 196, 206, ...
@@ -92,49 +90,36 @@ class Grid:
         scale = 2.0 * np.pi / self.length
         self.k1 = scale * self.m1
         self.k2 = scale * self.m2
-        np.hypot(self.k1, self.k2, out=self.kmag)
 
         self.weights = np.full((1, n // 2 + 1), 2.0)
         self.weights[0, [0, -1]] = 1.0
 
-        # the largest cutoff with 3 cutoff < n: at 3 cutoff = n the product of
-        # two modes at the cutoff aliases back onto the mode -cutoff
-        self.cutoff = (n - 1) // 3
-        self.dealias_mask = (abs(self.m1) <= self.cutoff) & (abs(self.m2) <= self.cutoff)
-        live = self.cutoff + 1
-        self.packed_shape = (2 * self.cutoff + 1, live)
-        # (half-spectrum rows, packed rows): m1 = 0 .. cutoff, then -cutoff .. -1
-        self.live_rows = ((slice(None, live), slice(None, live)),
-                          (slice(-self.cutoff, None), slice(live, None)))
-
+        self._pow_cache: dict[float, np.ndarray] = {}
         k1, k2 = _pack(self, self.k1), self.k2[:, :live]
-        kmag = _pack(self, self.kmag)
+        kmag = self._kmag_pow(1.0)
         inv_k = np.zeros_like(kmag)
         np.divide(1.0, kmag, out=inv_k, where=kmag > 0.0)
-        self.multipliers = np.empty((4,) + self.packed_shape, dtype=complex)
         for out, symbol in zip(self.multipliers, (-k2 * inv_k, k1 * inv_k, k1, k2)):
             np.multiply(1j, symbol, out=out)
-
-        self._pow_cache: dict[tuple[float, bool], np.ndarray] = {}
 
     def points(self):
         """Coordinate arrays (x1, x2), each of shape (n, n)."""
         x = self.dx * np.arange(self.n)
         return np.meshgrid(x, x, indexing="ij")
 
-    def kmag_pow(self, s: float) -> np.ndarray:
-        """|k|^s with 0^s = 0 for s > 0 and 0^0 = 1, cached per exponent."""
-        return self._kmag_pow(s, packed=False)
-
-    def _kmag_pow(self, s: float, packed: bool) -> np.ndarray:
-        """``kmag_pow(s)``, or with ``packed`` its packed block, cached per
-        exponent and layout."""
-        key = (float(s), packed)
-        out = self._pow_cache.get(key)
+    def _kmag_pow(self, s: float, packed: bool = True) -> np.ndarray:
+        """|k|^s with 0^s = 0 for s > 0 and 0^0 = 1: on the packed block,
+        cached per exponent, or without ``packed`` on the whole half
+        spectrum, formed anew for a field that holds modes past the cutoff."""
+        s = float(s)
+        out = self._pow_cache.get(s) if packed else None
         if out is None:
+            k1, k2 = ((_pack(self, self.k1), self.k2[:, :self.packed_shape[1]])
+                      if packed else (self.k1, self.k2))
             with np.errstate(divide="ignore"):
-                out = (_pack(self, self.kmag) if packed else self.kmag) ** key[0]
-            self._pow_cache[key] = out
+                out = np.hypot(k1, k2) ** s
+            if packed:
+                self._pow_cache[s] = out
         return out
 
     def __eq__(self, other):
@@ -199,7 +184,7 @@ def _pack(grid: Grid, full: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 def _unpack(grid: Grid, packed: np.ndarray) -> np.ndarray:
     """The half spectra of one or a stack of packed spectra: a new array,
-    +0.0 outside ``dealias_mask``."""
+    +0.0 outside the 2/3-rule block."""
     out = np.zeros(packed.shape[:-2] + grid.spectral_shape, dtype=packed.dtype)
     cols = packed.shape[-1]
     for rows, block in grid.live_rows:
@@ -208,11 +193,11 @@ def _unpack(grid: Grid, packed: np.ndarray) -> np.ndarray:
 
 
 def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Grid values of the modes in ``dealias_mask`` of one or a stack of half
-    spectra, written into ``out``.  ``spec`` is scratch: the other modes are
-    zeroed, and the column pass skips their columns and overwrites the rest.
-    The row pass reads zeroed columns, not ``irfft``'s zero-padding, which
-    costs more than filling them."""
+    """Grid values of the 2/3-rule block of one or a stack of half spectra,
+    written into ``out``.  ``spec`` is scratch: the other modes are zeroed,
+    and the column pass skips their columns and overwrites the rest.  The
+    row pass reads zeroed columns, not ``irfft``'s zero-padding, which costs
+    more than filling them."""
     live = grid.packed_shape[1]
     spec[..., live:grid.n - live + 1, :live] = 0.0  # rows |m1| > cutoff, if any
     cols = spec[..., :live]
@@ -280,9 +265,12 @@ def dealias(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, _unpack(F.grid, _pack(F.grid, F.coeffs)))
 
 
-def sobolev_norms(F: SpectralField, orders) -> list[float]:
+def sobolev_norms(grid: Grid, coeffs: np.ndarray, orders) -> list[float]:
     """Homogeneous Sobolev norms (L^2 sum_m |k|^{2s} |F(m)|^2)^{1/2}, one per
-    order s, from one weighted |F|^2 array and one sum per distinct order.
+    order s, of the coefficients ``coeffs`` on grid: a half spectrum, or
+    the packed 2/3-rule block (``Grid.packed_shape``), whose weights are
+    the half spectrum's first columns (1 on column 0, 2 elsewhere).  One
+    weighted |F|^2 array is formed, and one sum per distinct order.
 
     For s = 0 the weighted |F|^2 is summed as it is, zero mode included, so
     the value is the full L^2 norm; for s > 0 the zero mode contributes
@@ -291,33 +279,35 @@ def sobolev_norms(F: SpectralField, orders) -> list[float]:
     orders = [float(s) for s in orders]
     if not all(0.0 <= s < math.inf for s in orders):
         raise ParameterError(f"Sobolev orders must be finite and >= 0, got {orders}")
-    grid = F.grid
-    energy = grid.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
+    packed = coeffs.shape == grid.packed_shape
+    energy = coeffs.real ** 2
+    energy += coeffs.imag ** 2
+    energy *= grid.weights[:, :coeffs.shape[-1]]
     norms = {s: grid.length * float(np.sqrt(np.sum(
-        grid.kmag_pow(2.0 * s) * energy if s else energy))) for s in set(orders)}
+        grid._kmag_pow(2.0 * s, packed) * energy if s else energy))) for s in set(orders)}
     return [norms[s] for s in orders]
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
-    """Homogeneous Sobolev norm of order s; see ``sobolev_norms``."""
-    return sobolev_norms(F, (s,))[0]
+    """Homogeneous Sobolev norm of order s over all of F's half spectrum;
+    see ``sobolev_norms``."""
+    return sobolev_norms(F.grid, F.coeffs, (s,))[0]
 
 
-def _sample(F: SpectralField):
+def _sample(grid: Grid, packed: np.ndarray):
     """(f, max f, min f, max |f|, max |grad f|) on the grid, for f the field
-    of ``dealias(F)``, from one inverse transform of the 2/3-rule block of
-    (F, i k1 F, i k2 F), formed as ``_advection`` forms its four fields, in
-    slots 0 to 2 of this thread's workspace.  f is bit for bit
-    ``inverse_transform(dealias(F))``, in a view valid until this thread's
-    next transform."""
-    grid = F.grid
+    of the packed 2/3-rule block ``packed``, from one inverse transform of
+    (F, i k1 F, i k2 F), filled from the block as ``_advection`` fills its
+    four fields, in slots 0 to 2 of this thread's workspace.  f is bit for
+    bit ``inverse_transform`` of the unpacked block, in a view valid until
+    this thread's next transform."""
     spec, stack = _workspace.get(grid)
     spec, stack = spec[:3], stack[:3]
-    live = grid.packed_shape[1]
-    for rows, packed in grid.live_rows:
-        block = F.coeffs[rows, :live]
-        spec[0, rows, :live] = block
-        np.multiply(grid.multipliers[2:, packed], block, out=spec[1:, rows, :live])
+    live = packed.shape[-1]
+    for rows, block in grid.live_rows:
+        spec[0, rows, :live] = packed[block]
+        np.multiply(grid.multipliers[2:, block], packed[block],
+                    out=spec[1:, rows, :live])
     f, d1, d2 = _inverse(grid, spec, stack)
     hi, lo = float(f.max()), float(f.min())
     return f, hi, lo, max(abs(hi), abs(lo)), _sup_norm(d1, d2)
@@ -333,4 +323,4 @@ def _sup_norm(a: np.ndarray, b: np.ndarray) -> float:
 
 def sup_and_gradient_sup(F: SpectralField) -> tuple[float, float]:
     """Grid maxima of |f| and |grad f|, f the field of ``dealias(F)``; see ``_sample``."""
-    return _sample(F)[3:]
+    return _sample(F.grid, _pack(F.grid, F.coeffs))[3:]

@@ -1,7 +1,17 @@
-"""A full-width reference for the tests: the multiplier stack that ``Grid``
-keeps on the packed 2/3-rule block only, on the whole half lattice."""
+"""Full-width references for the tests: the tables that ``Grid`` keeps on
+the packed 2/3-rule block only, on the whole half lattice."""
 
 import numpy as np
+
+
+def kmag(grid):
+    """|k| on the (n, n/2+1) half lattice."""
+    return np.hypot(grid.k1, grid.k2)
+
+
+def dealias_mask(grid):
+    """True on the modes the 2/3 rule keeps, max(|m1|, |m2|) <= cutoff."""
+    return (np.abs(grid.m1) <= grid.cutoff) & (np.abs(grid.m2) <= grid.cutoff)
 
 
 def full_multipliers(grid):
@@ -11,7 +21,8 @@ def full_multipliers(grid):
     gradient component on its own axis' Nyquist line."""
     n = grid.n
     off1, off2 = np.abs(grid.m1) < n // 2, np.abs(grid.m2) < n // 2
-    inv_k = np.zeros_like(grid.kmag)
-    np.divide(1.0, grid.kmag, out=inv_k, where=(grid.kmag > 0.0) & off1 & off2)
+    k = kmag(grid)
+    inv_k = np.zeros_like(k)
+    np.divide(1.0, k, out=inv_k, where=(k > 0.0) & off1 & off2)
     return 1j * np.stack(np.broadcast_arrays(
         -grid.k2 * inv_k, grid.k1 * inv_k, grid.k1 * off1, grid.k2 * off2))

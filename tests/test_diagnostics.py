@@ -13,7 +13,6 @@ from sqglab import (
     NormSeries,
     ParameterError,
     SolverConfig,
-    SolverState,
     SpectralField,
     check_boundedness,
     fit_decay_exponent,
@@ -78,8 +77,8 @@ class TestNormSeries:
         g = Grid(16, TWO_PI)
         coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[1, 2] = math.inf
-        state = SolverState(t=0.5, theta=SpectralField(g, coeffs),
-                            config=SolverConfig(gamma=1.0), step_count=7)
+        state = replace(initial_state(SpectralField(g, coeffs), SolverConfig(gamma=1.0)),
+                        t=0.5, step_count=7)
         with pytest.raises(BlowUpError) as err, np.errstate(invalid="ignore"):
             record_norms(state, NormSeries())
         assert (err.value.t, err.value.step_count) == (0.5, 7)
@@ -269,3 +268,24 @@ def test_warm_record_norms_allocates_no_large_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 532_480
+
+
+def test_warm_record_norms_at_n_256_peaks_below_one_half_spectrum():
+    # the row reads the state's packed block alone: the sample fills the
+    # workspace from it, and the Sobolev sums form one weighted energy and
+    # one product with a cached packed power of |k| at a time, 4/9 of a half
+    # spectrum each.  Summed over the half spectrum they peaked at 595,496
+    # bytes; the cap is one complex half spectrum, 528,384 bytes
+    g = Grid(256, TWO_PI)
+    state = initial_state(make_initial("random_h1", g, seed=5), SolverConfig(gamma=1.0))
+    series = NormSeries(betas=(0.5, 1.0))
+    record_norms(state, series)  # builds the workspace and the |k| powers
+    state = replace(state, t=0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record_norms(state, series)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.spectral_shape[0] * g.spectral_shape[1] == 528_384

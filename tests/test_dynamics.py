@@ -38,7 +38,7 @@ from sqglab import dynamics, spectral
 from sqglab.initial import PRESETS
 from sqglab.spectral import _advection, _inverse, _pack, _unpack
 
-from full_width import full_multipliers
+from full_width import dealias_mask, full_multipliers, kmag
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,7 +53,7 @@ def reference_rhs(grid, c):
     """-u . grad(theta) for the half spectrum c, dealiased, from numpy's 2-D
     transforms on full-width arrays: none of the package's transforms, pair
     split or packing."""
-    mask = grid.dealias_mask
+    mask = dealias_mask(grid)
     u1, u2, d1, d2 = np.fft.irfftn(full_multipliers(grid) * (c * mask),
                                    s=(grid.n, grid.n), axes=(-2, -1), norm="forward")
     return -(np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward") * mask)
@@ -63,14 +63,14 @@ def reference_step(state, dt):
     """The integrating-factor RK4 step as plain expressions on full-width
     arrays: fresh arrays for every stage and operation, nothing written in
     place."""
-    grid, config, th = state.theta.grid, state.config, state.theta.coeffs
+    grid, config, th = state.grid, state.config, state.theta.coeffs
 
     def rhs(c):
         if not config.nonlinear_enabled:
             return np.zeros_like(c)
         return reference_rhs(grid, c)
 
-    lam = config.kappa * grid.kmag_pow(config.gamma)
+    lam = config.kappa * kmag(grid) ** config.gamma
     e_full = np.exp(-lam * dt)
     e_half = np.exp(-lam * (0.5 * dt))
     g1 = rhs(th)
@@ -130,7 +130,7 @@ class TestNonlinearTerm:
         g = Grid(16, TWO_PI)
         rng = np.random.default_rng(7)
         theta = forward_transform(RealField(g, rng.standard_normal((16, 16))))
-        assert np.any(theta.coeffs[~g.dealias_mask] != 0)
+        assert np.any(theta.coeffs[~dealias_mask(g)] != 0)
         pseudo = nonlinear_term(theta)
         direct = convolution_nonlinearity(theta)
         scale = np.max(np.abs(direct.coeffs))
@@ -196,7 +196,7 @@ class TestStep:
         # non-finite products by 0, where the stepper holds zeros)
         with np.errstate(all="ignore"):
             new = reference_step(last, 0.05)
-        bad = np.where(np.isfinite(new) | ~g.dealias_mask, -1.0, g.kmag)
+        bad = np.where(np.isfinite(new) | ~dealias_mask(g), -1.0, kmag(g))
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         assert not np.isfinite(new[i, j])
         assert err.value.mode == (g.m1[i, 0], g.m2[0, j])
@@ -255,7 +255,7 @@ class TestStep:
         state = initial_state(make_initial("cmt", g), critical_config())
         adapt_dt(state)
         assert "stage1" in vars(state)
-        doubled = replace(state, theta=SpectralField(g, 2.0 * state.theta.coeffs))
+        doubled = replace(state, packed=2.0 * state.packed)
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
@@ -312,13 +312,13 @@ class TestStep:
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_states_hold_positive_zeros_outside_the_block(self, preset):
-        # dealias writes +0.0 there as a step does: multiplying by
-        # dealias_mask left -0.0 under every negative real or imaginary part
-        # (2,321 values for cmt at n = 128)
+        # a state's theta unpacks +0.0 there: multiplying by the mask left
+        # -0.0 under every negative real or imaginary part (2,321 values for
+        # cmt at n = 128)
         g = Grid(128, TWO_PI)
         state = initial_state(make_initial(preset, g), critical_config())
         for st in (state, step(state, 0.01)):
-            outside = st.theta.coeffs[~g.dealias_mask]
+            outside = st.theta.coeffs[~dealias_mask(g)]
             assert np.all(outside == 0)
             assert not np.any(np.signbit(outside.real) | np.signbit(outside.imag))
 
@@ -680,3 +680,28 @@ def test_warm_step_allocates_no_large_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 1_064_960
+
+
+def test_a_warm_step_allocates_no_half_spectrum():
+    # a state is its packed block, so a step holds its (4, ...) stage block,
+    # the new state's block and three packed float tables (kappa |k|^gamma
+    # and the two factors).  The rest of its peak, numpy's ufunc buffers,
+    # stays below the smallest array of Grid.spectral_shape, a float half
+    # spectrum of 264,192 bytes: unpacking the new state into a complex one
+    # put 530,056 bytes there
+    g = Grid(256, TWO_PI)
+    state = initial_state(make_initial("random_h1", g, seed=5), critical_config())
+    state = step(state, adapt_dt(state))  # builds this thread's workspace
+    adapt_dt(state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        new = step(state, 0.001)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    packed = 8 * g.packed_shape[0] * g.packed_shape[1]  # one float block
+    held = (4 + 1) * 2 * packed + 3 * packed
+    assert peak - held < 8 * g.spectral_shape[0] * g.spectral_shape[1]
+    assert vars(new).keys() == {"t", "grid", "packed", "config", "step_count"}
+    assert new.packed.base is None and new.packed.shape == g.packed_shape

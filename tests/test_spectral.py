@@ -16,7 +16,6 @@ from sqglab import (
     ParameterError,
     RealField,
     SolverConfig,
-    SolverState,
     SpectralField,
     dealias,
     forward_transform,
@@ -30,7 +29,7 @@ from sqglab import diagnostics, spectral
 from sqglab.initial import PRESETS, band_limited_random, make_initial
 from sqglab.spectral import _inverse, _pack, _unpack, sobolev_norms
 
-from full_width import full_multipliers
+from full_width import dealias_mask, full_multipliers, kmag
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,13 +108,13 @@ class TestGrid:
         # symmetric under negation except Nyquist
         for i in range(1, 4):
             assert g.k1[i, 0] == -g.k1[-i, 0]
-        assert np.allclose(g.kmag, np.hypot(g.k1, g.k2))
+        assert np.allclose(g._kmag_pow(1.0), np.hypot(_pack(g, g.k1), g.k2[:, :3]))
 
     def test_half_lattice_layout(self):
         g = grid(8, 4.0)
         assert g.spectral_shape == (8, 5)
         assert np.array_equal(g.m2[0], [0, 1, 2, 3, 4])
-        assert g.kmag.shape == g.dealias_mask.shape == (8, 5)
+        assert g._kmag_pow(1.0).shape == g.packed_shape == (5, 3)
         assert g.multipliers.shape == (4,) + g.packed_shape == (4, 5, 3)
         assert np.array_equal(g.weights[0], [1, 2, 2, 2, 1])
 
@@ -133,7 +132,7 @@ class TestGrid:
         rows = np.r_[0:g.cutoff + 1, n - g.cutoff:n]
         block = np.zeros(g.spectral_shape, dtype=bool)
         block[np.ix_(rows, np.arange(g.cutoff + 1))] = True
-        assert np.array_equal(g.dealias_mask, block)
+        assert np.array_equal(_unpack(g, np.ones(g.packed_shape)) == 1.0, block)
 
     @pytest.mark.parametrize("length", [TWO_PI, 1.0, 1e-11, 4e6])
     @pytest.mark.parametrize("n", [8, 10, 98, 128, 196, 206, 208, 256, 322])
@@ -144,8 +143,10 @@ class TestGrid:
         assert np.array_equal(g.multipliers.view(np.int64),
                               _pack(g, full_multipliers(g)).view(np.int64))
         for gamma in (0.5, 1.0, 1.7):
-            assert np.array_equal(g._kmag_pow(gamma, packed=True).view(np.int64),
-                                  _pack(g, g.kmag_pow(gamma)).view(np.int64))
+            full = g._kmag_pow(gamma, packed=False)
+            assert np.array_equal(full.view(np.int64), (kmag(g) ** gamma).view(np.int64))
+            assert np.array_equal(g._kmag_pow(gamma).view(np.int64),
+                                  _pack(g, full).view(np.int64))
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [8, 12, 64, 96, 98])
@@ -264,34 +265,35 @@ class TestTransforms:
 
 
 class TestFractionalLaplacian:
-    """``Grid.kmag_pow(gamma)`` is the symbol of (-Laplace)^{gamma/2}."""
+    """``Grid._kmag_pow(gamma, packed=False)`` is the symbol of
+    (-Laplace)^{gamma/2} on the half spectrum."""
 
     def test_unit_mode_is_eigenfunction(self):
         g = grid()
         x1, _ = g.points()
         F = forward_transform(RealField(g, np.sin(x1)))
         for gamma in (0.3, 1.0, 2.0):
-            out = inverse_transform(SpectralField(g, g.kmag_pow(gamma) * F.coeffs))
+            out = inverse_transform(SpectralField(g, g._kmag_pow(gamma, False) * F.coeffs))
             assert np.max(np.abs(out.values - np.sin(x1))) < 1e-12
 
     def test_mode_two(self):
         g = grid()
         x1, _ = g.points()
         F = forward_transform(RealField(g, np.sin(2 * x1)))
-        out = inverse_transform(SpectralField(g, g.kmag_pow(1.0) * F.coeffs))
+        out = inverse_transform(SpectralField(g, g._kmag_pow(1.0, False) * F.coeffs))
         assert np.max(np.abs(out.values - 2 * np.sin(2 * x1))) < 1e-13
 
     def test_gamma_two_matches_minus_laplacian(self):
         g = grid(16)
         F = forward_transform(random_field(g, 5))
         expected = (g.k1 ** 2 + g.k2 ** 2) * F.coeffs
-        assert np.max(np.abs(g.kmag_pow(2.0) * F.coeffs - expected)) < 1e-12
+        assert np.max(np.abs(g._kmag_pow(2.0, False) * F.coeffs - expected)) < 1e-12
 
     def test_positive_semidefinite(self):
         g = grid(16)
         F = forward_transform(random_field(g, 9))
         for gamma in (0.5, 1.0, 2.0):
-            out = g.kmag_pow(gamma) * F.coeffs
+            out = g._kmag_pow(gamma, False) * F.coeffs
             quad = g.length ** 2 * np.sum(np.conj(F.coeffs) * out).real
             assert quad >= 0.0
 
@@ -384,7 +386,7 @@ class TestNorms:
         F = forward_transform(random_field(g, n))
         energy = g.weights * (F.coeffs.real ** 2 + F.coeffs.imag ** 2)
         assert sobolev_norm(F, 0.0) == g.length * float(
-            np.sqrt(np.sum(g.kmag_pow(0.0) * energy)))
+            np.sqrt(np.sum(g._kmag_pow(0.0, False) * energy)))
 
     def test_negative_order_rejected(self):
         g = grid(8)
@@ -396,7 +398,7 @@ class TestNorms:
     def test_non_finite_order_rejected(self, order):
         F = forward_transform(random_field(grid(8)))
         with pytest.raises(ParameterError, match="finite"):
-            sobolev_norms(F, [1.0, order])
+            sobolev_norms(F.grid, F.coeffs, [1.0, order])
 
     def test_linf_and_gradient_sup(self):
         g = grid()
@@ -412,7 +414,7 @@ class TestNorms:
         g = grid(32)
         f = random_field(g, 13)
         F = forward_transform(f)
-        bound = float(np.sum(g.weights * g.kmag * np.abs(F.coeffs)))
+        bound = float(np.sum(g.weights * kmag(g) * np.abs(F.coeffs)))
         assert sup_and_gradient_sup(F)[1] <= bound * (1.0 + 1e-12)
 
 
@@ -437,7 +439,7 @@ def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
     F = sample_field(grid(n), source, 5 if source in PRESETS else n)
     linf, _ = sup_and_gradient_sup(F)
     series = NormSeries()
-    values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
+    values, hi, lo = record_norms(initial_state(F, SolverConfig(gamma=1.0)), series)
     values = values.copy()
     assert series.column("linf")[0] == linf
     expected = inverse_transform(dealias(F)).values
@@ -450,7 +452,7 @@ def test_sup_leaves_the_grid_values_of_inverse_transform(n, source):
 def sample(F):
     """record_norms' row, its (values, hi, lo) and sup_and_gradient_sup."""
     series = NormSeries(betas=(0.5, 1.0))
-    values, hi, lo = record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
+    values, hi, lo = record_norms(initial_state(F, SolverConfig(gamma=1.0)), series)
     values = values.copy()
     sups = sup_and_gradient_sup(F)
     return [series.column(name)[0] for name in series.columns], values, hi, lo, sups
@@ -474,6 +476,44 @@ def test_the_sample_reads_the_2_3_rule_block(n, source):
     record_norms(initial_state(F, SolverConfig(gamma=1.0)), series)
     row = [series.column(name)[0] for name in ("linf", "grad_sup")]
     assert np.array_equal(bits(row), bits(sups))
+
+
+ORDERS = (0.0, 1.0, 1.5, 2.0, 1.5, 2.0)  # l2, h1, h3_2, h2, h1+0.5, h1+1
+
+
+def within_ulps(got, expected, ulps):
+    """|got - expected| <= ulps units in the last place of each expected."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return bool(np.all(np.abs(got - expected) <= ulps * np.spacing(np.abs(expected))))
+
+
+@pytest.mark.parametrize("n", [8, 16, 48, 128])
+@pytest.mark.parametrize("source", PRESETS + ("noise",))
+def test_a_row_reads_one_spectrum(n, source):
+    # a state built from F, dealiased or not, gives a row whose sups and
+    # Sobolev norms all come from dealias(F): the sups bit for bit, the
+    # Sobolev norms, summed over the packed block, within 4 ulp of the sums
+    # over dealias(F)'s half spectrum.  Grid noise holds modes past the
+    # cutoff, which no column may read
+    F = sample_field(grid(n), source, 5 if source in PRESETS else n)
+    kept = dealias(F)
+    row, *_ = sample(F)
+    sups = [row[1], row[6]]
+    assert np.array_equal(bits(sups), bits(sup_and_gradient_sup(kept)))
+    assert within_ulps(row[2:6] + row[7:], [sobolev_norm(kept, s) for s in ORDERS], 4)
+    if source == "noise":
+        assert row[2] < sobolev_norm(F, 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 12, 98, 128, 196, 206, 256])
+@pytest.mark.parametrize("source", PRESETS + ("noise",))
+def test_the_packed_sum_is_the_half_spectrum_sum_within_4_ulp(n, source):
+    # one summation for both layouts: on a dealiased spectrum only the order
+    # of the additions differs, and the zeros past the cutoff add nothing
+    g = grid(n)
+    F = dealias(sample_field(g, source, 5 if source in PRESETS else n))
+    packed = sobolev_norms(g, _pack(g, F.coeffs), ORDERS)
+    assert within_ulps(packed, sobolev_norms(g, F.coeffs, ORDERS), 4)
 
 
 @pytest.mark.parametrize("n", [8, 12, 98, 196, 206, 256])
@@ -502,7 +542,8 @@ def test_the_block_sample_matches_a_full_width_one_bit_for_bit(n, source):
 class TestSampleBatch:
     """``spectral._sample`` inverts (F, i k1 F, i k2 F) on the 2/3-rule
     block as one batch and takes the max and min of f and sup |grad f| from
-    it; ``record_norms`` takes the Sobolev norms from ``sobolev_norms``."""
+    it; ``record_norms`` takes the Sobolev norms from ``sobolev_norms`` of
+    the same packed block."""
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 32).map(lambda k: 2 * k), seed=st.integers(0, 2 ** 16),
@@ -513,12 +554,12 @@ class TestSampleBatch:
     def test_matches_the_three_field_batch_bit_for_bit(self, n, seed, source):
         g = grid(n)
         F = sample_field(g, source, seed)
-        # the sup norms read F's 2/3-rule block, the Sobolev norms all of F
+        # the sup norms and the Sobolev norms all read F's 2/3-rule block
         kept = dealias(F).coeffs
         spec = np.stack([kept, *(full_multipliers(g)[2:] * kept)])
         f, d1, d2 = _inverse(g, spec, np.empty((3, n, n)))
         linf, grad_sup = np.abs(f).max(), float(np.sqrt((d1 * d1 + d2 * d2).max()))
-        norms = sobolev_norms(F, (0.0, 1.0, 1.5, 2.0, 1.5, 2.0))
+        norms = sobolev_norms(g, _pack(g, kept), (0.0, 1.0, 1.5, 2.0, 1.5, 2.0))
         assert np.array_equal(f, inverse_transform(dealias(F)).values)
         row, values, hi, lo, sups = sample(F)
         assert row == [0.0, linf, *norms[:4], grad_sup, *norms[4:]]
@@ -541,7 +582,7 @@ class TestSampleBatch:
         monkeypatch.setattr(module, failing, fail)
         series = NormSeries()
         with pytest.raises(Boom, match=failing):
-            record_norms(SolverState(0.0, F, SolverConfig(gamma=1.0)), series)
+            record_norms(initial_state(F, SolverConfig(gamma=1.0)), series)
         assert len(series) == 0  # a failed sample appends no row
         # and the next sample gives the same bits
         monkeypatch.setattr(module, failing, real)
@@ -607,11 +648,11 @@ class TestDealias:
         # leave -0.0 under a negative part and NaN under a non-finite one
         g = grid(24)
         F = forward_transform(random_field(g, 3))
-        outside = ~g.dealias_mask
+        outside = ~dealias_mask(g)
         F.coeffs[outside] = np.resize([-1.0 - 1.0j, np.nan, complex(-np.inf, 0.0)],
                                       int(outside.sum()))
         out = dealias(F).coeffs
-        assert np.array_equal(out[g.dealias_mask], F.coeffs[g.dealias_mask])
+        assert np.array_equal(out[~outside], F.coeffs[~outside])
         assert np.all(out[outside] == 0)
         assert not np.any(np.signbit(out[outside].real) | np.signbit(out[outside].imag))
 

@@ -89,9 +89,8 @@ class SolverState:
     """One point on a trajectory: (t, grid, packed block, config, step count).
 
     ``packed`` holds theta's modes that the 2/3 rule keeps, in
-    ``grid.packed_shape`` (see ``sqglab.spectral._pack``); theta is +0.0
-    past them.  Build a state with ``initial_state``, and give it another
-    time with ``dataclasses.replace``.
+    ``grid.packed_shape``; theta is +0.0 past them.  Build a state with
+    ``initial_state``, and give it another time with ``dataclasses.replace``.
     """
 
     t: float
@@ -99,6 +98,10 @@ class SolverState:
     packed: np.ndarray
     config: SolverConfig
     step_count: int = 0
+
+    def __post_init__(self):
+        if np.shape(self.packed) != getattr(self.grid, "packed_shape", None):
+            raise ParameterError(f"packed must have grid.packed_shape, not {np.shape(self.packed)}")
 
     @property
     def theta(self) -> SpectralField:

@@ -251,11 +251,17 @@ def test_integral_tail_fraction_needs_three_samples():
         integral_tail_fraction([0.0, 1.0], [1.0, 1.0])
 
 
-def test_warm_record_norms_allocates_no_large_temporaries():
+@pytest.mark.parametrize("n, cap", [(128, 532_480), (256, 528_384)])
+def test_warm_record_norms_allocates_no_large_temporaries(n, cap):
     # the batched (theta, d1 theta, d2 theta) inverse and its reductions run in
-    # the per-thread workspace; made afresh they peak at about 2.2x the cap,
-    # 532,480 bytes (a (4, 128, 65) complex stack), in place at about 0.4x
-    g = Grid(128, TWO_PI)
+    # the per-thread workspace; made afresh they peak at about 2.2x the n = 128
+    # cap, 532,480 bytes (a (4, 128, 65) complex stack), in place at about
+    # 0.4x.  The row reads the state's packed block alone: the Sobolev sums
+    # form one weighted energy and one product with a cached packed power of
+    # |k| at a time, 4/9 of a half spectrum each.  The n = 256 cap is one
+    # complex half spectrum; summed over the half spectrum they peaked at
+    # 595,496 bytes there
+    g = Grid(n, TWO_PI)
     state = initial_state(make_initial("random_h1", g, seed=5), SolverConfig(gamma=1.0))
     series = NormSeries(betas=(0.5, 1.0))
     record_norms(state, series)  # builds the workspace and the |k| powers
@@ -267,25 +273,4 @@ def test_warm_record_norms_allocates_no_large_temporaries():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 532_480
-
-
-def test_warm_record_norms_at_n_256_peaks_below_one_half_spectrum():
-    # the row reads the state's packed block alone: the sample fills the
-    # workspace from it, and the Sobolev sums form one weighted energy and
-    # one product with a cached packed power of |k| at a time, 4/9 of a half
-    # spectrum each.  Summed over the half spectrum they peaked at 595,496
-    # bytes; the cap is one complex half spectrum, 528,384 bytes
-    g = Grid(256, TWO_PI)
-    state = initial_state(make_initial("random_h1", g, seed=5), SolverConfig(gamma=1.0))
-    series = NormSeries(betas=(0.5, 1.0))
-    record_norms(state, series)  # builds the workspace and the |k| powers
-    state = replace(state, t=0.5)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        record_norms(state, series)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * g.spectral_shape[0] * g.spectral_shape[1] == 528_384
+    assert peak < cap

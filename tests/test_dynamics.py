@@ -259,6 +259,17 @@ class TestStep:
         assert "stage1" not in vars(doubled)
         assert np.allclose(doubled.stage1[0], 4.0 * state.stage1[0], rtol=0, atol=1e-13)
 
+    def test_a_state_refuses_anything_but_a_packed_block(self):
+        g = Grid(32, TWO_PI)
+        F = make_initial("cmt", g)
+        state = initial_state(F, critical_config())
+        with pytest.raises(ParameterError, match="packed_shape"):
+            dynamics.SolverState(0.0, F, critical_config(), 0)  # old (t, theta, config, steps)
+        with pytest.raises(ParameterError, match=r"not \(32, 17\)"):
+            replace(state, packed=F.coeffs)  # a full half spectrum
+        with pytest.raises(ParameterError, match="packed_shape"):
+            replace(state, grid=Grid(64, TWO_PI))
+
     @pytest.mark.parametrize("n, flow", [
         (32, {}),
         (64, {}),
@@ -666,42 +677,27 @@ def test_a_child_forked_after_stepping_steps_to_the_same_bits():
     assert out.split() == ["0"]
 
 
-def test_warm_step_allocates_no_large_temporaries():
-    # the cap is twice 532,480 bytes, the size of a (4, 128, 65) complex
-    # stack; allocating every temporary afresh peaks at about 4.4 times that
-    g = Grid(128, TWO_PI)
+@pytest.mark.parametrize("n, cap", [(128, 1_064_960), (256, 15 * 117_648 + 264_192)])
+def test_warm_step_allocates_no_large_temporaries(n, cap):
+    # the n = 128 cap is twice 532,480 bytes, the size of a (4, 128, 65)
+    # complex stack; allocating every temporary afresh peaks at about 4.4
+    # times that.  A state is its packed block, so a step holds its (4, ...)
+    # stage block, the first stage's term and the new state's block, all
+    # complex, and three float tables (kappa |k|^gamma and the two factors):
+    # 15 float blocks, 117,648 bytes each at n = 256.  The n = 256 cap adds
+    # the smallest array of Grid.spectral_shape, a float half spectrum of
+    # 264,192 bytes, for numpy's ufunc buffers: unpacking the new state into
+    # a complex one put 530,056 bytes there
+    g = Grid(n, TWO_PI)
     state = initial_state(make_initial("random_h1", g, seed=5), critical_config())
     state = step(state, adapt_dt(state))  # builds this thread's workspace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        step(state, adapt_dt(state))
+        new = step(state, adapt_dt(state))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1_064_960
-
-
-def test_a_warm_step_allocates_no_half_spectrum():
-    # a state is its packed block, so a step holds its (4, ...) stage block,
-    # the new state's block and three packed float tables (kappa |k|^gamma
-    # and the two factors).  The rest of its peak, numpy's ufunc buffers,
-    # stays below the smallest array of Grid.spectral_shape, a float half
-    # spectrum of 264,192 bytes: unpacking the new state into a complex one
-    # put 530,056 bytes there
-    g = Grid(256, TWO_PI)
-    state = initial_state(make_initial("random_h1", g, seed=5), critical_config())
-    state = step(state, adapt_dt(state))  # builds this thread's workspace
-    adapt_dt(state)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        new = step(state, 0.001)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    packed = 8 * g.packed_shape[0] * g.packed_shape[1]  # one float block
-    held = (4 + 1) * 2 * packed + 3 * packed
-    assert peak - held < 8 * g.spectral_shape[0] * g.spectral_shape[1]
+    assert peak <= cap
     assert vars(new).keys() == {"t", "grid", "packed", "config", "step_count"}
     assert new.packed.base is None and new.packed.shape == g.packed_shape

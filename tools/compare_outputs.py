@@ -1,6 +1,6 @@
 """Compare two sqglab output directories value by value, in ulps.
 
-    python tools/compare_outputs.py DIR_A DIR_B [--ulp N] [--rel R]
+    python tools/compare_outputs.py DIR_A DIR_B [--ulp N]
 
 Every ``norms.csv`` and every ``.bin`` snapshot under DIR_A is paired with
 the file at the same relative path under DIR_B.  For each ``norms.csv``
@@ -11,10 +11,10 @@ column, and for each snapshot's time and field values, it prints one line:
 the largest distance in units in the last place (the count of float64
 values between the two, so +0.0 and -0.0 are 0 apart; use ``cmp`` for
 bits) and the largest |a - b| / max(|a|, |b|).  The last line is the
-verdict.  It exits 0 when every value lies within ``--ulp`` (default 0)
-and, if given, within ``--rel``; it exits 1 when one does not, or when the
-two directories do not hold the same files, headers, row counts or grid
-sizes.  Snapshots are read with ``sqglab.read_snapshot``, so ``src`` must
+verdict.  It exits 0 when every value lies within ``--ulp`` (default 0);
+the relative difference is printed for information only.  It exits 1 when
+a value lies further apart, or when the two directories do not hold the
+same files, headers, row counts or grid sizes.  Snapshots are read with ``sqglab.read_snapshot``, so ``src`` must
 be importable (``PYTHONPATH=src``).
 """
 
@@ -112,26 +112,20 @@ def main(argv=None) -> int:
         description="Compare two sqglab output directories in ulps.")
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
-    parser.add_argument("--ulp", type=float, default=None,
-                        help="largest ulp distance allowed (default 0, or none "
-                             "when only --rel is given)")
-    parser.add_argument("--rel", type=float, default=None,
-                        help="largest relative difference allowed")
+    parser.add_argument("--ulp", type=float, default=0.0,
+                        help="largest ulp distance allowed (default 0)")
     args = parser.parse_args(argv)
-    max_ulp = 0.0 if args.ulp is None and args.rel is None else args.ulp
 
     rows, problems = compare(args.dir_a, args.dir_b)
     failed = list(problems)
     for name, column, ulp, rel in rows:
         print(f"{name} {column} max_ulp {ulp:.0f} max_rel {rel:.3g}")
-        if (max_ulp is not None and not ulp <= max_ulp) or (
-                args.rel is not None and not rel <= args.rel):
+        if not ulp <= args.ulp:
             failed.append(f"{name} {column}")
     for problem in problems:
         print(problem)
     worst = max((row[2] for row in rows), default=0.0)
-    bound = " and ".join(([f"{max_ulp:g} ulp"] if max_ulp is not None else [])
-                         + ([f"relative {args.rel:g}"] if args.rel is not None else []))
+    bound = f"{args.ulp:g} ulp"
     if failed:
         print(f"FAIL: {len(failed)} of {len(rows) + len(problems)} past {bound} "
               f"(largest {worst:.0f} ulp)")

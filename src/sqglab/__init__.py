@@ -1,56 +1,31 @@
 """sqglab: pseudo-spectral quasi-geostrophic solver and regularity diagnostics.
 
-``import sqglab`` loads the stepping modules only: ``errors``, ``spectral``,
-``dynamics``, ``diagnostics`` and ``initial``.  The names of ``config``,
-``modulus``, ``oracles`` and ``snapshot`` are in ``__all__`` too, and their
-module loads on the first use of one of them (PEP 562).
+Every public name is listed once, in ``_PUBLIC`` under the module that
+defines it, and is bound from that module on first use (PEP 562).
+``import sqglab`` loads the stepping modules, ``errors``, ``spectral``,
+``dynamics``, ``initial`` and ``diagnostics``, in that order; ``config``,
+``modulus``, ``oracles`` and ``snapshot`` load on the first use of a name.
 """
 
 import importlib
 
-# dynamics (which loads errors and spectral), initial, then diagnostics: the
-# order these loaded in when config was imported first.  The import order
-# moves where numpy places arrays, which the benchmark's step rate and peak
-# RSS can show (see CHANGES.md)
-from .dynamics import (
-    SolverConfig,
-    SolverState,
-    adapt_dt,
-    initial_state,
-    nonlinear_term,
-    run_until,
-    step,
-)
-from .initial import band_limited_random, make_initial
-from .diagnostics import (
-    NormSeries,
-    check_boundedness,
-    fit_decay_exponent,
-    integral_tail_fraction,
-    record_norms,
-)
-from .errors import (
-    BlowUpError,
-    BudgetError,
-    ConfigError,
-    ParameterError,
-    SnapshotFormatError,
-)
-from .spectral import (
-    Grid,
-    RealField,
-    SpectralField,
-    dealias,
-    forward_transform,
-    inverse_transform,
-    sobolev_norm,
-    sup_and_gradient_sup,
-)
+# the load order moves where numpy places arrays, which the benchmark's peak
+# RSS shows (see CHANGES.md); dynamics loads errors and spectral
+from . import dynamics, initial, diagnostics
 
 __version__ = "0.1.0"
 
-# the modules a stepping run never calls, each loaded on first use of a name
-_LAZY = {
+_PUBLIC = {
+    "errors": ("BlowUpError", "BudgetError", "ConfigError", "ParameterError",
+               "SnapshotFormatError"),
+    "spectral": ("Grid", "RealField", "SpectralField", "dealias",
+                 "forward_transform", "inverse_transform", "sobolev_norm",
+                 "sup_and_gradient_sup"),
+    "dynamics": ("SolverConfig", "SolverState", "adapt_dt", "initial_state",
+                 "nonlinear_term", "run_until", "step"),
+    "diagnostics": ("NormSeries", "check_boundedness", "fit_decay_exponent",
+                    "integral_tail_fraction", "record_norms"),
+    "initial": ("band_limited_random", "make_initial"),
     "config": ("parse_config",),
     "modulus": ("build_knv_modulus", "check_modulus", "default_offsets"),
     "oracles": ("convergence_ratio", "convolution_nonlinearity",
@@ -58,26 +33,11 @@ _LAZY = {
     "snapshot": ("read_snapshot", "write_snapshot"),
 }
 
-__all__ = [
-    "BlowUpError", "BudgetError", "ConfigError", "ParameterError",
-    "SnapshotFormatError",
-    "Grid", "RealField", "SpectralField", "dealias", "forward_transform",
-    "inverse_transform", "sobolev_norm", "sup_and_gradient_sup",
-    "SolverConfig", "SolverState", "adapt_dt", "initial_state",
-    "nonlinear_term", "run_until", "step",
-    "NormSeries", "check_boundedness", "fit_decay_exponent",
-    "integral_tail_fraction", "record_norms",
-    "band_limited_random", "make_initial",
-    "parse_config",
-    "build_knv_modulus", "check_modulus", "default_offsets",
-    "convergence_ratio", "convolution_nonlinearity", "linear_heat_exact",
-    "scaling_consistency", "single_mode_exact",
-    "read_snapshot", "write_snapshot",
-]
+__all__ = [name for names in _PUBLIC.values() for name in names]
 
 
 def __getattr__(name):
-    for module, names in _LAZY.items():
+    for module, names in _PUBLIC.items():
         if name in names:
             value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
             globals()[name] = value

@@ -7,8 +7,9 @@ Five numbers, one per line:
   ``src`` directory beside this script's directory);
 - ``code_lines``: the lines that are not blank, not comment-only, and not
   part of a module, class or function docstring (located with ``ast``);
-- ``public_names``: the names that ``sqglab/__init__.py`` imports or lists
-  in ``__all__``, so the names it loads on first use count too;
+- ``public_names``: the names that ``sqglab/__init__.py`` imports from a
+  module, lists in a literal ``__all__`` or lists in its literal ``_PUBLIC``
+  table, so the names it binds on first use count too;
 - ``private_imports``: the ``_``-prefixed names that one module imports from
   another by relative import (``from .spectral import _pack``), counted once
   per importing module;
@@ -61,16 +62,20 @@ def private_imports(tree: ast.AST) -> set[tuple[str, str]]:
 
 
 def public_names(init: ast.Module) -> set[str]:
-    """The names a parsed ``__init__.py`` binds by ``from`` imports, and the
-    strings of its literal ``__all__``."""
+    """The names a parsed ``__init__.py`` binds by ``from .module import``,
+    and the strings in its ``__all__`` and in the values of its ``_PUBLIC``
+    dict, each of them a literal.  ``from . import module`` binds a
+    submodule, not a public name, and is not counted."""
     names = {alias.asname or alias.name for node in init.body
-             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             if isinstance(node, ast.ImportFrom) and node.module is not None
+             and node.module != "__future__"
              for alias in node.names}
     for node in init.body:
-        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in ("__all__", "_PUBLIC")
                         for t in node.targets)):
-            names.update(e.value for e in node.value.elts
+            values = node.value.values if isinstance(node.value, ast.Dict) else [node.value]
+            names.update(e.value for value in values for e in ast.walk(value)
                          if isinstance(e, ast.Constant) and isinstance(e.value, str))
     return names
 
